@@ -28,13 +28,16 @@ LCF_MAGIC = b"LCF1"
 LCF_DTYPE_F64 = 1  # little-endian float64; the only code defined so far
 
 
-def _fmt(x) -> str:
-    """Shortest round-trip text for a scalar."""
-    if isinstance(x, (bool, np.bool_)):
-        return "1" if x else "0"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return repr(float(x))
+def _format_column(col: np.ndarray) -> list:
+    """Shortest round-trip text of every entry: bools as 1/0, integers
+    plain, everything else as the repr of a float.  Formatting Python
+    scalars from `tolist` is about twice as fast as numpy scalars."""
+    values = col.tolist()
+    if col.dtype.kind == "b":
+        return ["1" if x else "0" for x in values]
+    if col.dtype.kind in "iu":
+        return list(map(str, values))
+    return [repr(float(x)) for x in values]
 
 
 def write_lcf(path, values: np.ndarray) -> Path:
@@ -72,9 +75,9 @@ def write_csv(path, header, columns) -> Path:
     n = cols[0].shape[0]
     if any(c.shape != (n,) for c in cols):
         raise ValueError("CSV columns must be 1-D and equal length")
+    cells = [_format_column(c) for c in cols]
     lines = [",".join(header)]
-    for i in range(n):
-        lines.append(",".join(_fmt(c[i]) for c in cols))
+    lines.extend(map(",".join, zip(*cells)))
     path.write_text("\n".join(lines) + "\n")
     return path
 

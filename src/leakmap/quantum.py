@@ -206,12 +206,14 @@ class QuantumScan:
     n_zero_modes: np.ndarray
 
 
-def leak_scan_quantum(params: QuantumParams, positions, width: float) -> QuantumScan:
+def leak_scan_quantum(params: QuantumParams, positions, width: float, each=None) -> QuantumScan:
     """Mean quantum dwell time as the leak center scans [0, 1).
 
     The closed propagator is built once; each position only changes the
     projector.  width = 0 makes every dwell time infinite and the mean
-    meaningless (NaN)."""
+    meaningless (NaN).  each(i, res), when given, is called with the
+    resonance set of every position i, so further statistics share its one
+    Schur factorization."""
     positions = np.asarray(positions, dtype=float)
     u = build_unitary(params)
     n_pos = positions.size
@@ -221,6 +223,8 @@ def leak_scan_quantum(params: QuantumParams, positions, width: float) -> Quantum
     for i, center in enumerate(positions):
         keep = build_projector(params, Leak(float(center), width))
         res = resonance_spectrum(open_propagator(u, keep))
+        if each is not None:
+            each(i, res)
         n_zero[i] = res.n_zero_modes
         if np.isinf(res.dwell).any():
             mean_dwell[i] = np.nan

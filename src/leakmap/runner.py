@@ -35,13 +35,12 @@ from .quantum import (
     QuantumParams,
     build_projector,
     build_unitary,
-    leak_scan_quantum,
     open_propagator,
     resonance_spectrum,
     unitarity_defect,
 )
 from .standard_map import Leak, MapParams
-from .tomography import entropy_vs_dwell, leak_scan_entropy, mean_husimi
+from .tomography import entropy_vs_dwell, leak_scan, mean_husimi
 
 __all__ = ["cmd_ftle_field", "cmd_open_classical", "cmd_quantum", "cmd_scan", "component_rng", "COMMANDS"]
 
@@ -80,9 +79,11 @@ class _Run:
         self._stage_t0 = 0.0
 
     def stage(self, name: str):
+        """Close the running stage and start `name`; a stage entered more
+        than once accumulates its time."""
         now = time.perf_counter()
         if self._stage is not None:
-            self.timings[self._stage] = round(now - self._stage_t0, 6)
+            self.timings[self._stage] = round(self.timings.get(self._stage, 0.0) + now - self._stage_t0, 6)
         self._stage = name
         self._stage_t0 = now
         return self
@@ -265,9 +266,7 @@ def cmd_scan(cfg: ExperimentConfig) -> list:
     run.stage("classical")
     cl = leak_scan_classical(positions, cfg.leak_width, PhaseSpaceGrid(cfg.grid_q, cfg.grid_p), cfg.t_max, params)
     run.stage("quantum")
-    qs = leak_scan_quantum(qp, positions, cfg.leak_width)
-    run.stage("entropy")
-    es = leak_scan_entropy(qp, positions, cfg.leak_width, (cfg.scan_husimi_q, cfg.scan_husimi_p))
+    qs, es = leak_scan(qp, positions, cfg.leak_width, (cfg.scan_husimi_q, cfg.scan_husimi_p), stage=run.stage)
     run.stage("write")
     corr_tau_t = float(np.corrcoef(cl.mean_tau, qs.mean_dwell)[0, 1])
     corr_lam_sw = float(np.corrcoef(cl.mean_ftle, es.mean_s_w)[0, 1])

@@ -12,20 +12,28 @@ before that).  The Husimi mass of a state v on a grid cell is
 Evaluating the overlaps naively costs O(N) per grid cell.  Instead the
 m-sum is absorbed into an extended site lattice k', the Gaussian window is
 applied once per q row, and the p dependence exp(-2 pi i p_j k') collapses
-to a length-n_p FFT after folding k' modulo n_p.  The result is identical
-to the naive overlaps at machine precision; only terms with Gaussian weight
-below ~1e-20 are dropped.
+to a length-n_p FFT after folding k' modulo n_p.  The fold is a cyclic
+placement computed once per plan: runs of consecutive extended sites, each
+landing on a contiguous block of FFT columns, are written (first touch) or
+added (later wraps) in lattice order.  The result is identical to the naive
+overlaps at machine precision; only terms with Gaussian weight below ~1e-20
+are dropped.
+
+Batches of states (`state_entropies`, `mean_husimi`) run every transform,
+normalization and entropy reduction inside one workspace allocated per
+call, so the per-state loop allocates no grid-sized array.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .quantum import QuantumParams, ResonanceSet, build_projector, build_unitary, open_propagator, resonance_spectrum
-from .standard_map import TWO_PI, Leak
+from .quantum import QuantumParams, ResonanceSet, leak_scan_quantum
+from .standard_map import TWO_PI
 
 __all__ = [
     "HusimiField",
@@ -39,6 +47,7 @@ __all__ = [
     "wehrl_entropy",
     "state_entropies",
     "entropy_vs_dwell",
+    "leak_scan",
     "leak_scan_entropy",
 ]
 
@@ -81,27 +90,92 @@ def coherent_state(center, N: int, m_range: int = M_RANGE) -> np.ndarray:
     return psi / nrm
 
 
-def _raw_entropy(masses: np.ndarray) -> float:
+def _raw_entropy(masses: np.ndarray, scratch=None) -> float:
     """-sum m ln(m M) over cells, with 0 ln 0 := 0.
 
     This is the differential entropy of the field relative to the uniform
     density; keeping the cell count M inside the log makes the uniform
     field evaluate to 0 up to one rounding per cell instead of a large
     cancellation.
+
+    The positive masses are compressed to a contiguous run before the
+    log and the sum, so cells of exact zero mass leave the pairwise sum
+    untouched.  scratch, a (bool, float, float) triple of length-M
+    buffers such as `_Workspace.entropy_scratch`, avoids allocating them.
     """
     m = masses.ravel()
     big = m.size
-    nz = m > 0.0
-    return float(-(m[nz] * np.log(m[nz] * big)).sum())
+    if scratch is None:
+        scratch = (np.empty(big, dtype=bool), np.empty(big), np.empty(big))
+    positive, kept, terms = scratch
+    np.greater(m, 0.0, out=positive)
+    n = int(np.count_nonzero(positive))
+    if n < big:
+        m = np.compress(positive, m, out=kept[:n])
+    t = np.multiply(m, big, out=terms[:n])
+    np.log(t, out=t)
+    np.multiply(m, t, out=t)
+    return float(-t.sum())
+
+
+def _normalize(raw: np.ndarray) -> np.ndarray:
+    """Divide overlaps by their total in place, making the masses sum to 1."""
+    total = raw.sum()
+    if total <= 0.0:
+        raise RuntimeError("Husimi field has no mass")
+    return np.divide(raw, total, out=raw)
+
+
+def _cyclic_runs(first_col: int, length: int, n_p: int) -> tuple:
+    """Placement of extended sites 0 .. length-1 on FFT columns
+    (first_col + site) mod n_p, as (start, stop, column, first) runs in
+    lattice order.
+
+    Sites start .. stop-1 land on columns column .. column+stop-start-1
+    without wrapping.  `first` marks runs whose columns no earlier site has
+    reached (every site below n_p): they are written, later runs are added,
+    so each column sums its sites in lattice order.
+    """
+    runs = []
+    e = 0
+    while e < length:
+        col = (first_col + e) % n_p
+        stop = min(length, e + n_p - col)
+        if e < n_p < stop:
+            stop = n_p
+        runs.append((e, stop, col, e < n_p))
+        e = stop
+    return tuple(runs)
+
+
+class _Workspace:
+    """Grid-sized buffers for a batch of transforms with one plan.
+
+    fold receives the windowed sites placed on the n_p columns; columns no
+    extended site reaches (only when the lattice is shorter than n_p) stay
+    zero from allocation.  amp receives the FFT; once a field's masses are
+    out, its memory serves as the entropy reduction's compress and term
+    buffers.  mass receives the field itself.
+    """
+
+    def __init__(self, n_q: int, n_p: int):
+        self.fold = np.zeros((n_q, n_p), dtype=complex)
+        self.amp = np.empty((n_q, n_p), dtype=complex)
+        self.mass = np.empty((n_q, n_p))
+        kept, terms = self.amp.view(float).reshape(2, -1)
+        self.entropy_scratch = (np.empty(n_q * n_p, dtype=bool), kept, terms)
 
 
 class HusimiTransform:
     """Precomputed Husimi analyzer for one (N, n_q, n_p) combination.
 
-    Holds the Gaussian window over the extended site lattice, the fold
-    geometry for the p-axis FFT, and the exact coherent-state norm field
-    used as denominator.  Reuse one instance across many states; building
-    it costs about as much as a handful of transforms.
+    Holds the Gaussian window over the extended site lattice, its cyclic
+    placement on the p-axis FFT columns, and the exact coherent-state norm
+    field used as denominator.  Reuse one instance across many states;
+    building it costs about as much as a handful of transforms.  The plan
+    itself is read-only: per-call buffers live in a `workspace()`, which
+    the batch functions allocate once per call and pass to every
+    `overlap_field`.
     """
 
     def __init__(self, N: int, n_q: int, n_p: int, m_range: int = M_RANGE):
@@ -126,9 +200,7 @@ class HusimiTransform:
         self._window = np.exp(-np.pi * N * (kex[None, :] / N - self.q[:, None]) ** 2)
         # Half-cell offset of the p grid, folded into a per-site phase.
         self._half_phase = np.exp(-1j * np.pi * kex / n_p)
-        pad_start = kex[0] - (kex[0] % n_p)
-        self._left_pad = int(kex[0] - pad_start)
-        self._n_blocks = -(-(self._left_pad + kex.size) // n_p)
+        self._runs = _cyclic_runs(int(kex[0] % n_p), kex.size, n_p)
         self._norm2 = self._norm_field()
         self._s_coh = None
 
@@ -149,25 +221,40 @@ class HusimiTransform:
             raise RuntimeError("coherent norm field is not positive; grid too coarse?")
         return norm2
 
-    def overlap_field(self, state: np.ndarray) -> np.ndarray:
-        """|<alpha(q_i, p_j)|state>|^2 before mass normalization."""
+    def workspace(self) -> _Workspace:
+        """Fresh buffers for `overlap_field`; one per batch of states."""
+        return _Workspace(self.n_q, self.n_p)
+
+    def overlap_field(self, state: np.ndarray, work: _Workspace | None = None) -> np.ndarray:
+        """|<alpha(q_i, p_j)|state>|^2 before mass normalization.
+
+        With a workspace the result is written into work.mass, which the
+        next call with that workspace overwrites, and nothing grid-sized is
+        allocated.  Without one the result is a fresh array.
+        """
         v = np.asarray(state, dtype=complex).ravel()
         if v.size != self.N:
             raise ValueError(f"state length {v.size} != N = {self.N}")
-        w = self._window * (v[self._src] * self._half_phase)[None, :]
-        buf = np.zeros((self.n_q, self._n_blocks * self.n_p), dtype=complex)
-        buf[:, self._left_pad : self._left_pad + w.shape[1]] = w
-        folded = buf.reshape(self.n_q, self._n_blocks, self.n_p).sum(axis=1)
-        amp = np.fft.fft(folded, axis=1)
-        return (amp.real**2 + amp.imag**2) / self._norm2
+        if work is None:
+            work = self.workspace()
+        phased = v[self._src] * self._half_phase
+        fold, amp = work.fold, work.amp
+        for start, stop, col, first in self._runs:
+            dst = fold[:, col : col + stop - start]
+            if first:
+                np.multiply(self._window[:, start:stop], phased[start:stop], out=dst)
+            else:
+                term = np.multiply(self._window[:, start:stop], phased[start:stop], out=amp[:, : stop - start])
+                dst += term
+        np.fft.fft(fold, axis=1, out=amp)
+        mass = np.square(amp.real, out=work.mass)
+        mass += np.square(amp.imag, out=amp.imag)
+        mass /= self._norm2
+        return mass
 
     def field(self, state: np.ndarray) -> HusimiField:
         """Mass-normalized Husimi field of a state."""
-        raw = self.overlap_field(state)
-        total = raw.sum()
-        if total <= 0.0:
-            raise RuntimeError("Husimi field has no mass")
-        return HusimiField(values=raw / total)
+        return HusimiField(values=_normalize(self.overlap_field(state)))
 
     @property
     def coherent_entropy(self) -> float:
@@ -179,14 +266,13 @@ class HusimiTransform:
         return self._s_coh
 
 
-_PLANS: dict = {}
+# Recently used plans kept alive; a 1000^2 plan at N = 512 holds ~14 MB.
+PLAN_CACHE_SIZE = 4
 
 
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
 def _plan(N: int, n_q: int, n_p: int) -> HusimiTransform:
-    key = (N, n_q, n_p)
-    if key not in _PLANS:
-        _PLANS[key] = HusimiTransform(N, n_q, n_p)
-    return _PLANS[key]
+    return HusimiTransform(N, n_q, n_p)
 
 
 def husimi(state: np.ndarray, N: int, resolution=(1000, 1000)) -> HusimiField:
@@ -206,9 +292,10 @@ def mean_husimi(res: ResonanceSet, m: int = 20, resolution=(1000, 1000)) -> Husi
     if n_alive < m:
         raise RuntimeError(f"only {n_alive} nonzero-dwell states available, need m={m}")
     plan = _plan(res.vectors.shape[0], int(resolution[0]), int(resolution[1]))
+    work = plan.workspace()
     acc = np.zeros((plan.n_q, plan.n_p))
     for j in range(m):
-        acc += plan.field(res.vectors[:, j]).values
+        acc += _normalize(plan.overlap_field(res.vectors[:, j], work))
     return HusimiField(values=acc / acc.sum())
 
 
@@ -241,9 +328,10 @@ def state_entropies(res: ResonanceSet, resolution=(1000, 1000)) -> np.ndarray:
     """s_w for every Schur state of a resonance set, in lifetime order."""
     plan = _plan(res.vectors.shape[0], int(resolution[0]), int(resolution[1]))
     s_coh = plan.coherent_entropy
+    work = plan.workspace()
     out = np.empty(res.vectors.shape[1])
     for j in range(out.size):
-        s = _raw_entropy(plan.field(res.vectors[:, j]).values)
+        s = _raw_entropy(_normalize(plan.overlap_field(res.vectors[:, j], work)), work.entropy_scratch)
         out[j] = np.clip((s - s_coh) / (0.0 - s_coh), 0.0, 1.0)
     return out
 
@@ -296,6 +384,30 @@ class EntropyScan:
     se_s_w: np.ndarray
 
 
+def leak_scan(params: QuantumParams, positions, width: float, resolution=(500, 500), stage=None):
+    """Dwell and Wehrl statistics over leak positions from one Schur
+    spectrum per position: (QuantumScan, EntropyScan).
+
+    stage(name), when given, is called with "entropy" before and "quantum"
+    after each position's Wehrl work, so a stage clock can split the time.
+    """
+    positions = np.asarray(positions, dtype=float)
+    mean_sw = np.empty(positions.size)
+    se_sw = np.empty(positions.size)
+
+    def wehrl(i, res):
+        if stage is not None:
+            stage("entropy")
+        s_w = state_entropies(res, resolution)
+        mean_sw[i] = s_w.mean()
+        se_sw[i] = s_w.std(ddof=1) / math.sqrt(params.N)
+        if stage is not None:
+            stage("quantum")
+
+    qs = leak_scan_quantum(params, positions, width, each=wehrl)
+    return qs, EntropyScan(positions=positions, mean_s_w=mean_sw, se_s_w=se_sw)
+
+
 def leak_scan_entropy(
     params: QuantumParams,
     positions,
@@ -303,14 +415,4 @@ def leak_scan_entropy(
     resolution=(500, 500),
 ) -> EntropyScan:
     """Mean s_w over all N Schur states as the leak center scans [0, 1)."""
-    positions = np.asarray(positions, dtype=float)
-    u = build_unitary(params)
-    mean_sw = np.empty(positions.size)
-    se_sw = np.empty(positions.size)
-    for i, center in enumerate(positions):
-        keep = build_projector(params, Leak(float(center), width))
-        res = resonance_spectrum(open_propagator(u, keep))
-        s_w = state_entropies(res, resolution)
-        mean_sw[i] = s_w.mean()
-        se_sw[i] = s_w.std(ddof=1) / math.sqrt(params.N)
-    return EntropyScan(positions=positions, mean_s_w=mean_sw, se_s_w=se_sw)
+    return leak_scan(params, positions, width, resolution)[1]

@@ -11,11 +11,13 @@ red deliberately (see notes in the repository history / decision ledger):
     stickiness at q = 0.2/0.8 bends the survival tail.
   * test_reference_leak_ordering_of_chaos_measures - at these grid and
     matrix sizes both orderings land slightly on the wrong side.
-  * test_leak_position_scan_correspondence - the unmasked stretching-rate
-    average dips (rather than peaks) where the leak swallows the kick
-    null at q = 1/4, 3/4, and the mean-entropy curve is flat to within
-    sampling noise, so the stretching/entropy correlation is far below
-    the target.
+  * test_leak_position_scan_correspondence - the quantum mean-dwell
+    minimum sits at q = 0.74, 0.06 from the sticky position 0.8 against a
+    tolerance of 0.05, so near_sticky(argmin_T) fails first.  Beyond it,
+    the unmasked stretching-rate average dips (rather than peaks) where
+    the leak swallows the kick null at q = 1/4, 3/4, and the mean-entropy
+    curve is flat to within sampling noise, so the stretching/entropy
+    correlation is far below the target.
 """
 
 import math

@@ -84,6 +84,30 @@ def test_csv_floats_round_trip_exactly(tmp_path):
     assert_array_equal(back, x)
 
 
+def per_scalar_text(x) -> str:
+    """Reference formatting of one numpy scalar, as write_csv once did it."""
+    if isinstance(x, (bool, np.bool_)):
+        return "1" if x else "0"
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    return repr(float(x))
+
+
+def test_csv_bytes_equal_per_scalar_formatting(tmp_path):
+    rng = np.random.default_rng(4)
+    floats = np.concatenate([[np.nan, np.inf, -np.inf, -0.0, 0.0, 1e-300, 5e-324, 1e300], rng.normal(size=92)])
+    cols = [
+        np.arange(-50, 50),
+        np.arange(100, dtype=np.uint8),
+        floats,
+        rng.normal(size=100).astype(np.float32),
+        rng.random(100) > 0.5,
+    ]
+    p = write_csv(tmp_path / "t.csv", ["i", "u", "x", "y", "flag"], cols)
+    lines = ["i,u,x,y,flag"] + [",".join(per_scalar_text(c[i]) for c in cols) for i in range(100)]
+    assert p.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
 def test_csv_rejects_ragged_columns(tmp_path):
     with pytest.raises(ValueError):
         write_csv(tmp_path / "t.csv", ["a", "b"], [np.arange(3), np.arange(4)])

@@ -7,6 +7,7 @@ import os
 import numpy as np
 import pytest
 
+from leakmap import quantum
 from leakmap.cli import apply_thread_env, main
 from leakmap.config import default_config
 from leakmap.formats import read_lcf, sha256_file
@@ -150,6 +151,22 @@ def test_cmd_scan_artifacts(tmp_path):
     assert all(-1.0 <= v <= 1.0 for v in corr.values())
     assert manifest["extra"]["pearson_tau_T"] == corr["pearson_tau_T"]
     assert (out / "scan_errors.csv").is_file()
+
+
+def test_cmd_scan_one_spectrum_per_position(tmp_path, monkeypatch):
+    calls = []
+    real = quantum.resonance_spectrum
+
+    def counting(m):
+        calls.append(m.shape)
+        return real(m)
+
+    monkeypatch.setattr(quantum, "resonance_spectrum", counting)
+    out = tmp_path / "run"
+    cmd_scan(toy_config(out, dim=16, t_max=400))
+    assert len(calls) == 4
+    timings = load_manifest(out)["timings_s"]
+    assert timings["quantum"] > 0.0 and timings["entropy"] > 0.0
 
 
 def test_component_rng_streams():

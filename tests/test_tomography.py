@@ -13,13 +13,20 @@ from leakmap.quantum import (
     open_propagator,
     resonance_spectrum,
 )
+from leakmap.quantum import leak_scan_quantum
 from leakmap.standard_map import Leak
 from leakmap.tomography import (
+    M_RANGE,
+    PLAN_CACHE_SIZE,
+    WINDOW_LOG_CUT,
     HusimiField,
     HusimiTransform,
+    _plan,
+    _raw_entropy,
     coherent_state,
     entropy_vs_dwell,
     husimi,
+    leak_scan,
     leak_scan_entropy,
     mean_husimi,
     state_entropies,
@@ -144,6 +151,102 @@ def test_husimi_reflection_pairs_with_reflected_leak():
     assert_allclose(fa, np.flip(fb), rtol=0, atol=1e-12)
 
 
+def zero_filled_fold_overlaps(plan, state):
+    """Overlaps through a zero-padded (n_q, blocks * n_p) buffer folded by a
+    reshape-sum: the layout the cyclic placement replaces."""
+    n, n_p = plan.N, plan.n_p
+    u_max = math.sqrt(WINDOW_LOG_CUT / (math.pi * n))
+    k_lo = max(1 - M_RANGE * n, math.floor(-u_max * n))
+    k_hi = min((M_RANGE + 1) * n, math.ceil((1.0 + u_max) * n))
+    kex = np.arange(k_lo, k_hi + 1)
+    w = plan._window * (state[(kex - 1) % n] * np.exp(-1j * np.pi * kex / n_p))[None, :]
+    left = int(kex[0] % n_p)
+    blocks = -(-(left + kex.size) // n_p)
+    buf = np.zeros((plan.n_q, blocks * n_p), dtype=complex)
+    buf[:, left : left + kex.size] = w
+    amp = np.fft.fft(buf.reshape(plan.n_q, blocks, n_p).sum(axis=1), axis=1)
+    return (amp.real**2 + amp.imag**2) / plan._norm2
+
+
+def reference_entropy(masses):
+    m = masses.ravel()
+    nz = m > 0.0
+    return float(-(m[nz] * np.log(m[nz] * m.size)).sum())
+
+
+# extended lattice of 49 sites on 17 columns (wraps twice), 127 on 63
+# (twice), 77 on 100 (shorter than the grid), 31 on 3 (ten times)
+WRAP_CASES = [(16, 17, 17), (64, 63, 63), (32, 100, 100), (8, 200, 3)]
+
+
+@pytest.mark.parametrize("n,n_q,n_p", WRAP_CASES)
+def test_cyclic_placement_equals_zero_filled_fold(n, n_q, n_p):
+    rng = np.random.default_rng(5)
+    plan = HusimiTransform(n, n_q, n_p)
+    for _ in range(3):
+        v = rng.normal(size=n) + 1j * rng.normal(size=n)
+        v /= np.linalg.norm(v)
+        assert np.array_equal(plan.overlap_field(v), zero_filled_fold_overlaps(plan, v))
+
+
+def test_overlap_field_workspace_output_is_not_aliased():
+    rng = np.random.default_rng(6)
+    plan = HusimiTransform(16, 17, 17)
+    a, b = (rng.normal(size=16) + 1j * rng.normal(size=16) for _ in range(2))
+    fresh_a = plan.overlap_field(a)
+    work = plan.workspace()
+    assert np.array_equal(plan.overlap_field(a, work), fresh_a)
+    kept = fresh_a.copy()
+    fresh_b = plan.overlap_field(b)
+    into = plan.overlap_field(b, work)
+    assert into is work.mass
+    assert np.array_equal(into, fresh_b)
+    assert np.array_equal(fresh_a, kept)
+    assert not np.shares_memory(fresh_a, fresh_b)
+    assert not np.shares_memory(fresh_a, work.mass)
+
+
+@pytest.mark.parametrize("n,n_q,n_p,center", [(16, 17, 17, 0.3), (64, 63, 63, 0.7), (32, 100, 100, 0.2)])
+def test_batch_loops_equal_per_state_path(n, n_q, n_p, center):
+    res = open_resonances(n, center)
+    plan = _plan(n, n_q, n_p)
+    s_coh = plan.coherent_entropy
+    fields = [plan.field(res.vectors[:, j]).values for j in range(n)]
+    raw = np.array([reference_entropy(f) for f in fields])
+    expect = np.clip((raw - s_coh) / (0.0 - s_coh), 0.0, 1.0)
+    assert np.array_equal(state_entropies(res, (n_q, n_p)), expect)
+    acc = np.zeros((n_q, n_p))
+    for f in fields[:5]:
+        acc += f
+    assert np.array_equal(mean_husimi(res, 5, (n_q, n_p)).values, acc / acc.sum())
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_entropy_reduction_with_zero_cells(seed):
+    # summing the zero cells' terms too regroups the pairwise sum, which
+    # changes the result's last bits for most of these seeds
+    rng = np.random.default_rng(seed)
+    masses = rng.random((30, 40)) ** 4
+    masses[rng.random(masses.shape) < 0.2] = 0.0
+    masses /= masses.sum()
+    work = HusimiTransform(8, 30, 40).workspace()
+    expect = reference_entropy(masses)
+    assert np.array_equal(_raw_entropy(masses), expect)
+    assert np.array_equal(_raw_entropy(masses, work.entropy_scratch), expect)
+    dense = masses + 1e-9
+    assert np.array_equal(_raw_entropy(dense, work.entropy_scratch), reference_entropy(dense))
+
+
+def test_plan_cache_is_bounded_and_holds_no_workspace():
+    for n in range(8, 8 + PLAN_CACHE_SIZE + 2):
+        state_entropies(open_resonances(n, 0.5), (12, 14))
+    info = _plan.cache_info()
+    assert info.maxsize == PLAN_CACHE_SIZE
+    assert info.currsize <= PLAN_CACHE_SIZE
+    arrays = [a for a in vars(_plan(8 + PLAN_CACHE_SIZE + 1, 12, 14)).values() if isinstance(a, np.ndarray)]
+    assert not any(a.shape == (12, 14) and a.dtype == complex for a in arrays)
+
+
 def test_transform_validation():
     with pytest.raises(ValueError):
         HusimiTransform(1, 10, 10)
@@ -247,3 +350,16 @@ def test_leak_scan_entropy_symmetry():
     se = np.hypot(scan.se_s_w[:2], scan.se_s_w[::-1][:2])
     dev = np.abs(scan.mean_s_w[:2] - scan.mean_s_w[::-1][:2])
     assert np.all(dev <= 3.0 * se)
+
+
+def test_leak_scan_shares_one_spectrum_per_position():
+    qp = QuantumParams(16, 10.0)
+    positions = [0.2, 0.5, 0.8]
+    qs, es = leak_scan(qp, positions, 0.2, (40, 40))
+    alone = leak_scan_quantum(qp, positions, 0.2)
+    assert np.array_equal(qs.mean_dwell, alone.mean_dwell)
+    assert np.array_equal(qs.se_dwell, alone.se_dwell)
+    for i, center in enumerate(positions):
+        s_w = state_entropies(open_resonances(16, center), (40, 40))
+        assert es.mean_s_w[i] == s_w.mean()
+        assert es.se_s_w[i] == s_w.std(ddof=1) / math.sqrt(16)
