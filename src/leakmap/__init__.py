@@ -39,7 +39,6 @@ _EXPORTS = {
     "step_jacobian": "standard_map",
     "tangent_step": "standard_map",
     "ftle": "standard_map",
-    "in_leak": "standard_map",
     "evolve_open": "standard_map",
     "PhaseSpaceGrid": "ensemble",
     "ScalarField": "ensemble",

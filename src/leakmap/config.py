@@ -53,7 +53,6 @@ class ExperimentConfig:
     scan_positions: int = 50
     scan_husimi_q: int = 500
     scan_husimi_p: int = 500
-    seed: int = 1
     output: str = "out"
 
 
@@ -76,7 +75,6 @@ _SCHEMA = {
     ("scan", "positions"): ("scan_positions", int),
     ("scan", "husimi_grid_q"): ("scan_husimi_q", int),
     ("scan", "husimi_grid_p"): ("scan_husimi_p", int),
-    ("run", "seed"): ("seed", int),
     ("run", "output"): ("output", str),
 }
 
@@ -111,8 +109,6 @@ def _validate(cfg: ExperimentConfig, violations: list):
         bad("dwell_bin", f"must be positive, got {cfg.dwell_bin}")
     if cfg.scan_positions < 1:
         bad("scan_positions", f"must be >= 1, got {cfg.scan_positions}")
-    if not (0 <= cfg.seed < 2**64):
-        bad("seed", "must be a 64-bit unsigned integer")
     if not cfg.output:
         bad("output", "must not be empty")
 

@@ -1,8 +1,10 @@
 """Grid ensembles on the torus: FTLE fields, dwell statistics, survival.
 
-Initial conditions sit at cell centers of a uniform n_q x n_p grid.  All
-evolution loops are vectorized over the whole ensemble with an active-set
-that shrinks as trajectories get absorbed.
+Initial conditions sit at cell centers of a uniform n_q x n_p grid.  One
+vectorized map-and-tangent loop, `_orbits`, evolves every ensemble: an
+active set that shrinks as trajectories get absorbed, and the closed-map
+FTLE is the same loop with the empty leak.  The scalar
+`standard_map.evolve_open` is its independent reference.
 """
 
 from __future__ import annotations
@@ -108,87 +110,13 @@ class ScalarField:
         return self.values[self.mask]
 
 
-def _ftle_batch(q0, p0, n: int, params: MapParams) -> np.ndarray:
-    """FTLE over n closed-map steps for arrays of initial conditions."""
-    q = np.array(q0, dtype=float, copy=True)
-    p = np.array(p0, dtype=float, copy=True)
-    K = params.K
-    a = np.ones_like(q)
-    b = np.zeros_like(q)
-    c = np.zeros_like(q)
-    d = np.ones_like(q)
-    s = np.zeros_like(q)
-    for t in range(1, n + 1):
-        q += p
-        np.mod(q, 1.0, out=q)
-        q[q == 1.0] = 0.0
-        p -= K / TWO_PI * np.sin(TWO_PI * q)
-        np.mod(p, 1.0, out=p)
-        p[p == 1.0] = 0.0
-        kc = K * np.cos(TWO_PI * q)
-        a2 = a + c
-        b2 = b + d
-        c = c - kc * a2
-        d = d - kc * b2
-        a, b = a2, b2
-        if t % RENORM_INTERVAL == 0:
-            m = np.maximum.reduce([np.abs(a), np.abs(b), np.abs(c), np.abs(d)])
-            a /= m
-            b /= m
-            c /= m
-            d /= m
-            s += np.log(m)
-    return (s + np.log(_sigma_max(a, b, c, d))) / n
+def _orbits(q0, p0, leak: Leak, t_max: int, params: MapParams):
+    """Evolve flat arrays of initial points under the leaked map.
 
-
-def ftle_ensemble(q0, p0, n: int, params: MapParams) -> np.ndarray:
-    """Finite-time Lyapunov exponents for arbitrary arrays of initial points."""
-    if n < 1:
-        raise ValueError(f"need at least one step, got n={n}")
-    return _ftle_batch(np.asarray(q0, float).ravel(), np.asarray(p0, float).ravel(), n, params)
-
-
-def ftle_field(grid: PhaseSpaceGrid, n: int, params: MapParams) -> ScalarField:
-    """Closed-map FTLE field over the grid; every cell is valid."""
-    if n < 1:
-        raise ValueError(f"need at least one step, got n={n}")
-    q0, p0 = grid.points()
-    lam = _ftle_batch(q0, p0, n, params).reshape(grid.n_q, grid.n_p)
-    return ScalarField(grid=grid, values=lam)
-
-
-@dataclass
-class EscapeEnsemble:
-    """Per-cell escape data for a leaked grid ensemble.
-
-    tau[i, j] is the absorption time (0 = started inside the leak, t_max =
-    survived the horizon), ftle[i, j] the Lyapunov exponent accumulated over
-    tau steps (NaN where tau = 0), escaped[i, j] whether the orbit was
-    absorbed within the horizon.
+    Returns (tau, ftle, escaped) per point, with the conventions of
+    EscapeEnsemble.  Each step applies the map and the tangent update, then
+    the leak test, then the renormalization of the surviving frames.
     """
-
-    grid: PhaseSpaceGrid
-    leak: Leak
-    params: MapParams
-    t_max: int
-    tau: np.ndarray
-    ftle: np.ndarray
-    escaped: np.ndarray
-
-    @property
-    def escape_fraction(self) -> float:
-        return float(self.escaped.mean())
-
-
-def escape_ensemble(grid: PhaseSpaceGrid, leak: Leak, t_max: int, params: MapParams) -> EscapeEnsemble:
-    """Evolve every grid cell under the leaked map for up to t_max steps.
-
-    The leak test runs after each full map iteration; cells starting inside
-    the strip get tau = 0 and no Lyapunov exponent.
-    """
-    if t_max < 1:
-        raise ValueError(f"t_max must be >= 1, got {t_max}")
-    q0, p0 = grid.points()
     total = q0.size
     tau = np.zeros(total, dtype=np.int64)
     lam = np.full(total, np.nan)
@@ -198,8 +126,8 @@ def escape_ensemble(grid: PhaseSpaceGrid, leak: Leak, t_max: int, params: MapPar
     escaped[inside] = True  # absorbed before the first step, tau stays 0
     idx = np.nonzero(~inside)[0]
 
-    q = q0[idx].copy()
-    p = p0[idx].copy()
+    q = q0[idx]  # index arrays copy, so the in-place updates below
+    p = p0[idx]  # never reach the caller's arrays
     K = params.K
     a = np.ones_like(q)
     b = np.zeros_like(q)
@@ -245,7 +173,56 @@ def escape_ensemble(grid: PhaseSpaceGrid, leak: Leak, t_max: int, params: MapPar
     if idx.size:  # survivors of the full horizon
         tau[idx] = t_max
         lam[idx] = (s + np.log(_sigma_max(a, b, c, d))) / t_max
+    return tau, lam, escaped
 
+
+def ftle_ensemble(q0, p0, n: int, params: MapParams) -> np.ndarray:
+    """Finite-time Lyapunov exponents for arbitrary arrays of initial points."""
+    if n < 1:
+        raise ValueError(f"need at least one step, got n={n}")
+    q0 = np.asarray(q0, float).ravel()
+    p0 = np.asarray(p0, float).ravel()
+    return _orbits(q0, p0, Leak(0.0, 0.0), n, params)[1]
+
+
+def ftle_field(grid: PhaseSpaceGrid, n: int, params: MapParams) -> ScalarField:
+    """Closed-map FTLE field over the grid; every cell is valid."""
+    lam = ftle_ensemble(*grid.points(), n, params).reshape(grid.n_q, grid.n_p)
+    return ScalarField(grid=grid, values=lam)
+
+
+@dataclass
+class EscapeEnsemble:
+    """Per-cell escape data for a leaked grid ensemble.
+
+    tau[i, j] is the absorption time (0 = started inside the leak, t_max =
+    survived the horizon), ftle[i, j] the Lyapunov exponent accumulated over
+    tau steps (NaN where tau = 0), escaped[i, j] whether the orbit was
+    absorbed within the horizon.
+    """
+
+    grid: PhaseSpaceGrid
+    leak: Leak
+    params: MapParams
+    t_max: int
+    tau: np.ndarray
+    ftle: np.ndarray
+    escaped: np.ndarray
+
+    @property
+    def escape_fraction(self) -> float:
+        return float(self.escaped.mean())
+
+
+def escape_ensemble(grid: PhaseSpaceGrid, leak: Leak, t_max: int, params: MapParams) -> EscapeEnsemble:
+    """Evolve every grid cell under the leaked map for up to t_max steps.
+
+    The leak test runs after each full map iteration; cells starting inside
+    the strip get tau = 0 and no Lyapunov exponent.
+    """
+    if t_max < 1:
+        raise ValueError(f"t_max must be >= 1, got {t_max}")
+    tau, lam, escaped = _orbits(*grid.points(), leak, t_max, params)
     shape = (grid.n_q, grid.n_p)
     return EscapeEnsemble(
         grid=grid,
@@ -460,9 +437,9 @@ def histogram_mean(edges: np.ndarray, probs: np.ndarray) -> float:
 class ClassicalScan:
     """Leak-position scan of classical dwell and FTLE averages.
 
-    Averages run over orbits with tau >= 1; survivors of the horizon are
-    included (with tau = t_max) unless include_unescaped was false.
-    unescaped_fraction flags positions where the horizon bit."""
+    Averages run over orbits with tau >= 1, survivors of the horizon
+    included with tau = t_max.  unescaped_fraction flags positions where
+    the horizon bit."""
 
     positions: np.ndarray
     mean_tau: np.ndarray
@@ -478,7 +455,6 @@ def leak_scan_classical(
     grid: PhaseSpaceGrid,
     t_max: int,
     params: MapParams,
-    include_unescaped: bool = True,
 ) -> ClassicalScan:
     """Mean dwell time and mean dwell-FTLE as the leak center scans [0, 1)."""
     positions = np.asarray(positions, dtype=float)
@@ -491,8 +467,6 @@ def leak_scan_classical(
     for i, center in enumerate(positions):
         ens = escape_ensemble(grid, Leak(float(center), width), t_max, params)
         sel = ens.tau >= 1
-        if not include_unescaped:
-            sel &= ens.escaped
         count = int(sel.sum())
         if count == 0:
             # every orbit was absorbed before its first step (leak covers

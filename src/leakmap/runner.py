@@ -42,22 +42,10 @@ from .quantum import (
 from .standard_map import Leak, MapParams
 from .tomography import entropy_vs_dwell, leak_scan, mean_husimi
 
-__all__ = ["cmd_ftle_field", "cmd_open_classical", "cmd_quantum", "cmd_scan", "component_rng", "COMMANDS"]
+__all__ = ["cmd_ftle_field", "cmd_open_classical", "cmd_quantum", "cmd_scan", "COMMANDS"]
 
 # Propagators are checked against this before opening the system.
 UNITARITY_TOL = 1e-12
-
-# Deterministic per-component RNG streams expanded from the single config
-# seed.  Grid experiments never draw from these; they exist for optional
-# random-IC modes and keep stream identities stable across versions.
-_RNG_STREAMS = {"classical": 0, "quantum": 1, "tomography": 2}
-
-
-def component_rng(seed: int, component: str) -> np.random.Generator:
-    if component not in _RNG_STREAMS:
-        raise ValueError(f"unknown component {component!r}, have {sorted(_RNG_STREAMS)}")
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(_RNG_STREAMS[component],))
-    return np.random.default_rng(ss)
 
 
 def _scan_positions(cfg: ExperimentConfig) -> np.ndarray:

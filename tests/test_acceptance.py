@@ -49,7 +49,6 @@ from leakmap.quantum import (
     resonance_spectrum,
     unitarity_defect,
 )
-from leakmap.runner import component_rng
 from leakmap.standard_map import Leak, MapParams, TangentFrame, ftle, step, tangent_step
 from leakmap.tomography import (
     HusimiField,
@@ -59,6 +58,8 @@ from leakmap.tomography import (
     leak_scan_entropy,
     wehrl_entropy,
 )
+
+from conftest import component_rng
 
 PARAMS = MapParams(K=10.0)
 

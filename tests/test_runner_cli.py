@@ -11,7 +11,7 @@ from leakmap import quantum
 from leakmap.cli import apply_thread_env, main
 from leakmap.config import default_config
 from leakmap.formats import read_lcf, sha256_file
-from leakmap.runner import cmd_ftle_field, cmd_open_classical, cmd_quantum, cmd_scan, component_rng
+from leakmap.runner import cmd_ftle_field, cmd_open_classical, cmd_quantum, cmd_scan
 
 
 def toy_config(outdir, **kw):
@@ -167,17 +167,6 @@ def test_cmd_scan_one_spectrum_per_position(tmp_path, monkeypatch):
     assert len(calls) == 4
     timings = load_manifest(out)["timings_s"]
     assert timings["quantum"] > 0.0 and timings["entropy"] > 0.0
-
-
-def test_component_rng_streams():
-    a = component_rng(7, "classical")
-    b = component_rng(7, "classical")
-    c = component_rng(7, "quantum")
-    x = a.random(4)
-    np.testing.assert_array_equal(x, b.random(4))
-    assert not np.array_equal(x, c.random(4))
-    with pytest.raises(ValueError):
-        component_rng(7, "husimi")
 
 
 # ---------------------------------------------------------------------------
