@@ -113,6 +113,36 @@ def _validate(cfg: ExperimentConfig, violations: list):
         bad("output", "must not be empty")
 
 
+def _with_entries(base: ExperimentConfig, entries) -> ExperimentConfig:
+    """base with every ((section, key), raw) entry parsed in.
+
+    Unknown keys, unparsable values and then failed validation each raise
+    one ConfigError that lists every violation, labelled "section.key".
+    A name that is not a (section, key) pair is a malformed override.
+    """
+    violations: list = []
+    fields: dict = {}
+    for name, raw in entries:
+        label = ".".join(name)
+        spec = _SCHEMA.get(name)
+        if spec is None:
+            problem = "unknown key" if len(name) == 2 else "overrides must look like section.key"
+            violations.append(f"{label}: {problem}")
+            continue
+        attr, parser = spec
+        try:
+            fields[attr] = parser(raw)
+        except ValueError as exc:
+            violations.append(f"{label}: {exc}")
+    if violations:
+        raise ConfigError(violations)
+    cfg = dataclasses.replace(base, **fields)
+    _validate(cfg, violations)
+    if violations:
+        raise ConfigError(violations)
+    return cfg
+
+
 def parse_config(text: str) -> ExperimentConfig:
     """Parse INI-style config text; unknown keys and bad values all error."""
     cp = configparser.ConfigParser(interpolation=None)
@@ -120,26 +150,8 @@ def parse_config(text: str) -> ExperimentConfig:
         cp.read_string(text)
     except configparser.Error as exc:
         raise ConfigError([f"parse error: {exc}"]) from exc
-    violations: list = []
-    fields: dict = {}
-    for section in cp.sections():
-        for key, raw in cp.items(section):
-            spec = _SCHEMA.get((section, key))
-            if spec is None:
-                violations.append(f"{section}.{key}: unknown key")
-                continue
-            attr, parser = spec
-            try:
-                fields[attr] = parser(raw)
-            except ValueError as exc:
-                violations.append(f"{section}.{key}: {exc}")
-    if violations:
-        raise ConfigError(violations)
-    cfg = ExperimentConfig(**fields)
-    _validate(cfg, violations)
-    if violations:
-        raise ConfigError(violations)
-    return cfg
+    entries = (((section, key), raw) for section in cp.sections() for key, raw in cp.items(section))
+    return _with_entries(ExperimentConfig(), entries)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -172,26 +184,4 @@ def serialize_config(cfg: ExperimentConfig) -> str:
 
 def apply_overrides(cfg: ExperimentConfig, overrides) -> ExperimentConfig:
     """Apply (\"section.key\", \"value\") pairs on top of a config."""
-    violations: list = []
-    fields: dict = {}
-    for dotted, raw in overrides:
-        parts = dotted.split(".")
-        if len(parts) != 2:
-            violations.append(f"{dotted}: overrides must look like section.key")
-            continue
-        spec = _SCHEMA.get((parts[0], parts[1]))
-        if spec is None:
-            violations.append(f"{dotted}: unknown key")
-            continue
-        attr, parser = spec
-        try:
-            fields[attr] = parser(raw)
-        except ValueError as exc:
-            violations.append(f"{dotted}: {exc}")
-    if violations:
-        raise ConfigError(violations)
-    out = dataclasses.replace(cfg, **fields)
-    _validate(out, violations)
-    if violations:
-        raise ConfigError(violations)
-    return out
+    return _with_entries(cfg, ((tuple(dotted.split(".")), raw) for dotted, raw in overrides))

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .standard_map import TWO_PI, RENORM_INTERVAL, Leak, MapParams, _sigma_max, mod1
+from .standard_map import TWO_PI, RENORM_INTERVAL, Leak, MapParams, _sigma_max
 
 __all__ = [
     "PhaseSpaceGrid",

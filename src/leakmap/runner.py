@@ -2,8 +2,9 @@
 
 Every command takes a validated ExperimentConfig, writes its artifacts into
 the configured output directory, and finishes with a manifest.json listing
-each file with size and sha256.  All CSV bytes are pure functions of the
-config, so a rerun into a fresh directory produces identical checksums.
+each file that this run wrote (`_Run.add`) with size and sha256; older files
+in a reused directory stay unlisted.  All CSV bytes are pure functions of
+the config, so a rerun into a fresh directory produces identical checksums.
 """
 
 from __future__ import annotations
@@ -77,6 +78,7 @@ class _Run:
         return self
 
     def add(self, written):
+        """Record paths this run wrote; the manifest lists exactly these."""
         if isinstance(written, (list, tuple)):
             self.files.extend(Path(p) for p in written)
         else:
@@ -87,16 +89,10 @@ class _Run:
 
     def finish(self, extra: dict) -> list:
         self.stage("manifest")
-        outputs = []
-        for p in sorted(self.outdir.rglob("*")):
-            if p.is_file() and p.name != "manifest.json":
-                outputs.append(
-                    {
-                        "path": str(p.relative_to(self.outdir)),
-                        "bytes": p.stat().st_size,
-                        "sha256": sha256_file(p),
-                    }
-                )
+        outputs = [
+            {"path": str(p.relative_to(self.outdir)), "bytes": p.stat().st_size, "sha256": sha256_file(p)}
+            for p in sorted(self.files)
+        ]
         self.timings[self._stage] = round(time.perf_counter() - self._stage_t0, 6)
         manifest = {
             "command": self.command,

@@ -48,7 +48,6 @@ __all__ = [
     "state_entropies",
     "entropy_vs_dwell",
     "leak_scan",
-    "leak_scan_entropy",
 ]
 
 # Torus image cutoff for the coherent state.
@@ -75,14 +74,14 @@ class HusimiField:
         return self.values.shape
 
 
-def coherent_state(center, N: int, m_range: int = M_RANGE) -> np.ndarray:
+def coherent_state(center, N: int) -> np.ndarray:
     """Normalized torus coherent state at (q0, p0), length-N complex vector."""
     if N < 2:
         raise ValueError(f"N must be >= 2, got {N}")
     q0, p0 = float(center[0]), float(center[1])
     x = np.arange(1, N + 1) / N
     psi = np.zeros(N, dtype=complex)
-    for m in range(-m_range, m_range + 1):
+    for m in range(-M_RANGE, M_RANGE + 1):
         psi += np.exp(-np.pi * N * (x - q0 - m) ** 2 + 2j * np.pi * N * p0 * (x - m))
     nrm = np.linalg.norm(psi)
     if nrm == 0.0:
@@ -170,15 +169,15 @@ class HusimiTransform:
     """Precomputed Husimi analyzer for one (N, n_q, n_p) combination.
 
     Holds the Gaussian window over the extended site lattice, its cyclic
-    placement on the p-axis FFT columns, and the exact coherent-state norm
-    field used as denominator.  Reuse one instance across many states;
-    building it costs about as much as a handful of transforms.  The plan
-    itself is read-only: per-call buffers live in a `workspace()`, which
-    the batch functions allocate once per call and pass to every
-    `overlap_field`.
+    placement on the p-axis FFT columns, the exact coherent-state norm
+    field used as denominator, and the Wehrl scale (`coherent_entropy`,
+    `s_w`).  Reuse one instance across many states; building it costs
+    about as much as a handful of transforms.  The plan itself is
+    read-only: per-call buffers live in a `workspace()`, which the batch
+    functions allocate once per call and pass to every `overlap_field`.
     """
 
-    def __init__(self, N: int, n_q: int, n_p: int, m_range: int = M_RANGE):
+    def __init__(self, N: int, n_q: int, n_p: int):
         if N < 2:
             raise ValueError(f"N must be >= 2, got {N}")
         if n_q < 2 or n_p < 2:
@@ -186,15 +185,14 @@ class HusimiTransform:
         self.N = N
         self.n_q = n_q
         self.n_p = n_p
-        self.m_range = m_range
         self.q = (np.arange(n_q) + 0.5) / n_q
         self.p = (np.arange(n_p) + 0.5) / n_p
 
         # Extended lattice k' = k - m N restricted to where the Gaussian
         # window can matter for some q in [0, 1).
         u_max = math.sqrt(WINDOW_LOG_CUT / (math.pi * N))
-        k_lo = max(1 - m_range * N, math.floor(-u_max * N))
-        k_hi = min((m_range + 1) * N, math.ceil((1.0 + u_max) * N))
+        k_lo = max(1 - M_RANGE * N, math.floor(-u_max * N))
+        k_hi = min((M_RANGE + 1) * N, math.ceil((1.0 + u_max) * N))
         kex = np.arange(k_lo, k_hi + 1)
         self._src = (kex - 1) % N
         self._window = np.exp(-np.pi * N * (kex[None, :] / N - self.q[:, None]) ** 2)
@@ -207,15 +205,14 @@ class HusimiTransform:
     def _norm_field(self) -> np.ndarray:
         """Squared norm of the unnormalized coherent state at every grid
         cell: a cosine series in p whose coefficients couple image pairs."""
-        mr = self.m_range
         u = np.arange(1, self.N + 1)[None, :] / self.N - self.q[:, None]
-        coeff = np.zeros((2 * mr + 1, self.n_q))
-        for d in range(0, 2 * mr + 1):
-            for m in range(max(-mr, d - mr), mr + 1):
+        coeff = np.zeros((2 * M_RANGE + 1, self.n_q))
+        for d in range(0, 2 * M_RANGE + 1):
+            for m in range(max(-M_RANGE, d - M_RANGE), M_RANGE + 1):
                 expo = (u - m) ** 2 + (u - m + d) ** 2
                 coeff[d] += np.exp(-np.pi * self.N * expo).sum(axis=1)
         norm2 = np.repeat(coeff[0][:, None], self.n_p, axis=1)
-        for d in range(1, 2 * mr + 1):
+        for d in range(1, 2 * M_RANGE + 1):
             norm2 += 2.0 * np.cos(TWO_PI * self.N * self.p * d)[None, :] * coeff[d][:, None]
         if not (norm2 > 0.0).all():
             raise RuntimeError("coherent norm field is not positive; grid too coarse?")
@@ -259,11 +256,24 @@ class HusimiTransform:
     @property
     def coherent_entropy(self) -> float:
         """Raw entropy of the reference coherent state at (0.5, 0.5);
-        anchors the localized end of the Wehrl scale."""
+        anchors the localized end of the Wehrl scale.
+
+        Raises RuntimeError when it is not clearly negative: on a grid too
+        coarse to resolve the coherent state the scale has no length.
+        """
         if self._s_coh is None:
-            ref = coherent_state((0.5, 0.5), self.N, self.m_range)
-            self._s_coh = _raw_entropy(self.field(ref).values)
+            s_coh = _raw_entropy(self.field(coherent_state((0.5, 0.5), self.N)).values)
+            if s_coh >= -1e-9:
+                raise RuntimeError(f"degenerate coherent reference entropy {s_coh:.3g}")
+            self._s_coh = s_coh
         return self._s_coh
+
+    def s_w(self, s: float) -> float:
+        """Normalized Wehrl localization of raw entropy s on this grid:
+        (s - S_coh) / (0 - S_coh) clipped to [0, 1], so the uniform field
+        maps to 1 and the reference coherent state to 0."""
+        s_coh = self.coherent_entropy
+        return float(np.clip((s - s_coh) / (0.0 - s_coh), 0.0, 1.0))
 
 
 # Recently used plans kept alive; a 1000^2 plan at N = 512 holds ~14 MB.
@@ -301,38 +311,31 @@ def mean_husimi(res: ResonanceSet, m: int = 20, resolution=(1000, 1000)) -> Husi
 
 @dataclass(frozen=True)
 class WehrlRecord:
-    """Normalized Wehrl localization of one field.
-
-    s_w = 1 on the uniform density, 0 on the reference coherent state, by
-    the affine map s_w = (S - S_coh) / (0 - S_coh) clipped to [0, 1].
-    dwell carries the state's dwell time when known (NaN otherwise).
-    """
+    """Normalized Wehrl localization of one field: s_w from
+    `HusimiTransform.s_w` and the raw entropy it maps."""
 
     s_w: float
     raw_entropy: float
-    dwell: float = math.nan
 
 
-def wehrl_entropy(field: HusimiField, N: int, dwell: float = math.nan) -> WehrlRecord:
+def wehrl_entropy(field: HusimiField, N: int) -> WehrlRecord:
     """Wehrl localization measure of a Husimi field for dimension N."""
     plan = _plan(N, field.values.shape[0], field.values.shape[1])
     s = _raw_entropy(field.values)
-    s_coh = plan.coherent_entropy
-    if s_coh >= -1e-9:
-        raise RuntimeError(f"degenerate coherent reference entropy {s_coh:.3g}")
-    s_w = float(np.clip((s - s_coh) / (0.0 - s_coh), 0.0, 1.0))
-    return WehrlRecord(s_w=s_w, raw_entropy=s, dwell=dwell)
+    return WehrlRecord(s_w=plan.s_w(s), raw_entropy=s)
 
 
 def state_entropies(res: ResonanceSet, resolution=(1000, 1000)) -> np.ndarray:
     """s_w for every Schur state of a resonance set, in lifetime order."""
     plan = _plan(res.vectors.shape[0], int(resolution[0]), int(resolution[1]))
-    s_coh = plan.coherent_entropy
+    # Anchor the scale (or fail) before the batch workspace exists, so the
+    # reference transform's buffers are freed before these are allocated.
+    plan.coherent_entropy
     work = plan.workspace()
     out = np.empty(res.vectors.shape[1])
     for j in range(out.size):
         s = _raw_entropy(_normalize(plan.overlap_field(res.vectors[:, j], work)), work.entropy_scratch)
-        out[j] = np.clip((s - s_coh) / (0.0 - s_coh), 0.0, 1.0)
+        out[j] = plan.s_w(s)
     return out
 
 
@@ -406,13 +409,3 @@ def leak_scan(params: QuantumParams, positions, width: float, resolution=(500, 5
 
     qs = leak_scan_quantum(params, positions, width, each=wehrl)
     return qs, EntropyScan(positions=positions, mean_s_w=mean_sw, se_s_w=se_sw)
-
-
-def leak_scan_entropy(
-    params: QuantumParams,
-    positions,
-    width: float,
-    resolution=(500, 500),
-) -> EntropyScan:
-    """Mean s_w over all N Schur states as the leak center scans [0, 1)."""
-    return leak_scan(params, positions, width, resolution)[1]

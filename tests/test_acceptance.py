@@ -55,7 +55,7 @@ from leakmap.tomography import (
     coherent_state,
     entropy_vs_dwell,
     husimi,
-    leak_scan_entropy,
+    leak_scan,
     wehrl_entropy,
 )
 
@@ -231,8 +231,7 @@ def test_leak_position_scan_correspondence():
     positions = np.arange(50) / 50.0
     qp = QuantumParams(256, 10.0)
     cl = leak_scan_classical(positions, 0.2, PhaseSpaceGrid(500, 500), 1000, PARAMS)
-    qs = leak_scan_quantum(qp, positions, 0.2)
-    es = leak_scan_entropy(qp, positions, 0.2, (500, 500))
+    qs, es = leak_scan(qp, positions, 0.2, (500, 500))
 
     def near_sticky(x):
         return min(abs(x - 0.2), abs(x - 0.8)) <= 0.05

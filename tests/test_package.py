@@ -1,0 +1,29 @@
+"""The package surface: public name lists and the numpy-free top level."""
+
+import importlib
+import pkgutil
+import subprocess
+import sys
+from pathlib import Path
+
+import leakmap
+
+
+def test_every_public_name_resolves_in_its_submodule_only():
+    # each submodule's __all__ is the only list of public names; the
+    # package root re-exports none of them
+    modules = [m.name for m in pkgutil.iter_modules(leakmap.__path__)]
+    assert {"standard_map", "ensemble", "quantum", "tomography", "formats", "config", "runner", "cli"} <= set(modules)
+    for name in modules:
+        mod = importlib.import_module(f"leakmap.{name}")
+        for attr in getattr(mod, "__all__", ()):
+            assert hasattr(mod, attr), f"leakmap.{name}.__all__ lists missing {attr!r}"
+            assert not hasattr(leakmap, attr), f"leakmap re-exports {attr!r}"
+
+
+def test_top_level_import_loads_no_numpy():
+    # the CLI pins BLAS thread counts after `import leakmap`, before numpy
+    src = str(Path(leakmap.__file__).parents[1])
+    code = f"import sys; sys.path.insert(0, {src!r}); import leakmap; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

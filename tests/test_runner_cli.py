@@ -169,6 +169,23 @@ def test_cmd_scan_one_spectrum_per_position(tmp_path, monkeypatch):
     assert timings["quantum"] > 0.0 and timings["entropy"] > 0.0
 
 
+def test_manifest_lists_only_this_runs_files(tmp_path):
+    # one output directory reused by three runs: each manifest lists the
+    # files its own command wrote, not what an earlier run left behind
+    out = tmp_path / "shared"
+    for cmd, cfg in (
+        (cmd_quantum, toy_config(out, dim=16, dump_vectors=True)),
+        (cmd_quantum, toy_config(out, dim=16)),
+        (cmd_ftle_field, toy_config(out)),
+    ):
+        written = [str(p.relative_to(out)) for p in cmd(cfg) if p.name != "manifest.json"]
+        outputs = load_manifest(out)["outputs"]
+        assert [e["path"] for e in outputs] == sorted(written)
+        for entry in outputs:
+            assert sha256_file(out / entry["path"]) == entry["sha256"]
+    assert (out / "schur_vectors.lcf").is_file()  # left over, unlisted
+
+
 # ---------------------------------------------------------------------------
 # command line
 
@@ -227,6 +244,15 @@ def test_cli_numerical_failure_exits_2(tmp_path, capsys):
     )
     assert code == 2
     assert "error" in capsys.readouterr().err
+    # a 2x2 Husimi grid cannot resolve the N = 4 coherent reference state
+    out = tmp_path / "coarse"
+    code = run_cli(
+        ["quantum", "--output", str(out), "--quantum.dim", "4", "--husimi.grid_q", "2",
+         "--husimi.grid_p", "2", "--husimi.top_states", "1", "--leak.width", "0.3"]
+    )
+    assert code == 2
+    assert "degenerate coherent reference entropy" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
 
 
 def test_thread_env(monkeypatch):

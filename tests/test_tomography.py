@@ -27,7 +27,6 @@ from leakmap.tomography import (
     entropy_vs_dwell,
     husimi,
     leak_scan,
-    leak_scan_entropy,
     mean_husimi,
     state_entropies,
     wehrl_entropy,
@@ -298,6 +297,17 @@ def test_wehrl_resolution_stability():
     assert abs(a - b) < 0.01
 
 
+def test_degenerate_coherent_reference_raises():
+    # a 2x2 grid cannot resolve the N = 4 coherent state: its raw entropy
+    # comes out at about +8e-17, so the Wehrl scale has no length, and
+    # the per-state path must refuse it just as the single-field one does
+    res = open_resonances(4, 0.2, 0.3)
+    with pytest.raises(RuntimeError, match="degenerate coherent reference entropy"):
+        state_entropies(res, (2, 2))
+    with pytest.raises(RuntimeError, match="degenerate coherent reference entropy"):
+        wehrl_entropy(husimi(res.vectors[:, 0], 4, (2, 2)), 4)
+
+
 def test_closed_map_states_cluster_at_high_entropy():
     # frozen regression band: chaotic eigenstates are strongly delocalized
     res = resonance_spectrum(build_unitary(QuantumParams(128, 10.0)))
@@ -346,7 +356,7 @@ def test_entropy_vs_dwell_rejects_closed_system():
 
 
 def test_leak_scan_entropy_symmetry():
-    scan = leak_scan_entropy(QuantumParams(32, 10.0), [0.2, 0.3, 0.7, 0.8], 0.2, (100, 100))
+    scan = leak_scan(QuantumParams(32, 10.0), [0.2, 0.3, 0.7, 0.8], 0.2, (100, 100))[1]
     se = np.hypot(scan.se_s_w[:2], scan.se_s_w[::-1][:2])
     dev = np.abs(scan.mean_s_w[:2] - scan.mean_s_w[::-1][:2])
     assert np.all(dev <= 3.0 * se)
