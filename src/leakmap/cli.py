@@ -6,9 +6,12 @@ Commands: ftle-field, open-classical, quantum, scan.  Exit codes: 0 on
 success, 1 on configuration errors (every violation listed), 2 on
 numerical or I/O failure.
 
-Set LEAKMAP_THREADS to pin the BLAS/OpenMP thread count; it is applied to
-the usual *_NUM_THREADS variables before numpy loads, which is why this
-module must not import numeric code at the top level.
+LEAKMAP_THREADS=n runs `scan` positions and blocks of `quantum` states in
+up to n worker processes (unset: 1, in this process).  Every BLAS/OpenMP
+pool is pinned to one thread through the usual *_NUM_THREADS variables
+before numpy loads, which is why this module must not import numeric code
+at the top level.  With one thread per process and results gathered in
+task order, every output byte is the same at any worker count.
 """
 
 from __future__ import annotations
@@ -27,18 +30,19 @@ _THREAD_VARS = (
 
 
 def apply_thread_env() -> int | None:
-    """Propagate LEAKMAP_THREADS to the BLAS/OpenMP pools. Returns the count."""
+    """Pin the BLAS/OpenMP pools to one thread and return the worker
+    processes LEAKMAP_THREADS asks for (None when it is unset)."""
     raw = os.environ.get(THREAD_ENV)
-    if raw is None or raw == "":
-        return None
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError(f"{THREAD_ENV} must be a positive integer, got {raw!r}") from None
-    if n < 1:
-        raise ValueError(f"{THREAD_ENV} must be a positive integer, got {raw!r}")
+    n = None
+    if raw is not None and raw != "":
+        try:
+            n = int(raw)
+        except ValueError:
+            raise ValueError(f"{THREAD_ENV} must be a positive integer, got {raw!r}") from None
+        if n < 1:
+            raise ValueError(f"{THREAD_ENV} must be a positive integer, got {raw!r}")
     for var in _THREAD_VARS:
-        os.environ[var] = str(n)
+        os.environ[var] = "1"
     return n
 
 
@@ -90,7 +94,7 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
 
     try:
-        apply_thread_env()
+        workers = apply_thread_env()
         overrides = _collect_overrides(rest)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -112,7 +116,7 @@ def main(argv=None) -> int:
     from .runner import COMMANDS
 
     try:
-        files = COMMANDS[args.command](cfg)
+        files = COMMANDS[args.command](cfg, workers=workers)
     except Exception as exc:  # numerical or I/O failure
         print(f"error: {exc}", file=sys.stderr)
         return 2

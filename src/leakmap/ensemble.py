@@ -37,6 +37,7 @@ __all__ = [
     "strip_scan",
     "ftle_histogram",
     "histogram_mean",
+    "escape_stats",
     "leak_scan_classical",
 ]
 
@@ -448,6 +449,31 @@ class ClassicalScan:
     se_ftle: np.ndarray
     unescaped_fraction: np.ndarray
 
+    @classmethod
+    def from_rows(cls, positions, rows) -> "ClassicalScan":
+        """Assemble a scan from one `escape_stats` row per position."""
+        return cls(np.asarray(positions, dtype=float), *np.array(rows, dtype=float).reshape(-1, 5).T)
+
+
+def escape_stats(ens: EscapeEnsemble) -> tuple:
+    """(mean_tau, se_tau, mean_ftle, se_ftle, unescaped_fraction) of one
+    ensemble: the per-position statistics of `ClassicalScan`."""
+    sel = ens.tau >= 1
+    count = int(sel.sum())
+    if count == 0:
+        # every orbit was absorbed before its first step (leak covers
+        # the full torus): zero dwell, no exponent defined
+        return 0.0, 0.0, math.nan, math.nan, 0.0
+    tau = ens.tau[sel].astype(float)
+    lam = ens.ftle[sel]
+    return (
+        tau.mean(),
+        tau.std(ddof=1) / math.sqrt(count),
+        lam.mean(),
+        lam.std(ddof=1) / math.sqrt(count),
+        1.0 - ens.escape_fraction,
+    )
+
 
 def leak_scan_classical(
     positions,
@@ -458,37 +484,5 @@ def leak_scan_classical(
 ) -> ClassicalScan:
     """Mean dwell time and mean dwell-FTLE as the leak center scans [0, 1)."""
     positions = np.asarray(positions, dtype=float)
-    n_pos = positions.size
-    mean_tau = np.empty(n_pos)
-    se_tau = np.empty(n_pos)
-    mean_lam = np.empty(n_pos)
-    se_lam = np.empty(n_pos)
-    unescaped = np.empty(n_pos)
-    for i, center in enumerate(positions):
-        ens = escape_ensemble(grid, Leak(float(center), width), t_max, params)
-        sel = ens.tau >= 1
-        count = int(sel.sum())
-        if count == 0:
-            # every orbit was absorbed before its first step (leak covers
-            # the full torus): zero dwell, no exponent defined
-            mean_tau[i] = 0.0
-            se_tau[i] = 0.0
-            mean_lam[i] = math.nan
-            se_lam[i] = math.nan
-            unescaped[i] = 0.0
-            continue
-        tau = ens.tau[sel].astype(float)
-        lam = ens.ftle[sel]
-        mean_tau[i] = tau.mean()
-        se_tau[i] = tau.std(ddof=1) / math.sqrt(count)
-        mean_lam[i] = lam.mean()
-        se_lam[i] = lam.std(ddof=1) / math.sqrt(count)
-        unescaped[i] = 1.0 - ens.escape_fraction
-    return ClassicalScan(
-        positions=positions,
-        mean_tau=mean_tau,
-        se_tau=se_tau,
-        mean_ftle=mean_lam,
-        se_ftle=se_lam,
-        unescaped_fraction=unescaped,
-    )
+    rows = [escape_stats(escape_ensemble(grid, Leak(float(c), width), t_max, params)) for c in positions]
+    return ClassicalScan.from_rows(positions, rows)

@@ -32,6 +32,8 @@ __all__ = [
     "build_projector",
     "open_propagator",
     "resonance_spectrum",
+    "leak_spectrum",
+    "dwell_stats",
     "leak_scan_quantum",
 ]
 
@@ -193,6 +195,12 @@ def resonance_spectrum(m: np.ndarray) -> ResonanceSet:
     )
 
 
+def leak_spectrum(u: np.ndarray, keep: np.ndarray) -> ResonanceSet:
+    """Resonances of the propagator u opened on the sites keep marks
+    (`build_projector`)."""
+    return resonance_spectrum(open_propagator(u, keep))
+
+
 @dataclass
 class QuantumScan:
     """Leak-position scan of the mean dwell time over all N Schur states.
@@ -205,6 +213,21 @@ class QuantumScan:
     se_dwell: np.ndarray
     n_zero_modes: np.ndarray
 
+    @classmethod
+    def from_rows(cls, positions, rows) -> "QuantumScan":
+        """Assemble a scan from one `dwell_stats` row per position."""
+        mean, se, n_zero = np.array(rows, dtype=float).reshape(-1, 3).T
+        return cls(np.asarray(positions, dtype=float), mean, se, n_zero.astype(np.int64))
+
+
+def dwell_stats(res: ResonanceSet) -> tuple:
+    """(mean dwell, its standard error, zero-mode count) over all states of
+    one resonance set: the per-position statistics of `QuantumScan`.  An
+    infinite dwell time (a closed system) makes the mean meaningless (NaN)."""
+    if np.isinf(res.dwell).any():
+        return math.nan, math.nan, res.n_zero_modes
+    return res.dwell.mean(), res.dwell.std(ddof=1) / math.sqrt(res.dwell.size), res.n_zero_modes
+
 
 def leak_scan_quantum(params: QuantumParams, positions, width: float, each=None) -> QuantumScan:
     """Mean quantum dwell time as the leak center scans [0, 1).
@@ -216,25 +239,10 @@ def leak_scan_quantum(params: QuantumParams, positions, width: float, each=None)
     Schur factorization."""
     positions = np.asarray(positions, dtype=float)
     u = build_unitary(params)
-    n_pos = positions.size
-    mean_dwell = np.empty(n_pos)
-    se_dwell = np.empty(n_pos)
-    n_zero = np.empty(n_pos, dtype=np.int64)
+    rows = []
     for i, center in enumerate(positions):
-        keep = build_projector(params, Leak(float(center), width))
-        res = resonance_spectrum(open_propagator(u, keep))
+        res = leak_spectrum(u, build_projector(params, Leak(float(center), width)))
         if each is not None:
             each(i, res)
-        n_zero[i] = res.n_zero_modes
-        if np.isinf(res.dwell).any():
-            mean_dwell[i] = np.nan
-            se_dwell[i] = np.nan
-            continue
-        mean_dwell[i] = res.dwell.mean()
-        se_dwell[i] = res.dwell.std(ddof=1) / math.sqrt(params.N)
-    return QuantumScan(
-        positions=positions,
-        mean_dwell=mean_dwell,
-        se_dwell=se_dwell,
-        n_zero_modes=n_zero,
-    )
+        rows.append(dwell_stats(res))
+    return QuantumScan.from_rows(positions, rows)

@@ -1,31 +1,49 @@
 """Experiment commands: compose the library into reproducible output trees.
 
-Every command takes a validated ExperimentConfig, writes its artifacts into
+Every command takes a validated ExperimentConfig and a worker-process
+request (used by `quantum` and `scan`), writes its artifacts into
 the configured output directory, and finishes with a manifest.json listing
 each file that this run wrote (`_Run.add`) with size and sha256; older files
 in a reused directory stay unlisted.  All CSV bytes are pure functions of
 the config, so a rerun into a fresh directory produces identical checksums.
+
+`scan` positions and blocks of `quantum` states are independent tasks.  A
+command given `workers` > 1 maps them over fork-started worker processes
+(never more than `worker_count` allows); one worker runs them in this
+process.  The parent builds what the tasks share (unitary, projectors,
+Husimi plan) before the pool starts, so the workers inherit it and only
+task indices and results cross processes.  Results are gathered in task
+order and every process runs BLAS on one thread (the CLI pins it), so the
+output bytes do not depend on the worker count.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
+import multiprocessing
+import os
+import platform
+import sys
 import time
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .config import ExperimentConfig, serialize_config
 from .ensemble import (
+    ClassicalScan,
     PhaseSpaceGrid,
     dwell_ftle_field,
     escape_ensemble,
+    escape_stats,
     exponential_tail_fit,
     ftle_field,
     ftle_histogram,
     histogram_mean,
-    leak_scan_classical,
     mean_ftle_by_dwell,
     short_dwell_cutoff,
     strip_scan,
@@ -34,23 +52,81 @@ from .ensemble import (
 from .formats import complex_to_interleaved, sha256_file, write_csv, write_field_csv, write_lcf, write_pgm
 from .quantum import (
     QuantumParams,
+    QuantumScan,
     build_projector,
     build_unitary,
-    open_propagator,
-    resonance_spectrum,
+    dwell_stats,
+    leak_spectrum,
     unitarity_defect,
 )
 from .standard_map import Leak, MapParams
-from .tomography import entropy_vs_dwell, leak_scan, mean_husimi
+from .tomography import EntropyScan, entropy_vs_dwell, husimi_plan, mean_husimi, state_entropies, wehrl_stats
 
-__all__ = ["cmd_ftle_field", "cmd_open_classical", "cmd_quantum", "cmd_scan", "COMMANDS"]
+__all__ = ["cmd_ftle_field", "cmd_open_classical", "cmd_quantum", "cmd_scan", "worker_count", "COMMANDS"]
 
 # Propagators are checked against this before opening the system.
 UNITARITY_TOL = 1e-12
 
+# Busy-time keys of one scan position, in the order a position runs them.
+SCAN_STAGES = ("classical", "quantum", "entropy")
+
 
 def _scan_positions(cfg: ExperimentConfig) -> np.ndarray:
     return np.arange(cfg.scan_positions) / cfg.scan_positions
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def worker_count(requested: int | None, tasks: int, cpus: int | None = None) -> int:
+    """Worker processes for `tasks` independent tasks: min(requested, tasks,
+    usable CPUs), at least 1.  requested None means 1; cpus defaults to the
+    CPUs this process may run on."""
+    if cpus is None:
+        cpus = _usable_cpus()
+    return max(1, min(requested or 1, tasks, cpus))
+
+
+# The task function of a worker process, set by the pool's initializer in
+# each worker; the parent process never assigns it.
+_task = None
+
+
+def _install_task(fn):
+    global _task
+    _task = fn
+
+
+def _run_task(i: int):
+    return _task(i)
+
+
+@contextlib.contextmanager
+def _task_results(fn, n_tasks: int, workers: int):
+    """Yield an iterator over fn(0), ..., fn(n_tasks - 1), in task order.
+
+    One worker runs the tasks lazily in this process.  More start a pool of
+    fork-started processes that inherit fn with everything it closes over,
+    so fn need not pickle and large shared inputs are not copied; a worker
+    killed mid-task raises BrokenProcessPool.  Fork is safe here because
+    the CLI process runs no other thread: BLAS is pinned to one, and the
+    pool forks every worker before it starts its own manager thread.  The
+    pool is shut down on exit, and tasks not yet started are cancelled
+    when an error ends the command.
+    """
+    if workers <= 1:
+        yield map(fn, range(n_tasks))
+        return
+    pool = ProcessPoolExecutor(
+        workers, mp_context=multiprocessing.get_context("fork"), initializer=_install_task, initargs=(fn,)
+    )
+    try:
+        yield pool.map(_run_task, range(n_tasks))
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
 
 
 class _Run:
@@ -62,6 +138,7 @@ class _Run:
         self.outdir = Path(cfg.output)
         self.outdir.mkdir(parents=True, exist_ok=True)
         self.timings: dict = {}
+        self.workers = 1
         self.files: list = []
         self._t0 = time.perf_counter()
         self._stage = None
@@ -77,6 +154,11 @@ class _Run:
         self._stage_t0 = now
         return self
 
+    def use_workers(self, requested: int | None, tasks: int) -> int:
+        """Worker processes for `tasks` tasks; the manifest records the count."""
+        self.workers = worker_count(requested, tasks)
+        return self.workers
+
     def add(self, written):
         """Record paths this run wrote; the manifest lists exactly these."""
         if isinstance(written, (list, tuple)):
@@ -87,7 +169,9 @@ class _Run:
     def path(self, name: str) -> Path:
         return self.outdir / name
 
-    def finish(self, extra: dict) -> list:
+    def finish(self, extra: dict, **record) -> list:
+        """Write manifest.json: this run's outputs, timings, environment,
+        the command's `extra` results and any further `record` keys."""
         self.stage("manifest")
         outputs = [
             {"path": str(p.relative_to(self.outdir)), "bytes": p.stat().st_size, "sha256": sha256_file(p)}
@@ -100,8 +184,17 @@ class _Run:
             "config": serialize_config(self.cfg),
             "timings_s": self.timings,
             "total_s": round(time.perf_counter() - self._t0, 6),
+            "environment": {
+                "workers": self.workers,
+                "usable_cpus": _usable_cpus(),
+                "thread_env": {k: v for k, v in sorted(os.environ.items()) if k.endswith("_NUM_THREADS")},
+                "python": platform.python_version(),
+                "numpy": np.__version__,
+                "scipy": scipy.__version__,
+            },
             "outputs": outputs,
             "extra": extra,
+            **record,
         }
         mpath = self.path("manifest.json")
         mpath.write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n")
@@ -109,7 +202,7 @@ class _Run:
         return self.files
 
 
-def cmd_ftle_field(cfg: ExperimentConfig) -> list:
+def cmd_ftle_field(cfg: ExperimentConfig, workers: int | None = None) -> list:
     """Closed-map FTLE field and the strip-mean scan over leak positions."""
     run = _Run(cfg, "ftle-field")
     params = MapParams(cfg.k)
@@ -134,7 +227,7 @@ def cmd_ftle_field(cfg: ExperimentConfig) -> list:
     )
 
 
-def cmd_open_classical(cfg: ExperimentConfig) -> list:
+def cmd_open_classical(cfg: ExperimentConfig, workers: int | None = None) -> list:
     """Leaked-map dwell/FTLE fields, histogram, survival and dwell averages."""
     run = _Run(cfg, "open-classical")
     params = MapParams(cfg.k)
@@ -179,8 +272,9 @@ def cmd_open_classical(cfg: ExperimentConfig) -> list:
     )
 
 
-def cmd_quantum(cfg: ExperimentConfig) -> list:
-    """Resonance spectrum, mean Husimi field, and Wehrl scatter for one leak."""
+def cmd_quantum(cfg: ExperimentConfig, workers: int | None = None) -> list:
+    """Resonance spectrum, mean Husimi field, and Wehrl scatter for one leak;
+    the states' entropies run in contiguous blocks, one per worker."""
     run = _Run(cfg, "quantum")
     qp = QuantumParams(cfg.dim, cfg.k)
     leak = Leak(cfg.leak_center, cfg.leak_width)
@@ -191,11 +285,21 @@ def cmd_quantum(cfg: ExperimentConfig) -> list:
         raise RuntimeError(f"propagator failed unitarity: defect {defect:.3g} > {UNITARITY_TOL}")
     run.stage("spectrum")
     keep = build_projector(qp, leak)
-    res = resonance_spectrum(open_propagator(u, keep))
+    res = leak_spectrum(u, keep)
     run.stage("husimi")
     resolution = (cfg.husimi_q, cfg.husimi_p)
     mean_field = mean_husimi(res, cfg.top_states, resolution)
-    scatter = entropy_vs_dwell(res, cfg.dwell_bin, resolution)
+    n = run.use_workers(workers, cfg.dim)
+    edges = [b * cfg.dim // n for b in range(n + 1)]
+
+    def block_entropies(res, resolution):
+        def block(b):
+            return state_entropies(res, resolution, slice(edges[b], edges[b + 1]))
+
+        with _task_results(block, n, n) as blocks:
+            return np.concatenate(list(blocks))
+
+    scatter = entropy_vs_dwell(res, cfg.dwell_bin, resolution, entropies=block_entropies)
     run.stage("write")
     k_idx = np.arange(1, cfg.dim + 1)
     run.add(
@@ -241,16 +345,48 @@ def cmd_quantum(cfg: ExperimentConfig) -> list:
     )
 
 
-def cmd_scan(cfg: ExperimentConfig) -> list:
-    """Classical and quantum leak-position scans plus their correlations."""
+def cmd_scan(cfg: ExperimentConfig, workers: int | None = None) -> list:
+    """Classical and quantum leak-position scans plus their correlations.
+
+    Each position is one task: its escape ensemble, Schur spectrum and
+    Wehrl entropies.  timings_s holds the tasks' busy seconds summed per
+    stage, which can exceed the wall time when workers run in parallel;
+    position_timings_s holds them per position."""
     run = _Run(cfg, "scan")
     positions = _scan_positions(cfg)
     params = MapParams(cfg.k)
     qp = QuantumParams(cfg.dim, cfg.k)
-    run.stage("classical")
-    cl = leak_scan_classical(positions, cfg.leak_width, PhaseSpaceGrid(cfg.grid_q, cfg.grid_p), cfg.t_max, params)
-    run.stage("quantum")
-    qs, es = leak_scan(qp, positions, cfg.leak_width, (cfg.scan_husimi_q, cfg.scan_husimi_p), stage=run.stage)
+    grid = PhaseSpaceGrid(cfg.grid_q, cfg.grid_p)
+    resolution = (cfg.scan_husimi_q, cfg.scan_husimi_p)
+    run.stage("unitary")
+    # shared by every position: built once, inherited by forked workers
+    u = build_unitary(qp)
+    keeps = [build_projector(qp, Leak(float(c), cfg.leak_width)) for c in positions]
+    husimi_plan(cfg.dim, resolution)
+
+    def position(i):
+        t0 = time.perf_counter()
+        cl = escape_stats(escape_ensemble(grid, Leak(float(positions[i]), cfg.leak_width), cfg.t_max, params))
+        t1 = time.perf_counter()
+        res = leak_spectrum(u, keeps[i])
+        dw = dwell_stats(res)
+        t2 = time.perf_counter()
+        sw = wehrl_stats(res, resolution)
+        return cl, dw, sw, (t1 - t0, t2 - t1, time.perf_counter() - t2)
+
+    run.stage("positions")
+    rows = []
+    with _task_results(position, positions.size, run.use_workers(workers, positions.size)) as results:
+        for i, row in enumerate(results):
+            rows.append(row)
+            busy = ", ".join(f"{k} {t:.2f} s" for k, t in zip(SCAN_STAGES, row[3]))
+            print(f"scan: position {i + 1}/{positions.size} q_L={positions[i]:g}: {busy}", file=sys.stderr, flush=True)
+    cl_rows, dw_rows, sw_rows, busy = zip(*rows)
+    cl = ClassicalScan.from_rows(positions, cl_rows)
+    qs = QuantumScan.from_rows(positions, dw_rows)
+    es = EntropyScan.from_rows(positions, sw_rows)
+    for key, times in zip(SCAN_STAGES, zip(*busy)):
+        run.timings[key] = round(sum(times), 6)
     run.stage("write")
     corr_tau_t = float(np.corrcoef(cl.mean_tau, qs.mean_dwell)[0, 1])
     corr_lam_sw = float(np.corrcoef(cl.mean_ftle, es.mean_s_w)[0, 1])
@@ -278,7 +414,11 @@ def cmd_scan(cfg: ExperimentConfig) -> list:
             "positions": cfg.scan_positions,
             "leak_width": cfg.leak_width,
             **corr,
-        }
+        },
+        position_timings_s=[
+            {"q_L": float(q), **{key: round(t, 6) for key, t in zip(SCAN_STAGES, times)}}
+            for q, times in zip(positions, busy)
+        ],
     )
 
 

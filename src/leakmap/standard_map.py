@@ -47,8 +47,12 @@ def mod1(x):
 
     np.mod can return exactly 1.0 for tiny negative inputs (e.g. -1e-18),
     which would violate the torus convention, so that case is folded to 0.
-    Works on scalars and arrays.
+    Works on scalars and arrays; a float is reduced by Python's %, which
+    rounds exactly like np.mod, without building a numpy scalar.
     """
+    if isinstance(x, float):
+        r = float(x) % 1.0
+        return 0.0 if r == 1.0 else r
     r = np.mod(x, 1.0)
     if np.ndim(r) == 0:
         r = float(r)
@@ -91,7 +95,17 @@ class Leak:
         return mod1(self.center - 0.5 * self.width)
 
     def contains(self, q):
-        """Half-open membership test on q (mod 1).  Scalar or array."""
+        """Half-open membership test on q (mod 1).  Scalar or array; a
+        float takes a path that builds no numpy object (see mod1)."""
+        if isinstance(q, float):
+            if self.width == 0.0 or self.width == 1.0:
+                return self.width == 1.0
+            qq = mod1(q)
+            lo = self.lower
+            hi = lo + self.width
+            if hi <= 1.0:
+                return lo <= qq < hi
+            return qq >= lo or qq < hi - 1.0
         if self.width == 0.0:
             out = np.zeros(np.shape(q), dtype=bool)
         elif self.width == 1.0:

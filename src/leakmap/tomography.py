@@ -42,11 +42,13 @@ __all__ = [
     "EntropyScatter",
     "EntropyScan",
     "coherent_state",
+    "husimi_plan",
     "husimi",
     "mean_husimi",
     "wehrl_entropy",
     "state_entropies",
     "entropy_vs_dwell",
+    "wehrl_stats",
     "leak_scan",
 ]
 
@@ -285,9 +287,16 @@ def _plan(N: int, n_q: int, n_p: int) -> HusimiTransform:
     return HusimiTransform(N, n_q, n_p)
 
 
+def husimi_plan(N: int, resolution=(1000, 1000)) -> HusimiTransform:
+    """The cached analyzer of length-N states on an n_q x n_p grid, the one
+    every function here uses; building it ahead of a fork lets worker
+    processes inherit it."""
+    return _plan(int(N), int(resolution[0]), int(resolution[1]))
+
+
 def husimi(state: np.ndarray, N: int, resolution=(1000, 1000)) -> HusimiField:
     """Husimi field of a length-N state on an n_q x n_p grid."""
-    return _plan(N, int(resolution[0]), int(resolution[1])).field(state)
+    return husimi_plan(N, resolution).field(state)
 
 
 def mean_husimi(res: ResonanceSet, m: int = 20, resolution=(1000, 1000)) -> HusimiField:
@@ -301,7 +310,7 @@ def mean_husimi(res: ResonanceSet, m: int = 20, resolution=(1000, 1000)) -> Husi
     n_alive = int((res.dwell > 0.0).sum())
     if n_alive < m:
         raise RuntimeError(f"only {n_alive} nonzero-dwell states available, need m={m}")
-    plan = _plan(res.vectors.shape[0], int(resolution[0]), int(resolution[1]))
+    plan = husimi_plan(res.vectors.shape[0], resolution)
     work = plan.workspace()
     acc = np.zeros((plan.n_q, plan.n_p))
     for j in range(m):
@@ -325,16 +334,19 @@ def wehrl_entropy(field: HusimiField, N: int) -> WehrlRecord:
     return WehrlRecord(s_w=plan.s_w(s), raw_entropy=s)
 
 
-def state_entropies(res: ResonanceSet, resolution=(1000, 1000)) -> np.ndarray:
-    """s_w for every Schur state of a resonance set, in lifetime order."""
-    plan = _plan(res.vectors.shape[0], int(resolution[0]), int(resolution[1]))
+def state_entropies(res: ResonanceSet, resolution=(1000, 1000), cols=slice(None)) -> np.ndarray:
+    """s_w of the Schur states res.vectors[:, cols] (all of them by
+    default), in lifetime order.  Each state's value does not depend on
+    the others, so contiguous blocks of columns concatenate to the whole."""
+    vectors = res.vectors[:, cols]
+    plan = husimi_plan(vectors.shape[0], resolution)
     # Anchor the scale (or fail) before the batch workspace exists, so the
     # reference transform's buffers are freed before these are allocated.
     plan.coherent_entropy
     work = plan.workspace()
-    out = np.empty(res.vectors.shape[1])
+    out = np.empty(vectors.shape[1])
     for j in range(out.size):
-        s = _raw_entropy(_normalize(plan.overlap_field(res.vectors[:, j], work)), work.entropy_scratch)
+        s = _raw_entropy(_normalize(plan.overlap_field(vectors[:, j], work)), work.entropy_scratch)
         out[j] = plan.s_w(s)
     return out
 
@@ -356,13 +368,19 @@ class EntropyScatter:
     bin_count: np.ndarray
 
 
-def entropy_vs_dwell(res: ResonanceSet, bin_width: float = 0.08, resolution=(1000, 1000)) -> EntropyScatter:
-    """Wehrl localization against dwell time for all Schur states."""
+def entropy_vs_dwell(
+    res: ResonanceSet, bin_width: float = 0.08, resolution=(1000, 1000), entropies=None
+) -> EntropyScatter:
+    """Wehrl localization against dwell time for all Schur states.
+
+    entropies(res, resolution), when given, replaces `state_entropies`
+    (say, by one that spreads blocks of states over worker processes); it
+    runs only after the inputs have passed their checks."""
     if bin_width <= 0.0:
         raise ValueError(f"bin width must be positive, got {bin_width}")
     if np.isinf(res.dwell).any():
         raise ValueError("dwell times are infinite (closed system); open the propagator first")
-    s_w = state_entropies(res, resolution)
+    s_w = (entropies or state_entropies)(res, resolution)
     idx = np.floor(res.dwell / bin_width).astype(np.int64)
     uniq = np.unique(idx)
     mean = np.array([s_w[idx == b].mean() for b in uniq])
@@ -386,26 +404,22 @@ class EntropyScan:
     mean_s_w: np.ndarray
     se_s_w: np.ndarray
 
+    @classmethod
+    def from_rows(cls, positions, rows) -> "EntropyScan":
+        """Assemble a scan from one `wehrl_stats` row per position."""
+        return cls(np.asarray(positions, dtype=float), *np.array(rows, dtype=float).reshape(-1, 2).T)
 
-def leak_scan(params: QuantumParams, positions, width: float, resolution=(500, 500), stage=None):
+
+def wehrl_stats(res: ResonanceSet, resolution) -> tuple:
+    """(mean s_w, its standard error) over all states of one resonance set:
+    the per-position statistics of `EntropyScan`."""
+    s_w = state_entropies(res, resolution)
+    return s_w.mean(), s_w.std(ddof=1) / math.sqrt(s_w.size)
+
+
+def leak_scan(params: QuantumParams, positions, width: float, resolution=(500, 500)):
     """Dwell and Wehrl statistics over leak positions from one Schur
-    spectrum per position: (QuantumScan, EntropyScan).
-
-    stage(name), when given, is called with "entropy" before and "quantum"
-    after each position's Wehrl work, so a stage clock can split the time.
-    """
-    positions = np.asarray(positions, dtype=float)
-    mean_sw = np.empty(positions.size)
-    se_sw = np.empty(positions.size)
-
-    def wehrl(i, res):
-        if stage is not None:
-            stage("entropy")
-        s_w = state_entropies(res, resolution)
-        mean_sw[i] = s_w.mean()
-        se_sw[i] = s_w.std(ddof=1) / math.sqrt(params.N)
-        if stage is not None:
-            stage("quantum")
-
-    qs = leak_scan_quantum(params, positions, width, each=wehrl)
-    return qs, EntropyScan(positions=positions, mean_s_w=mean_sw, se_s_w=se_sw)
+    spectrum per position: (QuantumScan, EntropyScan)."""
+    rows = []
+    qs = leak_scan_quantum(params, positions, width, each=lambda i, res: rows.append(wehrl_stats(res, resolution)))
+    return qs, EntropyScan.from_rows(qs.positions, rows)

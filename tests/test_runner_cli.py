@@ -3,15 +3,23 @@
 import dataclasses
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from leakmap import quantum
+import leakmap
+from leakmap import quantum, runner
 from leakmap.cli import apply_thread_env, main
 from leakmap.config import default_config
-from leakmap.formats import read_lcf, sha256_file
-from leakmap.runner import cmd_ftle_field, cmd_open_classical, cmd_quantum, cmd_scan
+from leakmap.ensemble import PhaseSpaceGrid, leak_scan_classical
+from leakmap.formats import read_lcf, sha256_file, write_csv
+from leakmap.quantum import QuantumParams
+from leakmap.standard_map import MapParams
+from leakmap.tomography import leak_scan
+from leakmap.runner import cmd_ftle_field, cmd_open_classical, cmd_quantum, cmd_scan, worker_count
 
 
 def toy_config(outdir, **kw):
@@ -169,6 +177,29 @@ def test_cmd_scan_one_spectrum_per_position(tmp_path, monkeypatch):
     assert timings["quantum"] > 0.0 and timings["entropy"] > 0.0
 
 
+def test_cmd_scan_matches_the_serial_library_scans(tmp_path):
+    # the command's per-position tasks and the library's serial scans share
+    # their statistics code, so the written columns agree byte for byte
+    out = tmp_path / "run"
+    cfg = toy_config(out, dim=16, t_max=400)
+    cmd_scan(cfg)
+    positions = np.arange(4) / 4
+    cl = leak_scan_classical(positions, cfg.leak_width, PhaseSpaceGrid(48, 48), 400, MapParams(cfg.k))
+    qs, es = leak_scan(QuantumParams(16, cfg.k), positions, cfg.leak_width, (40, 40))
+    expect = write_csv(
+        tmp_path / "scan_errors.csv",
+        ["q_L", "se_tau", "se_lambda", "se_T", "se_SW", "unescaped_fraction"],
+        [positions, cl.se_tau, cl.se_ftle, qs.se_dwell, es.se_s_w, cl.unescaped_fraction],
+    )
+    assert expect.read_bytes() == (out / "scan_errors.csv").read_bytes()
+    expect = write_csv(
+        tmp_path / "scan.csv",
+        ["q_L", "mean_tau", "mean_lambda", "mean_T", "mean_SW"],
+        [positions, cl.mean_tau, cl.mean_ftle, qs.mean_dwell, es.mean_s_w],
+    )
+    assert expect.read_bytes() == (out / "scan.csv").read_bytes()
+
+
 def test_manifest_lists_only_this_runs_files(tmp_path):
     # one output directory reused by three runs: each manifest lists the
     # files its own command wrote, not what an earlier run left behind
@@ -256,15 +287,148 @@ def test_cli_numerical_failure_exits_2(tmp_path, capsys):
 
 
 def test_thread_env(monkeypatch):
+    # BLAS runs on one thread in every process; LEAKMAP_THREADS asks for
+    # worker processes instead
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS"):
+        monkeypatch.setenv(var, "4")
     monkeypatch.delenv("LEAKMAP_THREADS", raising=False)
     assert apply_thread_env() is None
+    assert os.environ["OMP_NUM_THREADS"] == "1"
     monkeypatch.setenv("LEAKMAP_THREADS", "3")
     assert apply_thread_env() == 3
-    assert os.environ["OMP_NUM_THREADS"] == "3"
-    assert os.environ["OPENBLAS_NUM_THREADS"] == "3"
+    assert os.environ["OMP_NUM_THREADS"] == "1"
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
     monkeypatch.setenv("LEAKMAP_THREADS", "zero")
     with pytest.raises(ValueError):
         apply_thread_env()
     monkeypatch.setenv("LEAKMAP_THREADS", "0")
     with pytest.raises(ValueError):
         apply_thread_env()
+
+
+# ---------------------------------------------------------------------------
+# worker processes
+
+
+def test_worker_count_is_a_pure_function(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("worker_count started a process pool")
+
+    monkeypatch.setattr(runner, "ProcessPoolExecutor", no_pool)
+    assert worker_count(None, 10, cpus=4) == 1  # unset: in-process
+    assert worker_count(1, 10, cpus=4) == 1
+    assert worker_count(8, 3, cpus=16) == 3  # above the task count
+    assert worker_count(10**6, 50, cpus=2) == 2  # above the usable CPUs
+    assert worker_count(2, 0, cpus=2) == 1
+    assert worker_count(None, 10) == 1
+    assert 1 <= worker_count(10**6, 10**6) <= len(os.sched_getaffinity(0))
+
+
+class RecordingPool:
+    """In-process stand-in for the process pool: records the worker count
+    asked for and runs the tasks through the same installed task function."""
+
+    started: list = []
+
+    def __init__(self, max_workers, mp_context=None, initializer=None, initargs=()):
+        RecordingPool.started.append(max_workers)
+        initializer(*initargs)
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
+
+
+@pytest.mark.parametrize("cmd,tasks", [(cmd_scan, 4), (cmd_quantum, 16)])
+def test_huge_worker_request_is_capped_and_gathered_in_order(tmp_path, monkeypatch, cmd, tasks):
+    # an extreme request starts no process here: the pool is a recorder
+    monkeypatch.setattr(runner, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "started", [])
+    cmd(toy_config(tmp_path / "one", dim=16, t_max=400))
+    cmd(toy_config(tmp_path / "many", dim=16, t_max=400), workers=10**6)
+    expect = min(tasks, len(os.sched_getaffinity(0)))
+    assert RecordingPool.started == ([expect] if expect > 1 else [])
+    one, many = load_manifest(tmp_path / "one"), load_manifest(tmp_path / "many")
+    assert many["environment"]["workers"] == expect
+    assert one["environment"]["workers"] == 1
+    assert many["outputs"] == one["outputs"]
+
+
+def test_killed_worker_breaks_the_pool_instead_of_hanging():
+    code = (
+        "import os\n"
+        "from concurrent.futures.process import BrokenProcessPool\n"
+        "from leakmap.runner import _task_results\n"
+        "try:\n"
+        "    with _task_results(lambda i: os._exit(3), 2, 2) as results:\n"
+        "        list(results)\n"
+        "except BrokenProcessPool:\n"
+        "    print('broken')\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=cli_env(None), capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "broken", out.stderr
+
+
+def cli_env(threads):
+    env = dict(os.environ)
+    src = str(Path(leakmap.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env.pop("LEAKMAP_THREADS", None)
+    if threads is not None:
+        env["LEAKMAP_THREADS"] = str(threads)
+    return env
+
+
+def run_cli_process(args, threads):
+    return subprocess.run(
+        [sys.executable, "-m", "leakmap.cli", *args], env=cli_env(threads), capture_output=True, text=True, timeout=300
+    )
+
+
+SMALL = [
+    "--classical.grid_q", "120", "--classical.grid_p", "120", "--classical.t_max", "600",
+    "--leak.center", "0.3", "--quantum.dim", "32", "--husimi.grid_q", "60", "--husimi.grid_p", "60",
+    "--husimi.top_states", "5", "--scan.positions", "4", "--scan.husimi_grid_q", "40",
+    "--scan.husimi_grid_p", "40",
+]
+
+
+@pytest.mark.parametrize("command", ["ftle-field", "open-classical", "quantum", "scan"])
+def test_output_bytes_do_not_depend_on_worker_count(tmp_path, command):
+    manifests = {}
+    for threads in (1, 2):
+        out = tmp_path / f"w{threads}"
+        proc = run_cli_process([command, "--output", str(out), *SMALL], threads)
+        assert proc.returncode == 0, proc.stderr
+        manifests[threads] = check_manifest(out)
+    assert manifests[2]["outputs"] == manifests[1]["outputs"]
+    tasks = {"quantum": 32, "scan": 4}.get(command, 1)
+    for threads, manifest in manifests.items():
+        env = manifest["environment"]
+        assert env["workers"] == min(threads, tasks, len(os.sched_getaffinity(0)))
+        assert env["thread_env"]["OMP_NUM_THREADS"] == "1"
+        assert env["thread_env"]["OPENBLAS_NUM_THREADS"] == "1"
+    if command == "scan":
+        lines = [ln for ln in proc.stderr.splitlines() if ln.startswith("scan: position")]
+        assert [ln.split()[2] for ln in lines] == ["1/4", "2/4", "3/4", "4/4"]
+        per_position = manifests[2]["position_timings_s"]
+        assert [p["q_L"] for p in per_position] == [0.0, 0.25, 0.5, 0.75]
+        for key in ("classical", "quantum", "entropy"):
+            total = sum(p[key] for p in per_position)
+            assert manifests[2]["timings_s"][key] == pytest.approx(total, abs=1e-5)
+
+
+def test_numerical_failure_in_a_worker_exits_2(tmp_path):
+    # the degenerate coherent reference of test_cli_numerical_failure_exits_2,
+    # now raised inside the workers that run the blocks of states
+    out = tmp_path / "coarse"
+    proc = run_cli_process(
+        ["quantum", "--output", str(out), "--quantum.dim", "4", "--husimi.grid_q", "2",
+         "--husimi.grid_p", "2", "--husimi.top_states", "1", "--leak.width", "0.3"],
+        2,
+    )
+    assert proc.returncode == 2
+    assert "degenerate coherent reference entropy" in proc.stderr
+    assert not (out / "manifest.json").exists()

@@ -231,6 +231,43 @@ def test_leak_array_membership_matches_scalar():
     assert got.dtype == bool
 
 
+@pytest.mark.parametrize(
+    "center,width",
+    [(0.5, 0.2), (0.2, 0.2), (0.05, 0.2), (0.9, 0.3), (0.0, 0.5), (0.5, 0.0), (0.5, 1.0), (0.3, 0.999)],
+)
+def test_leak_scalar_path_matches_array_path(center, width):
+    leak = Leak(center, width)
+    lo = leak.lower
+    hi = lo + width
+    eps = np.finfo(float).eps
+    # -1e-18 and -2**-60 are among the inputs np.mod rounds up to 1.0
+    assert np.mod(-1e-18, 1.0) == 1.0 and np.mod(-(2.0**-60), 1.0) == 1.0
+    edges = [lo, hi, hi - 1.0, np.nextafter(lo, -1.0), np.nextafter(hi, 2.0), -0.0, 0.0, -1e-300,
+             1.0 - eps / 2, 1.0 - eps, 1.0, -1e-18, -(2.0**-60), 2.0 - eps, -3.0 + lo, 7.0 + hi]
+    rng = np.random.default_rng(11)
+    for q in edges + list(rng.uniform(-3.0, 3.0, 500)):
+        want = bool(leak.contains(np.array([q]))[0])
+        assert leak.contains(float(q)) is want, q
+        assert leak.contains(np.float64(q)) is want, q
+
+
+def test_leak_scalar_path_builds_no_numpy_object(monkeypatch):
+    from leakmap import standard_map
+
+    leaks = [Leak(0.5, 0.2), Leak(0.05, 0.2), Leak(0.5, 0.0), Leak(0.5, 1.0)]
+    monkeypatch.setattr(standard_map, "np", None)  # any numpy use raises
+    assert [leak.contains(0.51) for leak in leaks] == [True, False, False, True]
+    assert [leak.contains(0.99) for leak in leaks] == [False, True, False, True]
+
+
+def test_mod1_float_path_matches_array_path():
+    rng = np.random.default_rng(12)
+    xs = [-0.0, -1e-300, -1e-18, 1.0, -1.0, 1.0 - 2.0**-53, 3.5] + list(rng.uniform(-5.0, 5.0, 200))
+    for x in xs:
+        assert mod1(float(x)) == float(mod1(np.array([x]))[0])
+        assert type(mod1(float(x))) is float
+
+
 def test_leak_degenerate_widths():
     assert not Leak(0.5, 0.0).contains(0.5)
     assert Leak(0.5, 1.0).contains(0.0)

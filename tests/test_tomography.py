@@ -220,6 +220,14 @@ def test_batch_loops_equal_per_state_path(n, n_q, n_p, center):
     assert np.array_equal(mean_husimi(res, 5, (n_q, n_p)).values, acc / acc.sum())
 
 
+@pytest.mark.parametrize("n,cuts", [(32, (0, 16, 32)), (17, (0, 5, 6, 17)), (8, (0, 8))])
+def test_state_entropies_in_column_blocks_concatenate_to_the_whole(n, cuts):
+    res = open_resonances(n, 0.4)
+    whole = state_entropies(res, (30, 31))
+    blocks = [state_entropies(res, (30, 31), slice(a, b)) for a, b in zip(cuts[:-1], cuts[1:])]
+    assert np.array_equal(np.concatenate(blocks), whole)
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_entropy_reduction_with_zero_cells(seed):
     # summing the zero cells' terms too regroups the pairwise sum, which
