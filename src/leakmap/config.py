@@ -92,6 +92,8 @@ def _validate(cfg: ExperimentConfig, violations: list):
 
     if not math.isfinite(cfg.k):
         bad("k", "must be finite")
+    if not math.isfinite(cfg.leak_center):
+        bad("leak_center", f"must be finite, got {cfg.leak_center}")
     if not (0.0 <= cfg.leak_width <= 1.0):
         bad("leak_width", f"must lie in [0, 1], got {cfg.leak_width}")
     for attr in ("grid_q", "grid_p", "husimi_q", "husimi_p", "scan_husimi_q", "scan_husimi_p"):
@@ -105,8 +107,8 @@ def _validate(cfg: ExperimentConfig, violations: list):
         bad("dim", f"must be >= 2, got {cfg.dim}")
     if cfg.top_states < 1:
         bad("top_states", f"must be >= 1, got {cfg.top_states}")
-    if cfg.dwell_bin <= 0.0:
-        bad("dwell_bin", f"must be positive, got {cfg.dwell_bin}")
+    if not (math.isfinite(cfg.dwell_bin) and cfg.dwell_bin > 0.0):
+        bad("dwell_bin", f"must be finite and positive, got {cfg.dwell_bin}")
     if cfg.scan_positions < 1:
         bad("scan_positions", f"must be >= 1, got {cfg.scan_positions}")
     if not cfg.output:

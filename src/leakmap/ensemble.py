@@ -48,6 +48,10 @@ TAIL_WINDOW = (1e-3, 1e-1)
 # rms residual (in ln P) above which the tail is not considered exponential.
 TAIL_RESIDUAL_MAX = 0.2
 
+# Relative distance from the tail rate within which a local decay rate
+# counts as relaxed (`short_dwell_cutoff`).
+CUTOFF_TOL = 0.1
+
 
 @dataclass(frozen=True)
 class PhaseSpaceGrid:
@@ -308,14 +312,14 @@ class TailFit:
     rms_residual: float
 
 
-def exponential_tail_fit(curve: SurvivalCurve, window=TAIL_WINDOW) -> TailFit:
+def exponential_tail_fit(curve: SurvivalCurve) -> TailFit:
     """Fit the exponential tail of a survival curve on the P-window.
 
-    The fit runs over all n with window[0] <= P(n) <= window[1]; fewer than
-    three such points means no exponential regime was reached within the
-    horizon and is an error.
+    The fit runs over all n with TAIL_WINDOW[0] <= P(n) <= TAIL_WINDOW[1];
+    fewer than three such points means no exponential regime was reached
+    within the horizon and is an error.
     """
-    lo, hi = window
+    lo, hi = TAIL_WINDOW
     sel = (curve.p >= lo) & (curve.p <= hi) & (curve.p > 0.0)
     n_points = int(sel.sum())
     if n_points < 3:
@@ -340,15 +344,15 @@ def exponential_tail_fit(curve: SurvivalCurve, window=TAIL_WINDOW) -> TailFit:
     )
 
 
-def short_dwell_cutoff(curve: SurvivalCurve, tol: float = 0.1, window=TAIL_WINDOW) -> int:
+def short_dwell_cutoff(curve: SurvivalCurve) -> int:
     """Smallest n whose local decay rate matches the asymptotic tail rate.
 
     The local rate is r(n) = ln P(n) - ln P(n+1); the cutoff is the first n
-    with |r(n) - gamma| <= tol * gamma, where gamma comes from the tail fit.
-    Orbits absorbed earlier than the cutoff are transients that have not yet
-    relaxed onto the exponential decay.
+    with |r(n) - gamma| <= CUTOFF_TOL * gamma, where gamma comes from the
+    tail fit.  Orbits absorbed earlier than the cutoff are transients that
+    have not yet relaxed onto the exponential decay.
     """
-    fit = exponential_tail_fit(curve, window)
+    fit = exponential_tail_fit(curve)
     if fit.rms_residual > TAIL_RESIDUAL_MAX:
         raise RuntimeError(
             f"survival tail is not exponential (rms ln-residual {fit.rms_residual:.3f} "
@@ -359,10 +363,10 @@ def short_dwell_cutoff(curve: SurvivalCurve, tol: float = 0.1, window=TAIL_WINDO
         if p[n + 1] <= 0.0 or p[n] <= 0.0:
             break
         r = math.log(p[n]) - math.log(p[n + 1])
-        if abs(r - fit.gamma) <= tol * fit.gamma:
+        if abs(r - fit.gamma) <= CUTOFF_TOL * fit.gamma:
             return n
     raise RuntimeError(
-        f"no step with local rate within {tol:.0%} of tail rate {fit.gamma:.4f}"
+        f"no step with local rate within {CUTOFF_TOL:.0%} of tail rate {fit.gamma:.4f}"
     )
 
 

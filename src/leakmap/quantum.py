@@ -53,7 +53,7 @@ class QuantumParams:
     """Hilbert-space dimension (inverse effective Planck constant) and kick."""
 
     N: int
-    K: float = 10.0
+    K: float
 
     def __post_init__(self):
         if int(self.N) != self.N or self.N < 2:
@@ -229,20 +229,13 @@ def dwell_stats(res: ResonanceSet) -> tuple:
     return res.dwell.mean(), res.dwell.std(ddof=1) / math.sqrt(res.dwell.size), res.n_zero_modes
 
 
-def leak_scan_quantum(params: QuantumParams, positions, width: float, each=None) -> QuantumScan:
+def leak_scan_quantum(params: QuantumParams, positions, width: float) -> QuantumScan:
     """Mean quantum dwell time as the leak center scans [0, 1).
 
     The closed propagator is built once; each position only changes the
     projector.  width = 0 makes every dwell time infinite and the mean
-    meaningless (NaN).  each(i, res), when given, is called with the
-    resonance set of every position i, so further statistics share its one
-    Schur factorization."""
+    meaningless (NaN)."""
     positions = np.asarray(positions, dtype=float)
     u = build_unitary(params)
-    rows = []
-    for i, center in enumerate(positions):
-        res = leak_spectrum(u, build_projector(params, Leak(float(center), width)))
-        if each is not None:
-            each(i, res)
-        rows.append(dwell_stats(res))
+    rows = [dwell_stats(leak_spectrum(u, build_projector(params, Leak(float(c), width)))) for c in positions]
     return QuantumScan.from_rows(positions, rows)

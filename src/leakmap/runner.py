@@ -75,19 +75,26 @@ def _scan_positions(cfg: ExperimentConfig) -> np.ndarray:
     return np.arange(cfg.scan_positions) / cfg.scan_positions
 
 
+def _pearson(x, y) -> float | None:
+    """Pearson's r of two scan columns; None (JSON null) where r is
+    undefined: fewer than two positions, or a column that is non-finite or
+    constant."""
+    xy = np.array([x, y], dtype=float)
+    if xy.shape[1] < 2 or not np.isfinite(xy).all() or (np.ptp(xy, axis=1) == 0.0).any():
+        return None
+    return float(np.corrcoef(xy)[0, 1])
+
+
 def _usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
-def worker_count(requested: int | None, tasks: int, cpus: int | None = None) -> int:
+def worker_count(requested: int | None, tasks: int) -> int:
     """Worker processes for `tasks` independent tasks: min(requested, tasks,
-    usable CPUs), at least 1.  requested None means 1; cpus defaults to the
-    CPUs this process may run on."""
-    if cpus is None:
-        cpus = _usable_cpus()
-    return max(1, min(requested or 1, tasks, cpus))
+    CPUs this process may run on), at least 1.  requested None means 1."""
+    return max(1, min(requested or 1, tasks, _usable_cpus()))
 
 
 # The task function of a worker process, set by the pool's initializer in
@@ -197,7 +204,7 @@ class _Run:
             **record,
         }
         mpath = self.path("manifest.json")
-        mpath.write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n")
+        mpath.write_text(json.dumps(manifest, indent=1, sort_keys=True, allow_nan=False) + "\n")
         self.files.append(mpath)
         return self.files
 
@@ -388,8 +395,6 @@ def cmd_scan(cfg: ExperimentConfig, workers: int | None = None) -> list:
     for key, times in zip(SCAN_STAGES, zip(*busy)):
         run.timings[key] = round(sum(times), 6)
     run.stage("write")
-    corr_tau_t = float(np.corrcoef(cl.mean_tau, qs.mean_dwell)[0, 1])
-    corr_lam_sw = float(np.corrcoef(cl.mean_ftle, es.mean_s_w)[0, 1])
     run.add(
         write_csv(
             run.path("scan.csv"),
@@ -404,9 +409,12 @@ def cmd_scan(cfg: ExperimentConfig, workers: int | None = None) -> list:
             [positions, cl.se_tau, cl.se_ftle, qs.se_dwell, es.se_s_w, cl.unescaped_fraction],
         )
     )
-    corr = {"pearson_tau_T": corr_tau_t, "pearson_lambda_SW": corr_lam_sw}
+    corr = {
+        "pearson_tau_T": _pearson(cl.mean_tau, qs.mean_dwell),
+        "pearson_lambda_SW": _pearson(cl.mean_ftle, es.mean_s_w),
+    }
     cpath = run.path("correlations.json")
-    cpath.write_text(json.dumps(corr, indent=1, sort_keys=True) + "\n")
+    cpath.write_text(json.dumps(corr, indent=1, sort_keys=True, allow_nan=False) + "\n")
     run.add(cpath)
     return run.finish(
         {

@@ -11,8 +11,8 @@ closed map deep in the strongly chaotic regime.
 
 `evolve_open` is the one scalar map-and-tangent loop; `ftle` is that loop
 with the empty leak.  It is the reference that the vectorized ensemble
-loop is tested against, and `step`, `tangent_step` and `TangentFrame` in
-turn are the matrix-form reference for it.
+loop is tested against.  The matrix-form reference for it in turn (`step`,
+`tangent_step`, `TangentFrame`) lives with the tests, in tests/conftest.py.
 """
 
 from __future__ import annotations
@@ -22,18 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "MapParams",
-    "Leak",
-    "TangentFrame",
-    "EscapeRecord",
-    "mod1",
-    "step",
-    "step_jacobian",
-    "tangent_step",
-    "ftle",
-    "evolve_open",
-]
+__all__ = ["MapParams", "Leak", "EscapeRecord", "mod1", "ftle", "evolve_open"]
 
 TWO_PI = 2.0 * math.pi
 
@@ -65,7 +54,7 @@ def mod1(x):
 class MapParams:
     """Kick strength of the standard map."""
 
-    K: float = 10.0
+    K: float
 
     def __post_init__(self):
         if not math.isfinite(self.K):
@@ -81,7 +70,7 @@ class Leak:
     """
 
     center: float
-    width: float = 0.2
+    width: float
 
     def __post_init__(self):
         if not (0.0 <= self.width <= 1.0):
@@ -124,28 +113,6 @@ class Leak:
         return out
 
 
-def step(x, params: MapParams):
-    """One iteration of the closed map.  x = (q, p), returns (q', p').
-
-    Position updates first; the kick is evaluated at the updated position.
-    Both coordinates are reduced to [0, 1).
-    """
-    q, p = x
-    q1 = mod1(q + p)
-    p1 = mod1(p - params.K / TWO_PI * np.sin(TWO_PI * q1))
-    return q1, p1
-
-
-def step_jacobian(q_next: float, params: MapParams) -> np.ndarray:
-    """One-step Jacobian evaluated at the updated position q'.
-
-    d(q', p')/d(q, p) = [[1, 1], [-Kc, 1 - Kc]] with c = cos(2pi q').
-    Its determinant is exactly 1: the map is area preserving.
-    """
-    kc = params.K * math.cos(TWO_PI * q_next)
-    return np.array([[1.0, 1.0], [-kc, 1.0 - kc]])
-
-
 def _sigma_max(a, b, c, d):
     """Largest singular value of [[a, b], [c, d]], closed form.
 
@@ -156,55 +123,6 @@ def _sigma_max(a, b, c, d):
     e = a * a + b * b + c * c + d * d
     twod = 2.0 * np.abs(a * d - b * c)
     return 0.5 * (np.sqrt(e + twod) + np.sqrt(np.maximum(e - twod, 0.0)))
-
-
-@dataclass
-class TangentFrame:
-    """Accumulated tangent map with periodic renormalization.
-
-    The true n-step Jacobian is exp(log_scale) * matrix.  Every
-    RENORM_INTERVAL steps the matrix is divided by its largest absolute
-    entry and the log of that factor is added to log_scale, so entries
-    never overflow even for millions of strongly chaotic steps.
-
-    det is the running product of one-step determinants.  Each factor is
-    evaluated fresh from the one-step matrix (where it equals 1 up to one
-    rounding), not from the accumulated matrix: after a few hundred chaotic
-    steps the accumulated determinant is pure cancellation noise, while the
-    product form stays within ~1e-12 of 1 over 1e3 steps.
-    """
-
-    matrix: np.ndarray
-    log_scale: float = 0.0
-    n_steps: int = 0
-    det: float = 1.0
-
-    @classmethod
-    def identity(cls) -> "TangentFrame":
-        return cls(matrix=np.eye(2))
-
-    def sigma_max_log(self) -> float:
-        """log of the largest singular value of the true accumulated Jacobian."""
-        a, b = self.matrix[0]
-        c, d = self.matrix[1]
-        return self.log_scale + math.log(_sigma_max(a, b, c, d))
-
-
-def tangent_step(q_next: float, frame: TangentFrame, params: MapParams) -> TangentFrame:
-    """Advance the tangent frame by the one-step Jacobian at q'.
-
-    Returns a new frame; the input is not modified.
-    """
-    j = step_jacobian(q_next, params)
-    m = j @ frame.matrix
-    det = frame.det * (j[0, 0] * j[1, 1] - j[0, 1] * j[1, 0])
-    n = frame.n_steps + 1
-    log_scale = frame.log_scale
-    if n % RENORM_INTERVAL == 0:
-        s = np.abs(m).max()
-        m = m / s
-        log_scale += math.log(s)
-    return TangentFrame(matrix=m, log_scale=log_scale, n_steps=n, det=det)
 
 
 def ftle(x0, n: int, params: MapParams) -> float:

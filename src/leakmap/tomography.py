@@ -32,8 +32,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quantum import QuantumParams, ResonanceSet, leak_scan_quantum
-from .standard_map import TWO_PI
+from .quantum import (
+    QuantumParams,
+    QuantumScan,
+    ResonanceSet,
+    build_projector,
+    build_unitary,
+    dwell_stats,
+    leak_spectrum,
+)
+from .standard_map import TWO_PI, Leak
 
 __all__ = [
     "HusimiField",
@@ -287,19 +295,19 @@ def _plan(N: int, n_q: int, n_p: int) -> HusimiTransform:
     return HusimiTransform(N, n_q, n_p)
 
 
-def husimi_plan(N: int, resolution=(1000, 1000)) -> HusimiTransform:
+def husimi_plan(N: int, resolution) -> HusimiTransform:
     """The cached analyzer of length-N states on an n_q x n_p grid, the one
     every function here uses; building it ahead of a fork lets worker
     processes inherit it."""
     return _plan(int(N), int(resolution[0]), int(resolution[1]))
 
 
-def husimi(state: np.ndarray, N: int, resolution=(1000, 1000)) -> HusimiField:
+def husimi(state: np.ndarray, N: int, resolution) -> HusimiField:
     """Husimi field of a length-N state on an n_q x n_p grid."""
     return husimi_plan(N, resolution).field(state)
 
 
-def mean_husimi(res: ResonanceSet, m: int = 20, resolution=(1000, 1000)) -> HusimiField:
+def mean_husimi(res: ResonanceSet, m: int, resolution) -> HusimiField:
     """Mean Husimi field of the m longest-lived Schur states, renormalized.
 
     Requires at least m states with nonzero dwell time; zero modes carry no
@@ -334,7 +342,7 @@ def wehrl_entropy(field: HusimiField, N: int) -> WehrlRecord:
     return WehrlRecord(s_w=plan.s_w(s), raw_entropy=s)
 
 
-def state_entropies(res: ResonanceSet, resolution=(1000, 1000), cols=slice(None)) -> np.ndarray:
+def state_entropies(res: ResonanceSet, resolution, cols=slice(None)) -> np.ndarray:
     """s_w of the Schur states res.vectors[:, cols] (all of them by
     default), in lifetime order.  Each state's value does not depend on
     the others, so contiguous blocks of columns concatenate to the whole."""
@@ -368,16 +376,14 @@ class EntropyScatter:
     bin_count: np.ndarray
 
 
-def entropy_vs_dwell(
-    res: ResonanceSet, bin_width: float = 0.08, resolution=(1000, 1000), entropies=None
-) -> EntropyScatter:
+def entropy_vs_dwell(res: ResonanceSet, bin_width: float, resolution, entropies=None) -> EntropyScatter:
     """Wehrl localization against dwell time for all Schur states.
 
     entropies(res, resolution), when given, replaces `state_entropies`
     (say, by one that spreads blocks of states over worker processes); it
     runs only after the inputs have passed their checks."""
-    if bin_width <= 0.0:
-        raise ValueError(f"bin width must be positive, got {bin_width}")
+    if not (math.isfinite(bin_width) and bin_width > 0.0):
+        raise ValueError(f"bin width must be finite and positive, got {bin_width}")
     if np.isinf(res.dwell).any():
         raise ValueError("dwell times are infinite (closed system); open the propagator first")
     s_w = (entropies or state_entropies)(res, resolution)
@@ -417,9 +423,14 @@ def wehrl_stats(res: ResonanceSet, resolution) -> tuple:
     return s_w.mean(), s_w.std(ddof=1) / math.sqrt(s_w.size)
 
 
-def leak_scan(params: QuantumParams, positions, width: float, resolution=(500, 500)):
+def leak_scan(params: QuantumParams, positions, width: float, resolution):
     """Dwell and Wehrl statistics over leak positions from one Schur
     spectrum per position: (QuantumScan, EntropyScan)."""
-    rows = []
-    qs = leak_scan_quantum(params, positions, width, each=lambda i, res: rows.append(wehrl_stats(res, resolution)))
-    return qs, EntropyScan.from_rows(qs.positions, rows)
+    positions = np.asarray(positions, dtype=float)
+    u = build_unitary(params)
+    dw_rows, sw_rows = [], []
+    for c in positions:
+        res = leak_spectrum(u, build_projector(params, Leak(float(c), width)))
+        dw_rows.append(dwell_stats(res))
+        sw_rows.append(wehrl_stats(res, resolution))
+    return QuantumScan.from_rows(positions, dw_rows), EntropyScan.from_rows(positions, sw_rows)

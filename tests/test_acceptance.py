@@ -49,7 +49,7 @@ from leakmap.quantum import (
     resonance_spectrum,
     unitarity_defect,
 )
-from leakmap.standard_map import Leak, MapParams, TangentFrame, ftle, step, tangent_step
+from leakmap.standard_map import Leak, MapParams, ftle
 from leakmap.tomography import (
     HusimiField,
     coherent_state,
@@ -59,7 +59,7 @@ from leakmap.tomography import (
     wehrl_entropy,
 )
 
-from conftest import component_rng
+from conftest import TangentFrame, component_rng, step, tangent_step
 
 PARAMS = MapParams(K=10.0)
 

@@ -60,6 +60,9 @@ def test_all_violations_reported_at_once():
     with pytest.raises(ConfigError) as exc:
         parse_config("[map]\nk = ten\n\n[classical]\nt_max = soon\n")
     assert len(exc.value.violations) == 2
+    with pytest.raises(ConfigError) as exc:
+        parse_config("[leak]\ncenter = nan\nwidth = 2\n\n[husimi]\ndwell_bin = inf\n")
+    assert [v.split(":")[0] for v in exc.value.violations] == ["leak.center", "leak.width", "husimi.dwell_bin"]
 
 
 def test_value_validation():
@@ -74,6 +77,22 @@ def test_value_validation():
         parse_config("[husimi]\ndwell_bin = 0\n")
     with pytest.raises(ConfigError):
         parse_config("[run]\nseed = -1\n")
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("leak.center", "nan"),
+        ("leak.center", "inf"),
+        ("leak.center", "-inf"),
+        ("husimi.dwell_bin", "nan"),
+        ("husimi.dwell_bin", "inf"),
+    ],
+)
+def test_non_finite_floats_are_violations(key, value):
+    with pytest.raises(ConfigError) as exc:
+        apply_overrides(default_config(), [(key, value)])
+    assert [v.split(":")[0] for v in exc.value.violations] == [key]
 
 
 def test_parse_error_is_config_error():

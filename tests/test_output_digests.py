@@ -1,0 +1,33 @@
+"""tools/output_digests.py: output sha256 lines at two worker settings."""
+
+import importlib.util
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "output_digests.py"
+
+
+def load_tool():
+    spec = importlib.util.spec_from_file_location("output_digests", TOOL)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_digests_of_this_tree_agree_across_worker_settings(capsys):
+    assert load_tool().main([]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == sorted(lines)
+    fields = [line.split(" ") for line in lines]
+    assert all(len(f) == 3 and len(f[2]) == 64 for f in fields)
+    assert {f[0] for f in fields} == {"ftle-field", "open-classical", "quantum", "scan"}
+    assert ["scan", "correlations.json"] in [f[:2] for f in fields]
+
+
+def test_disagreeing_worker_settings_exit_1(monkeypatch, capsys):
+    tool = load_tool()
+    monkeypatch.setattr(tool, "digests", lambda root, workdir, threads: [f"scan scan.csv {threads or 'unset'}"])
+    assert tool.main([]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "scan scan.csv unset\n"
+    assert "LEAKMAP_THREADS=2 only: scan scan.csv 2" in captured.err
+    assert "LEAKMAP_THREADS=unset only: scan scan.csv unset" in captured.err

@@ -161,6 +161,26 @@ def test_cmd_scan_artifacts(tmp_path):
     assert (out / "scan_errors.csv").is_file()
 
 
+def strict_json(path):
+    def no_constant(token):
+        raise ValueError(f"{path.name} holds the non-JSON token {token}")
+
+    return json.loads(path.read_text(), parse_constant=no_constant)
+
+
+@pytest.mark.parametrize("overrides", [dict(scan_positions=1), dict(leak_width=0.0)])
+def test_cmd_scan_writes_null_for_undefined_correlations(tmp_path, overrides):
+    # one position, or the empty leak: every position then runs the same
+    # closed system, whose dwell column is NaN and whose other columns are
+    # constant, so Pearson's r is undefined
+    out = tmp_path / "run"
+    cmd_scan(toy_config(out, dim=16, t_max=400, **overrides))
+    undefined = {"pearson_tau_T": None, "pearson_lambda_SW": None}
+    assert strict_json(out / "correlations.json") == undefined
+    extra = strict_json(out / "manifest.json")["extra"]
+    assert {k: extra[k] for k in undefined} == undefined
+
+
 def test_cmd_scan_one_spectrum_per_position(tmp_path, monkeypatch):
     calls = []
     real = quantum.resonance_spectrum
@@ -264,6 +284,12 @@ def test_cli_config_errors_exit_1(tmp_path, capsys):
     assert run_cli(["quantum", "--no-dots", "1"]) == 1
     assert run_cli(["quantum", "--quantum.dim"]) == 1  # missing value
     assert run_cli(["quantum", "--quantum.dims", "4"]) == 1  # unknown key
+    capsys.readouterr()
+    out = tmp_path / "never"
+    for key, value in (("leak.center", "nan"), ("husimi.dwell_bin", "nan"), ("husimi.dwell_bin", "inf")):
+        assert run_cli(["quantum", "--output", str(out), f"--{key}", value]) == 1
+        assert f"{key}:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_numerical_failure_exits_2(tmp_path, capsys):
@@ -315,13 +341,18 @@ def test_worker_count_is_a_pure_function(monkeypatch):
         raise AssertionError("worker_count started a process pool")
 
     monkeypatch.setattr(runner, "ProcessPoolExecutor", no_pool)
-    assert worker_count(None, 10, cpus=4) == 1  # unset: in-process
-    assert worker_count(1, 10, cpus=4) == 1
-    assert worker_count(8, 3, cpus=16) == 3  # above the task count
-    assert worker_count(10**6, 50, cpus=2) == 2  # above the usable CPUs
-    assert worker_count(2, 0, cpus=2) == 1
     assert worker_count(None, 10) == 1
     assert 1 <= worker_count(10**6, 10**6) <= len(os.sched_getaffinity(0))
+
+    for cpus, requested, tasks, expect in (
+        (4, None, 10, 1),  # unset: in-process
+        (4, 1, 10, 1),
+        (16, 8, 3, 3),  # above the task count
+        (2, 10**6, 50, 2),  # above the usable CPUs
+        (2, 2, 0, 1),
+    ):
+        monkeypatch.setattr(runner, "_usable_cpus", lambda: cpus)
+        assert worker_count(requested, tasks) == expect
 
 
 class RecordingPool:

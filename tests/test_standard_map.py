@@ -7,19 +7,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from leakmap.standard_map import (
-    RENORM_INTERVAL,
-    TWO_PI,
-    Leak,
-    MapParams,
-    TangentFrame,
-    evolve_open,
-    ftle,
-    mod1,
-    step,
-    step_jacobian,
-    tangent_step,
-)
+from leakmap.standard_map import RENORM_INTERVAL, TWO_PI, Leak, MapParams, evolve_open, ftle, mod1
+
+from conftest import TangentFrame, step, step_jacobian, tangent_step
 
 K10 = MapParams(10.0)
 K0 = MapParams(0.0)

@@ -6,14 +6,15 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from leakmap import quantum
 from leakmap.quantum import (
     QuantumParams,
     build_projector,
     build_unitary,
+    leak_scan_quantum,
     open_propagator,
     resonance_spectrum,
 )
-from leakmap.quantum import leak_scan_quantum
 from leakmap.standard_map import Leak
 from leakmap.tomography import (
     M_RANGE,
@@ -363,6 +364,15 @@ def test_entropy_vs_dwell_rejects_closed_system():
         entropy_vs_dwell(res, 0.08, (50, 50))
 
 
+@pytest.mark.parametrize("width", [0.0, math.nan, math.inf])
+def test_entropy_vs_dwell_rejects_bad_bin_width(width):
+    def never(res, resolution):
+        raise AssertionError("entropies ran before the bin width was checked")
+
+    with pytest.raises(ValueError, match="bin width"):
+        entropy_vs_dwell(open_resonances(8, 0.2), width, (20, 20), entropies=never)
+
+
 def test_leak_scan_entropy_symmetry():
     scan = leak_scan(QuantumParams(32, 10.0), [0.2, 0.3, 0.7, 0.8], 0.2, (100, 100))[1]
     se = np.hypot(scan.se_s_w[:2], scan.se_s_w[::-1][:2])
@@ -370,10 +380,19 @@ def test_leak_scan_entropy_symmetry():
     assert np.all(dev <= 3.0 * se)
 
 
-def test_leak_scan_shares_one_spectrum_per_position():
+def test_leak_scan_shares_one_spectrum_per_position(monkeypatch):
+    calls = []
+
+    def counting(m):
+        calls.append(m.shape)
+        return resonance_spectrum(m)
+
     qp = QuantumParams(16, 10.0)
     positions = [0.2, 0.5, 0.8]
+    monkeypatch.setattr(quantum, "resonance_spectrum", counting)
     qs, es = leak_scan(qp, positions, 0.2, (40, 40))
+    assert calls == [(16, 16)] * len(positions)
+    monkeypatch.undo()
     alone = leak_scan_quantum(qp, positions, 0.2)
     assert np.array_equal(qs.mean_dwell, alone.mean_dwell)
     assert np.array_equal(qs.se_dwell, alone.se_dwell)

@@ -1,0 +1,107 @@
+#!/usr/bin/env python3
+"""Print the sha256 of every file the four leakmap commands write.
+
+    python tools/output_digests.py [ROOT]
+
+Runs `ftle-field`, `open-classical`, `quantum` and `scan` through
+`python -m leakmap.cli`, with ROOT/src on PYTHONPATH (ROOT defaults to the
+tree this script belongs to), at one fixed small config: classical 120^2
+grid, t_max 600, 10 FTLE steps, leak at 0.3 of width 0.2, N = 128 with a
+150^2 Husimi grid, and a scan over 6 positions on 60^2 Husimi grids.  Each
+command runs once with LEAKMAP_THREADS unset and once at 2.  The script
+prints the sorted `command path sha256` lines of the manifests and exits 1
+when the two worker settings disagree.  Every output byte is a pure
+function of the config, so two trees compute the same thing exactly when
+their printed lines are equal:
+
+    python tools/output_digests.py > change.txt
+    python tools/output_digests.py path/to/other/checkout > other.txt
+    diff other.txt change.txt
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+COMMANDS = ("ftle-field", "open-classical", "quantum", "scan")
+
+CONFIG = """\
+[leak]
+center = 0.3
+width = 0.2
+
+[classical]
+grid_q = 120
+grid_p = 120
+ftle_steps = 10
+t_max = 600
+
+[quantum]
+dim = 128
+
+[husimi]
+grid_q = 150
+grid_p = 150
+
+[scan]
+positions = 6
+husimi_grid_q = 60
+husimi_grid_p = 60
+"""
+
+# LEAKMAP_THREADS values compared; None leaves the variable unset.
+WORKER_SETTINGS = (None, "2")
+
+
+def digests(root: Path, workdir: Path, threads: str | None) -> list:
+    """`command path sha256` lines of every command at one worker setting."""
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    env.pop("LEAKMAP_THREADS", None)
+    if threads is not None:
+        env["LEAKMAP_THREADS"] = threads
+    cfg = workdir / "digests.cfg"
+    cfg.write_text(CONFIG)
+    lines = []
+    for command in COMMANDS:
+        out = workdir / f"threads-{threads or 'unset'}" / command
+        proc = subprocess.run(
+            [sys.executable, "-m", "leakmap.cli", command, "--config", str(cfg), "--output", str(out)],
+            cwd=workdir,
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        if proc.returncode != 0:
+            sys.exit(f"{command} (LEAKMAP_THREADS={threads}) exited {proc.returncode}:\n{proc.stderr}")
+        manifest = json.loads((out / "manifest.json").read_text())
+        lines += [f"{command} {e['path']} {e['sha256']}" for e in manifest["outputs"]]
+    return sorted(lines)
+
+
+def main(argv: list) -> int:
+    if len(argv) > 1:
+        print("usage: output_digests.py [ROOT]", file=sys.stderr)
+        return 2
+    root = Path(argv[0] if argv else Path(__file__).resolve().parents[1]).resolve()
+    if not (root / "src" / "leakmap").is_dir():
+        print(f"no src/leakmap under {root}", file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory() as tmp:
+        runs = {threads: digests(root, Path(tmp), threads) for threads in WORKER_SETTINGS}
+    first, second = runs.values()
+    print("\n".join(first))
+    if first != second:
+        a, b = (f"LEAKMAP_THREADS={t or 'unset'}" for t in WORKER_SETTINGS)
+        for line in sorted(set(first) ^ set(second)):
+            print(f"{a if line in first else b} only: {line}", file=sys.stderr)
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
