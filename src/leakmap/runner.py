@@ -295,7 +295,8 @@ def cmd_quantum(cfg: ExperimentConfig, workers: int | None = None) -> list:
     res = leak_spectrum(u, keep)
     run.stage("husimi")
     resolution = (cfg.husimi_q, cfg.husimi_p)
-    mean_field = mean_husimi(res, cfg.top_states, resolution)
+    # built once, inherited by forked workers
+    husimi_plan(cfg.dim, resolution)
     n = run.use_workers(workers, cfg.dim)
     edges = [b * cfg.dim // n for b in range(n + 1)]
 
@@ -306,7 +307,9 @@ def cmd_quantum(cfg: ExperimentConfig, workers: int | None = None) -> list:
         with _task_results(block, n, n) as blocks:
             return np.concatenate(list(blocks))
 
+    # checks the dwell binning before any transform runs
     scatter = entropy_vs_dwell(res, cfg.dwell_bin, resolution, entropies=block_entropies)
+    mean_field = mean_husimi(res, cfg.top_states, resolution)
     run.stage("write")
     k_idx = np.arange(1, cfg.dim + 1)
     run.add(

@@ -10,14 +10,20 @@ before that).  The Husimi mass of a state v on a grid cell is
 |<alpha(q_i, p_j)|v>|^2, normalized so the whole field sums to 1.
 
 Evaluating the overlaps naively costs O(N) per grid cell.  Instead the
-m-sum is absorbed into an extended site lattice k', the Gaussian window is
-applied once per q row, and the p dependence exp(-2 pi i p_j k') collapses
-to a length-n_p FFT after folding k' modulo n_p.  The fold is a cyclic
-placement computed once per plan: runs of consecutive extended sites, each
-landing on a contiguous block of FFT columns, are written (first touch) or
-added (later wraps) in lattice order.  The result is identical to the naive
-overlaps at machine precision; only terms with Gaussian weight below ~1e-20
-are dropped.
+m-sum is absorbed into an extended site lattice k', and the p dependence
+exp(-2 pi i p_j k') collapses to a length-n_p FFT after folding k' modulo
+n_p.  The Gaussian window of q row i matters only on a band of L
+contiguous extended sites starting at a_i: L is the widest row's count of
+sites with weight >= exp(-WINDOW_LOG_CUT), and a_i is clipped so the band
+stays on the lattice.  Each row folds only its band, site a_i + t landing
+on FFT column t mod n_p.  Shifting a row's sites by a_i multiplies its DFT
+by exp(-2 pi i j a_i / n_p), a phase that |.|^2 removes; the half-cell
+offset of the p grid stays a phase of the absolute site k'.  The fold is a
+cyclic placement computed once per plan: runs of band sites, each landing
+on a contiguous block of FFT columns, are written (first touch) or added
+(later wraps) in lattice order.  The result is identical to the naive
+overlaps at machine precision; only terms with Gaussian weight below
+~1e-20 are dropped.
 
 Batches of states (`state_entropies`, `mean_husimi`) run every transform,
 normalization and entropy reduction inside one workspace allocated per
@@ -65,6 +71,10 @@ M_RANGE = 3
 
 # Gaussian window weights below exp(-46) ~ 1e-20 are dropped in the fast path.
 WINDOW_LOG_CUT = 46.0
+
+# exp(-x) is exactly 0.0 in double precision for x > 745.14; image pairs of
+# the norm field whose exponent exceeds this everywhere add nothing.
+EXP_ZERO_EXPONENT = 746.0
 
 
 @dataclass
@@ -160,17 +170,19 @@ def _cyclic_runs(first_col: int, length: int, n_p: int) -> tuple:
 class _Workspace:
     """Grid-sized buffers for a batch of transforms with one plan.
 
-    fold receives the windowed sites placed on the n_p columns; columns no
-    extended site reaches (only when the lattice is shorter than n_p) stay
-    zero from allocation.  amp receives the FFT; once a field's masses are
-    out, its memory serves as the entropy reduction's compress and term
-    buffers.  mass receives the field itself.
+    fold receives the windowed band sites placed on the n_p columns;
+    columns no band site reaches (when the band is shorter than n_p) stay
+    zero from allocation.  amp receives the FFT; before that, its memory
+    holds each run's gathered sites as a contiguous (n_q, width) block, and
+    once a field's masses are out it serves as the entropy reduction's
+    compress and term buffers.  mass receives the field itself.
     """
 
     def __init__(self, n_q: int, n_p: int):
         self.fold = np.zeros((n_q, n_p), dtype=complex)
         self.amp = np.empty((n_q, n_p), dtype=complex)
         self.mass = np.empty((n_q, n_p))
+        self.gather = self.amp.reshape(-1)
         kept, terms = self.amp.view(float).reshape(2, -1)
         self.entropy_scratch = (np.empty(n_q * n_p, dtype=bool), kept, terms)
 
@@ -178,10 +190,11 @@ class _Workspace:
 class HusimiTransform:
     """Precomputed Husimi analyzer for one (N, n_q, n_p) combination.
 
-    Holds the Gaussian window over the extended site lattice, its cyclic
-    placement on the p-axis FFT columns, the exact coherent-state norm
-    field used as denominator, and the Wehrl scale (`coherent_entropy`,
-    `s_w`).  Reuse one instance across many states; building it costs
+    Holds, for every q row, the band of extended sites its Gaussian window
+    reaches, placed cyclically on the p-axis FFT columns as runs of site
+    indices and window weights; the per-site half-cell phase; the exact
+    coherent-state norm field used as denominator; and the Wehrl scale
+    (`coherent_entropy`, `s_w`).  Reuse one instance across many states; building it costs
     about as much as a handful of transforms.  The plan itself is
     read-only: per-call buffers live in a `workspace()`, which the batch
     functions allocate once per call and pass to every `overlap_field`.
@@ -205,20 +218,39 @@ class HusimiTransform:
         k_hi = min((M_RANGE + 1) * N, math.ceil((1.0 + u_max) * N))
         kex = np.arange(k_lo, k_hi + 1)
         self._src = (kex - 1) % N
-        self._window = np.exp(-np.pi * N * (kex[None, :] / N - self.q[:, None]) ** 2)
-        # Half-cell offset of the p grid, folded into a per-site phase.
+        # Half-cell offset of the p grid, folded into a phase of the
+        # absolute site, so it does not depend on where a row's band starts.
         self._half_phase = np.exp(-1j * np.pi * kex / n_p)
-        self._runs = _cyclic_runs(int(kex[0] % n_p), kex.size, n_p)
+        window = np.exp(-np.pi * N * (kex[None, :] / N - self.q[:, None]) ** 2)
+        reached = window >= math.exp(-WINDOW_LOG_CUT)
+        lo = reached.argmax(axis=1)
+        hi = kex.size - 1 - reached[:, ::-1].argmax(axis=1)
+        length = int((hi - lo).max()) + 1
+        band = np.minimum(lo, kex.size - length)[:, None] + np.arange(length)
+        window = np.take_along_axis(window, band, axis=1)
+        self._runs = tuple(
+            (col, first, np.ascontiguousarray(band[:, start:stop]), np.ascontiguousarray(window[:, start:stop]))
+            for start, stop, col, first in _cyclic_runs(0, length, n_p)
+        )
         self._norm2 = self._norm_field()
         self._s_coh = None
 
     def _norm_field(self) -> np.ndarray:
         """Squared norm of the unnormalized coherent state at every grid
-        cell: a cosine series in p whose coefficients couple image pairs."""
+        cell: a cosine series in p whose coefficients couple image pairs.
+
+        An image pair (d, m) is skipped when its exponent, minimized over
+        the rows' range of u (the analytic minimum sits at u = m - d/2),
+        puts every term past exp's underflow to exactly zero: adding those
+        zeros would not change a bit."""
         u = np.arange(1, self.N + 1)[None, :] / self.N - self.q[:, None]
+        u_lo, u_hi = float(u.min()), float(u.max())
         coeff = np.zeros((2 * M_RANGE + 1, self.n_q))
         for d in range(0, 2 * M_RANGE + 1):
             for m in range(max(-M_RANGE, d - M_RANGE), M_RANGE + 1):
+                u_min = min(max(m - d / 2, u_lo), u_hi)
+                if math.pi * self.N * ((u_min - m) ** 2 + (u_min - m + d) ** 2) > EXP_ZERO_EXPONENT:
+                    continue
                 expo = (u - m) ** 2 + (u - m + d) ** 2
                 coeff[d] += np.exp(-np.pi * self.N * expo).sum(axis=1)
         norm2 = np.repeat(coeff[0][:, None], self.n_p, axis=1)
@@ -245,17 +277,19 @@ class HusimiTransform:
         if work is None:
             work = self.workspace()
         phased = v[self._src] * self._half_phase
-        fold, amp = work.fold, work.amp
-        for start, stop, col, first in self._runs:
-            dst = fold[:, col : col + stop - start]
+        fold = work.fold
+        for col, first, index, window in self._runs:
+            width = index.shape[1]
+            # mode="wrap" (the indices are in range) lets take write into
+            # the contiguous gather block without buffering
+            sites = np.take(phased, index, out=work.gather[: index.size].reshape(index.shape), mode="wrap")
             if first:
-                np.multiply(self._window[:, start:stop], phased[start:stop], out=dst)
+                np.multiply(sites, window, out=fold[:, col : col + width])
             else:
-                term = np.multiply(self._window[:, start:stop], phased[start:stop], out=amp[:, : stop - start])
-                dst += term
-        np.fft.fft(fold, axis=1, out=amp)
-        mass = np.square(amp.real, out=work.mass)
-        mass += np.square(amp.imag, out=amp.imag)
+                fold[:, col : col + width] += np.multiply(sites, window, out=sites)
+        amp = np.fft.fft(fold, axis=1, out=work.amp).view(float)
+        np.square(amp, out=amp)
+        mass = np.add(amp[:, 0::2], amp[:, 1::2], out=work.mass)
         mass /= self._norm2
         return mass
 
@@ -278,15 +312,17 @@ class HusimiTransform:
             self._s_coh = s_coh
         return self._s_coh
 
-    def s_w(self, s: float) -> float:
-        """Normalized Wehrl localization of raw entropy s on this grid:
-        (s - S_coh) / (0 - S_coh) clipped to [0, 1], so the uniform field
-        maps to 1 and the reference coherent state to 0."""
+    def s_w(self, s):
+        """Normalized Wehrl localization of raw entropy s (a number or an
+        array of them) on this grid: (s - S_coh) / (0 - S_coh) clipped to
+        [0, 1], so the uniform field maps to 1 and the reference coherent
+        state to 0."""
         s_coh = self.coherent_entropy
-        return float(np.clip((s - s_coh) / (0.0 - s_coh), 0.0, 1.0))
+        return np.clip((s - s_coh) / (0.0 - s_coh), 0.0, 1.0)
 
 
-# Recently used plans kept alive; a 1000^2 plan at N = 512 holds ~14 MB.
+# Recently used plans kept alive; a 1000^2 plan at N = 512 holds ~11 MB
+# (8 MB of it the norm field).
 PLAN_CACHE_SIZE = 4
 
 
@@ -339,7 +375,7 @@ def wehrl_entropy(field: HusimiField, N: int) -> WehrlRecord:
     """Wehrl localization measure of a Husimi field for dimension N."""
     plan = _plan(N, field.values.shape[0], field.values.shape[1])
     s = _raw_entropy(field.values)
-    return WehrlRecord(s_w=plan.s_w(s), raw_entropy=s)
+    return WehrlRecord(s_w=float(plan.s_w(s)), raw_entropy=s)
 
 
 def state_entropies(res: ResonanceSet, resolution, cols=slice(None)) -> np.ndarray:
@@ -352,11 +388,10 @@ def state_entropies(res: ResonanceSet, resolution, cols=slice(None)) -> np.ndarr
     # reference transform's buffers are freed before these are allocated.
     plan.coherent_entropy
     work = plan.workspace()
-    out = np.empty(vectors.shape[1])
-    for j in range(out.size):
-        s = _raw_entropy(_normalize(plan.overlap_field(vectors[:, j], work)), work.entropy_scratch)
-        out[j] = plan.s_w(s)
-    return out
+    raw = np.empty(vectors.shape[1])
+    for j in range(raw.size):
+        raw[j] = _raw_entropy(_normalize(plan.overlap_field(vectors[:, j], work)), work.entropy_scratch)
+    return plan.s_w(raw)
 
 
 @dataclass
@@ -386,8 +421,14 @@ def entropy_vs_dwell(res: ResonanceSet, bin_width: float, resolution, entropies=
         raise ValueError(f"bin width must be finite and positive, got {bin_width}")
     if np.isinf(res.dwell).any():
         raise ValueError("dwell times are infinite (closed system); open the propagator first")
+    bins = np.floor(res.dwell / bin_width)
+    if not bins.max() < 2.0**63:
+        raise ValueError(
+            f"bin width {bin_width} is too small for the largest dwell time {res.dwell.max()}: "
+            "its bin index does not fit in int64"
+        )
     s_w = (entropies or state_entropies)(res, resolution)
-    idx = np.floor(res.dwell / bin_width).astype(np.int64)
+    idx = bins.astype(np.int64)
     uniq = np.unique(idx)
     mean = np.array([s_w[idx == b].mean() for b in uniq])
     count = np.array([(idx == b).sum() for b in uniq])

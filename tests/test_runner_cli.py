@@ -310,6 +310,12 @@ def test_cli_numerical_failure_exits_2(tmp_path, capsys):
     assert code == 2
     assert "degenerate coherent reference entropy" in capsys.readouterr().err
     assert not (out / "manifest.json").exists()
+    # a dwell bin so narrow that the bin indices overflow int64
+    out = tmp_path / "narrow"
+    code = run_cli(["quantum", "--output", str(out), "--quantum.dim", "8", "--husimi.dwell_bin", "1e-300"])
+    assert code == 2
+    assert "bin width 1e-300 is too small" in capsys.readouterr().err
+    assert not any(out.iterdir())
 
 
 def test_thread_env(monkeypatch):

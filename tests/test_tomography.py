@@ -1,6 +1,7 @@
 """Coherent states, Husimi fields, and Wehrl localization."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -94,12 +95,14 @@ def brute_husimi_overlaps(state, n, n_q, n_p):
     return out
 
 
-@pytest.mark.parametrize("n,n_q,n_p", [(7, 11, 13), (16, 9, 17)])
+# at N = 128 the band (87 sites) is well short of the lattice (217)
+@pytest.mark.parametrize("n,n_q,n_p", [(7, 11, 13), (16, 9, 17), (128, 31, 37)])
 def test_overlap_field_matches_brute_force(n, n_q, n_p):
     rng = np.random.default_rng(42)
     v = rng.normal(size=n) + 1j * rng.normal(size=n)
     v /= np.linalg.norm(v)
     plan = HusimiTransform(n, n_q, n_p)
+    assert band_sites(plan)[0].shape[1] < extended_sites(n).size
     fast = plan.overlap_field(v)
     slow = brute_husimi_overlaps(v, n, n_q, n_p)
     assert_allclose(fast, slow, rtol=1e-10, atol=1e-14 * slow.max())
@@ -151,21 +154,68 @@ def test_husimi_reflection_pairs_with_reflected_leak():
     assert_allclose(fa, np.flip(fb), rtol=0, atol=1e-12)
 
 
-def zero_filled_fold_overlaps(plan, state):
-    """Overlaps through a zero-padded (n_q, blocks * n_p) buffer folded by a
-    reshape-sum: the layout the cyclic placement replaces."""
-    n, n_p = plan.N, plan.n_p
+def extended_sites(n):
+    """The extended lattice k' = k - m N on which the plan's bands lie."""
     u_max = math.sqrt(WINDOW_LOG_CUT / (math.pi * n))
     k_lo = max(1 - M_RANGE * n, math.floor(-u_max * n))
     k_hi = min((M_RANGE + 1) * n, math.ceil((1.0 + u_max) * n))
-    kex = np.arange(k_lo, k_hi + 1)
-    w = plan._window * (state[(kex - 1) % n] * np.exp(-1j * np.pi * kex / n_p))[None, :]
-    left = int(kex[0] % n_p)
-    blocks = -(-(left + kex.size) // n_p)
-    buf = np.zeros((plan.n_q, blocks * n_p), dtype=complex)
-    buf[:, left : left + kex.size] = w
-    amp = np.fft.fft(buf.reshape(plan.n_q, blocks, n_p).sum(axis=1), axis=1)
+    return np.arange(k_lo, k_hi + 1)
+
+
+def band_sites(plan):
+    """The plan's (n_q, L) band: extended-lattice offsets and window weights."""
+    index = np.hstack([index for _, _, index, _ in plan._runs])
+    window = np.hstack([window for *_, window in plan._runs])
+    return index, window
+
+
+def phased_sites(plan, state):
+    kex = extended_sites(plan.N)
+    return state[(kex - 1) % plan.N] * np.exp(-1j * np.pi * kex / plan.n_p)
+
+
+def folded_overlaps(plan, buf):
+    """|FFT|^2 / norm of a zero-filled (n_q, blocks * n_p) buffer folded on
+    n_p columns by a reshape-sum."""
+    amp = np.fft.fft(buf.reshape(plan.n_q, -1, plan.n_p).sum(axis=1), axis=1)
     return (amp.real**2 + amp.imag**2) / plan._norm2
+
+
+def zero_filled_band_overlaps(plan, state):
+    """Overlaps through a zero-padded buffer holding each row's band from
+    column 0, folded by a reshape-sum: the layout the cyclic placement
+    replaces."""
+    index, window = band_sites(plan)
+    length = index.shape[1]
+    buf = np.zeros((plan.n_q, -(-length // plan.n_p) * plan.n_p), dtype=complex)
+    buf[:, :length] = phased_sites(plan, state)[index] * window
+    return folded_overlaps(plan, buf)
+
+
+def full_lattice_overlaps(plan, state):
+    """Overlaps with every row windowed over the whole extended lattice,
+    site k' on column k' mod n_p: the arithmetic the per-row band replaces."""
+    n, n_p = plan.N, plan.n_p
+    kex = extended_sites(n)
+    window = np.exp(-np.pi * n * (kex[None, :] / n - plan.q[:, None]) ** 2)
+    left = int(kex[0] % n_p)
+    buf = np.zeros((plan.n_q, -(-(left + kex.size) // n_p) * n_p), dtype=complex)
+    buf[:, left : left + kex.size] = window * phased_sites(plan, state)[None, :]
+    return folded_overlaps(plan, buf)
+
+
+def reference_norm_field(plan):
+    """The coherent-state norm field summed over every image pair."""
+    u = np.arange(1, plan.N + 1)[None, :] / plan.N - plan.q[:, None]
+    coeff = np.zeros((2 * M_RANGE + 1, plan.n_q))
+    for d in range(0, 2 * M_RANGE + 1):
+        for m in range(max(-M_RANGE, d - M_RANGE), M_RANGE + 1):
+            expo = (u - m) ** 2 + (u - m + d) ** 2
+            coeff[d] += np.exp(-np.pi * plan.N * expo).sum(axis=1)
+    norm2 = np.repeat(coeff[0][:, None], plan.n_p, axis=1)
+    for d in range(1, 2 * M_RANGE + 1):
+        norm2 += 2.0 * np.cos(2 * np.pi * plan.N * plan.p * d)[None, :] * coeff[d][:, None]
+    return norm2
 
 
 def reference_entropy(masses):
@@ -174,8 +224,8 @@ def reference_entropy(masses):
     return float(-(m[nz] * np.log(m[nz] * m.size)).sum())
 
 
-# extended lattice of 49 sites on 17 columns (wraps twice), 127 on 63
-# (twice), 77 on 100 (shorter than the grid), 31 on 3 (ten times)
+# bands of 31 sites on 17 columns (wraps once), 62 on 63 (one column to
+# spare), 44 on 100 (shorter than the grid), 22 on 3 (eight runs)
 WRAP_CASES = [(16, 17, 17), (64, 63, 63), (32, 100, 100), (8, 200, 3)]
 
 
@@ -186,7 +236,42 @@ def test_cyclic_placement_equals_zero_filled_fold(n, n_q, n_p):
     for _ in range(3):
         v = rng.normal(size=n) + 1j * rng.normal(size=n)
         v /= np.linalg.norm(v)
-        assert np.array_equal(plan.overlap_field(v), zero_filled_fold_overlaps(plan, v))
+        assert np.array_equal(plan.overlap_field(v), zero_filled_band_overlaps(plan, v))
+
+
+@pytest.mark.parametrize("n,n_q,n_p", WRAP_CASES + [(512, 100, 100), (512, 500, 500)])
+def test_band_fold_matches_full_lattice_fold(n, n_q, n_p):
+    # the band drops only window weights below exp(-WINDOW_LOG_CUT) and
+    # moves each row's phase, which |.|^2 removes; the last state is a
+    # zero mode of the leaked map, a unit vector on an absorbed site
+    rng = np.random.default_rng(7)
+    plan = HusimiTransform(n, n_q, n_p)
+    states = [rng.normal(size=n) + 1j * rng.normal(size=n) for _ in range(2)]
+    states.append(np.eye(n, dtype=complex)[int(0.3 * n)])
+    for v in states:
+        full = full_lattice_overlaps(plan, v)
+        assert_allclose(plan.overlap_field(v), full, rtol=0, atol=1e-14 * full.max())
+
+
+@pytest.mark.parametrize("n,n_q,n_p", WRAP_CASES + [(7, 11, 13), (512, 100, 100), (512, 31, 500)])
+def test_band_holds_every_site_the_window_reaches(n, n_q, n_p):
+    plan = HusimiTransform(n, n_q, n_p)
+    kex = extended_sites(n)
+    window = np.exp(-np.pi * n * (kex[None, :] / n - plan.q[:, None]) ** 2)
+    index, band_window = band_sites(plan)
+    start, length = index[:, 0], index.shape[1]
+    assert np.array_equal(index, start[:, None] + np.arange(length))
+    assert start.min() >= 0 and start.max() + length <= kex.size
+    assert np.array_equal(band_window, np.take_along_axis(window, index, axis=1))
+    rows, sites = np.nonzero(window >= math.exp(-WINDOW_LOG_CUT))
+    offset = sites - start[rows]
+    assert offset.min() >= 0 and offset.max() < length
+
+
+@pytest.mark.parametrize("n,n_q,n_p", WRAP_CASES + [(7, 11, 13), (512, 100, 100), (512, 500, 500)])
+def test_norm_field_equals_every_image_pair_summed(n, n_q, n_p):
+    plan = HusimiTransform(n, n_q, n_p)
+    assert plan._norm2.tobytes() == reference_norm_field(plan).tobytes()
 
 
 def test_overlap_field_workspace_output_is_not_aliased():
@@ -272,6 +357,7 @@ def test_transform_validation():
 def test_wehrl_uniform_is_one_exactly():
     f = HusimiField(np.full((40, 40), 1.0 / 1600.0))
     rec = wehrl_entropy(f, 16)
+    assert type(rec.s_w) is float
     assert rec.s_w == 1.0
     assert rec.raw_entropy == 0.0
 
@@ -371,6 +457,15 @@ def test_entropy_vs_dwell_rejects_bad_bin_width(width):
 
     with pytest.raises(ValueError, match="bin width"):
         entropy_vs_dwell(open_resonances(8, 0.2), width, (20, 20), entropies=never)
+
+
+def test_entropy_vs_dwell_rejects_bin_index_past_int64():
+    def never(res, resolution):
+        raise AssertionError("entropies ran before the bin indices were checked")
+
+    res = open_resonances(8, 0.2)
+    with pytest.raises(ValueError, match=re.escape(f"bin width 1e-300 is too small for the largest dwell time {res.dwell.max()}")):
+        entropy_vs_dwell(res, 1e-300, (20, 20), entropies=never)
 
 
 def test_leak_scan_entropy_symmetry():
