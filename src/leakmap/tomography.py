@@ -18,12 +18,11 @@ sites with weight >= exp(-WINDOW_LOG_CUT), and a_i is clipped so the band
 stays on the lattice.  Each row folds only its band, site a_i + t landing
 on FFT column t mod n_p.  Shifting a row's sites by a_i multiplies its DFT
 by exp(-2 pi i j a_i / n_p), a phase that |.|^2 removes; the half-cell
-offset of the p grid stays a phase of the absolute site k'.  The fold is a
-cyclic placement computed once per plan: runs of band sites, each landing
-on a contiguous block of FFT columns, are written (first touch) or added
-(later wraps) in lattice order.  The result is identical to the naive
-overlaps at machine precision; only terms with Gaussian weight below
-~1e-20 are dropped.
+offset of the p grid stays a phase of the absolute site k'.  The band is
+split once per plan into chunks of n_p sites: the first is written onto
+the FFT columns, later ones (wraps) are added, in lattice order.  The
+result is identical to the naive overlaps at machine precision; only terms
+with Gaussian weight below ~1e-20 are dropped.
 
 Batches of states (`state_entropies`, `mean_husimi`) run every transform,
 normalization and entropy reduction inside one workspace allocated per
@@ -145,35 +144,13 @@ def _normalize(raw: np.ndarray) -> np.ndarray:
     return np.divide(raw, total, out=raw)
 
 
-def _cyclic_runs(first_col: int, length: int, n_p: int) -> tuple:
-    """Placement of extended sites 0 .. length-1 on FFT columns
-    (first_col + site) mod n_p, as (start, stop, column, first) runs in
-    lattice order.
-
-    Sites start .. stop-1 land on columns column .. column+stop-start-1
-    without wrapping.  `first` marks runs whose columns no earlier site has
-    reached (every site below n_p): they are written, later runs are added,
-    so each column sums its sites in lattice order.
-    """
-    runs = []
-    e = 0
-    while e < length:
-        col = (first_col + e) % n_p
-        stop = min(length, e + n_p - col)
-        if e < n_p < stop:
-            stop = n_p
-        runs.append((e, stop, col, e < n_p))
-        e = stop
-    return tuple(runs)
-
-
 class _Workspace:
     """Grid-sized buffers for a batch of transforms with one plan.
 
     fold receives the windowed band sites placed on the n_p columns;
     columns no band site reaches (when the band is shorter than n_p) stay
     zero from allocation.  amp receives the FFT; before that, its memory
-    holds each run's gathered sites as a contiguous (n_q, width) block, and
+    holds each chunk's gathered sites as a contiguous (n_q, width) block, and
     once a field's masses are out it serves as the entropy reduction's
     compress and term buffers.  mass receives the field itself.
     """
@@ -191,13 +168,14 @@ class HusimiTransform:
     """Precomputed Husimi analyzer for one (N, n_q, n_p) combination.
 
     Holds, for every q row, the band of extended sites its Gaussian window
-    reaches, placed cyclically on the p-axis FFT columns as runs of site
-    indices and window weights; the per-site half-cell phase; the exact
+    reaches, as chunks of n_p site indices and window weights that fold
+    onto the p-axis FFT columns; the per-site half-cell phase; the exact
     coherent-state norm field used as denominator; and the Wehrl scale
-    (`coherent_entropy`, `s_w`).  Reuse one instance across many states; building it costs
-    about as much as a handful of transforms.  The plan itself is
-    read-only: per-call buffers live in a `workspace()`, which the batch
-    functions allocate once per call and pass to every `overlap_field`.
+    (`coherent_entropy`, `s_w`).  Reuse one instance across many states;
+    building it costs about as much as a handful of transforms.  The plan
+    itself is read-only: per-call buffers live in a `workspace()`, which
+    the batch functions allocate once per call and pass to every
+    `overlap_field`.
     """
 
     def __init__(self, N: int, n_q: int, n_p: int):
@@ -228,9 +206,11 @@ class HusimiTransform:
         length = int((hi - lo).max()) + 1
         band = np.minimum(lo, kex.size - length)[:, None] + np.arange(length)
         window = np.take_along_axis(window, band, axis=1)
-        self._runs = tuple(
-            (col, first, np.ascontiguousarray(band[:, start:stop]), np.ascontiguousarray(window[:, start:stop]))
-            for start, stop, col, first in _cyclic_runs(0, length, n_p)
+        # Band site t lands on FFT column t mod n_p: chunks of n_p sites,
+        # each a contiguous (n_q, width) site index and window.
+        self._chunks = tuple(
+            (np.ascontiguousarray(band[:, a : a + n_p]), np.ascontiguousarray(window[:, a : a + n_p]))
+            for a in range(0, length, n_p)
         )
         self._norm2 = self._norm_field()
         self._s_coh = None
@@ -277,17 +257,18 @@ class HusimiTransform:
         if work is None:
             work = self.workspace()
         phased = v[self._src] * self._half_phase
-        fold = work.fold
-        for col, first, index, window in self._runs:
-            width = index.shape[1]
+        # The first chunk is written onto columns 0 .. width-1, later ones
+        # (wraps) are added, so each column sums its sites in lattice order.
+        for k, (index, window) in enumerate(self._chunks):
+            cols = work.fold[:, : index.shape[1]]
             # mode="wrap" (the indices are in range) lets take write into
             # the contiguous gather block without buffering
             sites = np.take(phased, index, out=work.gather[: index.size].reshape(index.shape), mode="wrap")
-            if first:
-                np.multiply(sites, window, out=fold[:, col : col + width])
+            if k == 0:
+                np.multiply(sites, window, out=cols)
             else:
-                fold[:, col : col + width] += np.multiply(sites, window, out=sites)
-        amp = np.fft.fft(fold, axis=1, out=work.amp).view(float)
+                cols += np.multiply(sites, window, out=sites)
+        amp = np.fft.fft(work.fold, axis=1, out=work.amp).view(float)
         np.square(amp, out=amp)
         mass = np.add(amp[:, 0::2], amp[:, 1::2], out=work.mass)
         mass /= self._norm2

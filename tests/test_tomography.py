@@ -164,8 +164,8 @@ def extended_sites(n):
 
 def band_sites(plan):
     """The plan's (n_q, L) band: extended-lattice offsets and window weights."""
-    index = np.hstack([index for _, _, index, _ in plan._runs])
-    window = np.hstack([window for *_, window in plan._runs])
+    index = np.hstack([index for index, _ in plan._chunks])
+    window = np.hstack([window for _, window in plan._chunks])
     return index, window
 
 
