@@ -183,7 +183,7 @@ def folded_overlaps(plan, buf):
 
 def zero_filled_band_overlaps(plan, state):
     """Overlaps through a zero-padded buffer holding each row's band from
-    column 0, folded by a reshape-sum: the layout the cyclic placement
+    column 0, folded by a reshape-sum: the layout the chunked fold
     replaces."""
     index, window = band_sites(plan)
     length = index.shape[1]
@@ -225,7 +225,7 @@ def reference_entropy(masses):
 
 
 # bands of 31 sites on 17 columns (wraps once), 62 on 63 (one column to
-# spare), 44 on 100 (shorter than the grid), 22 on 3 (eight runs)
+# spare), 44 on 100 (shorter than the grid), 22 on 3 (eight chunks)
 WRAP_CASES = [(16, 17, 17), (64, 63, 63), (32, 100, 100), (8, 200, 3)]
 
 
@@ -243,7 +243,8 @@ def test_cyclic_placement_equals_zero_filled_fold(n, n_q, n_p):
 def test_band_fold_matches_full_lattice_fold(n, n_q, n_p):
     # the band drops only window weights below exp(-WINDOW_LOG_CUT) and
     # moves each row's phase, which |.|^2 removes; the last state is a
-    # zero mode of the leaked map, a unit vector on an absorbed site
+    # unit vector on one site, the form of a leaked map's zero mode (the
+    # Schur vector of an absorbed site)
     rng = np.random.default_rng(7)
     plan = HusimiTransform(n, n_q, n_p)
     states = [rng.normal(size=n) + 1j * rng.normal(size=n) for _ in range(2)]
@@ -464,7 +465,8 @@ def test_entropy_vs_dwell_rejects_bin_index_past_int64():
         raise AssertionError("entropies ran before the bin indices were checked")
 
     res = open_resonances(8, 0.2)
-    with pytest.raises(ValueError, match=re.escape(f"bin width 1e-300 is too small for the largest dwell time {res.dwell.max()}")):
+    message = f"bin width 1e-300 is too small for the largest dwell time {res.dwell.max()}"
+    with pytest.raises(ValueError, match=re.escape(message)):
         entropy_vs_dwell(res, 1e-300, (20, 20), entropies=never)
 
 
