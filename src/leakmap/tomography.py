@@ -268,6 +268,7 @@ class HusimiTransform:
                 np.multiply(sites, window, out=cols)
             else:
                 cols += np.multiply(sites, window, out=sites)
+        # |.|^2 over the FFT output's interleaved (re, im) floats
         amp = np.fft.fft(work.fold, axis=1, out=work.amp).view(float)
         np.square(amp, out=amp)
         mass = np.add(amp[:, 0::2], amp[:, 1::2], out=work.mass)
