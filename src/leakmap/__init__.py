@@ -2,12 +2,12 @@
 
 Library layout:
   standard_map  closed/leaked map, tangent dynamics, FTLE, escape records
-  ensemble      grid ensembles: FTLE/dwell fields, survival, leak scans
+  ensemble      grid ensembles: FTLE/dwell fields, survival
   quantum       quantized propagator, leak projector, resonance spectra
   tomography    coherent states, Husimi fields, Wehrl entropies
   formats       LCF1 binaries, CSV tables, PGM heatmaps
   config        experiment configuration files
-  runner        composed experiment commands with manifests
+  runner        composed experiment commands with manifests, the leak scan
   cli           `leakmap` command-line entry point
 
 Import names from their submodule (`from leakmap.quantum import

@@ -24,7 +24,6 @@ __all__ = [
     "SurvivalCurve",
     "TailFit",
     "DwellFtleTable",
-    "ClassicalScan",
     "ftle_ensemble",
     "ftle_field",
     "escape_ensemble",
@@ -38,7 +37,6 @@ __all__ = [
     "ftle_histogram",
     "histogram_mean",
     "escape_stats",
-    "leak_scan_classical",
 ]
 
 # ln P window used for tail fits: late enough to clear transients, early
@@ -438,30 +436,13 @@ def histogram_mean(edges: np.ndarray, probs: np.ndarray) -> float:
     return float((mid * probs).sum() / total)
 
 
-@dataclass
-class ClassicalScan:
-    """Leak-position scan of classical dwell and FTLE averages.
-
-    Averages run over orbits with tau >= 1, survivors of the horizon
-    included with tau = t_max.  unescaped_fraction flags positions where
-    the horizon bit."""
-
-    positions: np.ndarray
-    mean_tau: np.ndarray
-    se_tau: np.ndarray
-    mean_ftle: np.ndarray
-    se_ftle: np.ndarray
-    unescaped_fraction: np.ndarray
-
-    @classmethod
-    def from_rows(cls, positions, rows) -> "ClassicalScan":
-        """Assemble a scan from one `escape_stats` row per position."""
-        return cls(np.asarray(positions, dtype=float), *np.array(rows, dtype=float).reshape(-1, 5).T)
-
-
 def escape_stats(ens: EscapeEnsemble) -> tuple:
     """(mean_tau, se_tau, mean_ftle, se_ftle, unescaped_fraction) of one
-    ensemble: the per-position statistics of `ClassicalScan`."""
+    ensemble: the classical statistics of one leak position.
+
+    Averages run over orbits with tau >= 1, survivors of the horizon
+    included with tau = t_max; unescaped_fraction flags a position where
+    the horizon bit."""
     sel = ens.tau >= 1
     count = int(sel.sum())
     if count == 0:
@@ -477,16 +458,3 @@ def escape_stats(ens: EscapeEnsemble) -> tuple:
         lam.std(ddof=1) / math.sqrt(count),
         1.0 - ens.escape_fraction,
     )
-
-
-def leak_scan_classical(
-    positions,
-    width: float,
-    grid: PhaseSpaceGrid,
-    t_max: int,
-    params: MapParams,
-) -> ClassicalScan:
-    """Mean dwell time and mean dwell-FTLE as the leak center scans [0, 1)."""
-    positions = np.asarray(positions, dtype=float)
-    rows = [escape_stats(escape_ensemble(grid, Leak(float(c), width), t_max, params)) for c in positions]
-    return ClassicalScan.from_rows(positions, rows)

@@ -25,7 +25,6 @@ from .standard_map import TWO_PI, Leak
 __all__ = [
     "QuantumParams",
     "ResonanceSet",
-    "QuantumScan",
     "ZERO_MODE_TOL",
     "build_unitary",
     "unitarity_defect",
@@ -34,7 +33,6 @@ __all__ = [
     "resonance_spectrum",
     "leak_spectrum",
     "dwell_stats",
-    "leak_scan_quantum",
 ]
 
 # |z| below this counts as a structural zero mode: infinite decay rate,
@@ -201,41 +199,10 @@ def leak_spectrum(u: np.ndarray, keep: np.ndarray) -> ResonanceSet:
     return resonance_spectrum(open_propagator(u, keep))
 
 
-@dataclass
-class QuantumScan:
-    """Leak-position scan of the mean dwell time over all N Schur states.
-
-    Zero modes enter the average with dwell 0; n_zero_modes reports how many
-    per position."""
-
-    positions: np.ndarray
-    mean_dwell: np.ndarray
-    se_dwell: np.ndarray
-    n_zero_modes: np.ndarray
-
-    @classmethod
-    def from_rows(cls, positions, rows) -> "QuantumScan":
-        """Assemble a scan from one `dwell_stats` row per position."""
-        mean, se, n_zero = np.array(rows, dtype=float).reshape(-1, 3).T
-        return cls(np.asarray(positions, dtype=float), mean, se, n_zero.astype(np.int64))
-
-
 def dwell_stats(res: ResonanceSet) -> tuple:
     """(mean dwell, its standard error, zero-mode count) over all states of
-    one resonance set: the per-position statistics of `QuantumScan`.  An
-    infinite dwell time (a closed system) makes the mean meaningless (NaN)."""
+    one resonance set, zero modes entering with dwell 0.  An infinite dwell
+    time (a closed system) makes the mean meaningless (NaN)."""
     if np.isinf(res.dwell).any():
         return math.nan, math.nan, res.n_zero_modes
     return res.dwell.mean(), res.dwell.std(ddof=1) / math.sqrt(res.dwell.size), res.n_zero_modes
-
-
-def leak_scan_quantum(params: QuantumParams, positions, width: float) -> QuantumScan:
-    """Mean quantum dwell time as the leak center scans [0, 1).
-
-    The closed propagator is built once; each position only changes the
-    projector.  width = 0 makes every dwell time infinite and the mean
-    meaningless (NaN)."""
-    positions = np.asarray(positions, dtype=float)
-    u = build_unitary(params)
-    rows = [dwell_stats(leak_spectrum(u, build_projector(params, Leak(float(c), width)))) for c in positions]
-    return QuantumScan.from_rows(positions, rows)

@@ -6,6 +6,8 @@ the configured output directory, and finishes with a manifest.json listing
 each file that this run wrote (`_Run.add`) with size and sha256; older files
 in a reused directory stay unlisted.  All CSV bytes are pure functions of
 the config, so a rerun into a fresh directory produces identical checksums.
+`leak_scan` is the leak-position scan that `scan` writes, returned as
+columns.
 
 `scan` positions and blocks of `quantum` states are independent tasks.  A
 command given `workers` > 1 maps them over fork-started worker processes
@@ -35,7 +37,6 @@ import scipy
 from . import __version__
 from .config import ExperimentConfig, serialize_config
 from .ensemble import (
-    ClassicalScan,
     PhaseSpaceGrid,
     dwell_ftle_field,
     escape_ensemble,
@@ -52,7 +53,6 @@ from .ensemble import (
 from .formats import complex_to_interleaved, sha256_file, write_csv, write_field_csv, write_lcf, write_pgm
 from .quantum import (
     QuantumParams,
-    QuantumScan,
     build_projector,
     build_unitary,
     dwell_stats,
@@ -60,15 +60,19 @@ from .quantum import (
     unitarity_defect,
 )
 from .standard_map import Leak, MapParams
-from .tomography import EntropyScan, entropy_vs_dwell, husimi_plan, mean_husimi, state_entropies, wehrl_stats
+from .tomography import entropy_vs_dwell, husimi_plan, mean_husimi, state_entropies, wehrl_stats
 
-__all__ = ["cmd_ftle_field", "cmd_open_classical", "cmd_quantum", "cmd_scan", "worker_count", "COMMANDS"]
+__all__ = ["cmd_ftle_field", "cmd_open_classical", "cmd_quantum", "cmd_scan", "leak_scan", "worker_count", "COMMANDS"]
 
 # Propagators are checked against this before opening the system.
 UNITARITY_TOL = 1e-12
 
 # Busy-time keys of one scan position, in the order a position runs them.
 SCAN_STAGES = ("classical", "quantum", "entropy")
+
+# Statistics of one scan position, in the order its task returns them:
+# `escape_stats`, then the mean and error of `dwell_stats` and `wehrl_stats`.
+SCAN_COLUMNS = ("mean_tau", "se_tau", "mean_lambda", "se_lambda", "unescaped_fraction", "mean_T", "se_T", "mean_SW", "se_SW")
 
 
 def _scan_positions(cfg: ExperimentConfig) -> np.ndarray:
@@ -307,9 +311,11 @@ def cmd_quantum(cfg: ExperimentConfig, workers: int | None = None) -> list:
         with _task_results(block, n, n) as blocks:
             return np.concatenate(list(blocks))
 
-    # checks the dwell binning before any transform runs
-    scatter = entropy_vs_dwell(res, cfg.dwell_bin, resolution, entropies=block_entropies)
+    # too few nonzero-dwell states fail before any transform runs; a bad
+    # dwell bin fails after at most top_states transforms, before the
+    # entropies of every state
     mean_field = mean_husimi(res, cfg.top_states, resolution)
+    scatter = entropy_vs_dwell(res, cfg.dwell_bin, resolution, entropies=block_entropies)
     run.stage("write")
     k_idx = np.arange(1, cfg.dim + 1)
     run.add(
@@ -355,20 +361,24 @@ def cmd_quantum(cfg: ExperimentConfig, workers: int | None = None) -> list:
     )
 
 
-def cmd_scan(cfg: ExperimentConfig, workers: int | None = None) -> list:
-    """Classical and quantum leak-position scans plus their correlations.
+def leak_scan(cfg: ExperimentConfig, workers: int | None) -> tuple:
+    """Classical and quantum statistics at `cfg.scan_positions` leak centers.
 
-    Each position is one task: its escape ensemble, Schur spectrum and
-    Wehrl entropies.  timings_s holds the tasks' busy seconds summed per
-    stage, which can exceed the wall time when workers run in parallel;
-    position_timings_s holds them per position."""
-    run = _Run(cfg, "scan")
+    The unitary, the projectors and the Husimi plan are built once; each
+    position is then one task (its escape ensemble and one Schur spectrum)
+    run over at most `worker_count(workers, positions)` processes, with one
+    stderr line as each is gathered.  Returns (columns, timings, busy):
+    columns maps q_L and each SCAN_COLUMNS header to its column; busy holds
+    each position's busy seconds per SCAN_STAGES key; timings holds the
+    wall seconds of the setup ("unitary") and of the tasks ("positions"),
+    and the busy seconds summed per stage (more than the wall time when
+    workers run in parallel)."""
+    start = time.perf_counter()
     positions = _scan_positions(cfg)
     params = MapParams(cfg.k)
     qp = QuantumParams(cfg.dim, cfg.k)
     grid = PhaseSpaceGrid(cfg.grid_q, cfg.grid_p)
     resolution = (cfg.scan_husimi_q, cfg.scan_husimi_p)
-    run.stage("unitary")
     # shared by every position: built once, inherited by forked workers
     u = build_unitary(qp)
     keeps = [build_projector(qp, Leak(float(c), cfg.leak_width)) for c in positions]
@@ -379,42 +389,41 @@ def cmd_scan(cfg: ExperimentConfig, workers: int | None = None) -> list:
         cl = escape_stats(escape_ensemble(grid, Leak(float(positions[i]), cfg.leak_width), cfg.t_max, params))
         t1 = time.perf_counter()
         res = leak_spectrum(u, keeps[i])
-        dw = dwell_stats(res)
+        mean_t, se_t, _ = dwell_stats(res)
         t2 = time.perf_counter()
         sw = wehrl_stats(res, resolution)
-        return cl, dw, sw, (t1 - t0, t2 - t1, time.perf_counter() - t2)
+        return (*cl, mean_t, se_t, *sw), (t1 - t0, t2 - t1, time.perf_counter() - t2)
 
-    run.stage("positions")
+    tasks_start = time.perf_counter()
     rows = []
-    with _task_results(position, positions.size, run.use_workers(workers, positions.size)) as results:
+    with _task_results(position, positions.size, worker_count(workers, positions.size)) as results:
         for i, row in enumerate(results):
             rows.append(row)
-            busy = ", ".join(f"{k} {t:.2f} s" for k, t in zip(SCAN_STAGES, row[3]))
+            busy = ", ".join(f"{k} {t:.2f} s" for k, t in zip(SCAN_STAGES, row[1]))
             print(f"scan: position {i + 1}/{positions.size} q_L={positions[i]:g}: {busy}", file=sys.stderr, flush=True)
-    cl_rows, dw_rows, sw_rows, busy = zip(*rows)
-    cl = ClassicalScan.from_rows(positions, cl_rows)
-    qs = QuantumScan.from_rows(positions, dw_rows)
-    es = EntropyScan.from_rows(positions, sw_rows)
+    stats, busy = zip(*rows)
+    columns = {"q_L": positions, **dict(zip(SCAN_COLUMNS, np.array(stats, dtype=float).T))}
+    timings = {"unitary": round(tasks_start - start, 6), "positions": round(time.perf_counter() - tasks_start, 6)}
     for key, times in zip(SCAN_STAGES, zip(*busy)):
-        run.timings[key] = round(sum(times), 6)
+        timings[key] = round(sum(times), 6)
+    return columns, timings, busy
+
+
+def cmd_scan(cfg: ExperimentConfig, workers: int | None = None) -> list:
+    """Classical and quantum leak-position scans (`leak_scan`) plus their
+    correlations; position_timings_s holds each position's busy seconds."""
+    run = _Run(cfg, "scan")
+    columns, timings, busy = leak_scan(cfg, run.use_workers(workers, cfg.scan_positions))
+    run.timings.update(timings)
     run.stage("write")
-    run.add(
-        write_csv(
-            run.path("scan.csv"),
-            ["q_L", "mean_tau", "mean_lambda", "mean_T", "mean_SW"],
-            [positions, cl.mean_tau, cl.mean_ftle, qs.mean_dwell, es.mean_s_w],
-        )
-    )
-    run.add(
-        write_csv(
-            run.path("scan_errors.csv"),
-            ["q_L", "se_tau", "se_lambda", "se_T", "se_SW", "unescaped_fraction"],
-            [positions, cl.se_tau, cl.se_ftle, qs.se_dwell, es.se_s_w, cl.unescaped_fraction],
-        )
-    )
+    for name, header in (
+        ("scan.csv", ["q_L", "mean_tau", "mean_lambda", "mean_T", "mean_SW"]),
+        ("scan_errors.csv", ["q_L", "se_tau", "se_lambda", "se_T", "se_SW", "unescaped_fraction"]),
+    ):
+        run.add(write_csv(run.path(name), header, [columns[h] for h in header]))
     corr = {
-        "pearson_tau_T": _pearson(cl.mean_tau, qs.mean_dwell),
-        "pearson_lambda_SW": _pearson(cl.mean_ftle, es.mean_s_w),
+        "pearson_tau_T": _pearson(columns["mean_tau"], columns["mean_T"]),
+        "pearson_lambda_SW": _pearson(columns["mean_lambda"], columns["mean_SW"]),
     }
     cpath = run.path("correlations.json")
     cpath.write_text(json.dumps(corr, indent=1, sort_keys=True, allow_nan=False) + "\n")
@@ -428,7 +437,7 @@ def cmd_scan(cfg: ExperimentConfig, workers: int | None = None) -> list:
         },
         position_timings_s=[
             {"q_L": float(q), **{key: round(t, 6) for key, t in zip(SCAN_STAGES, times)}}
-            for q, times in zip(positions, busy)
+            for q, times in zip(columns["q_L"], busy)
         ],
     )
 

@@ -37,23 +37,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quantum import (
-    QuantumParams,
-    QuantumScan,
-    ResonanceSet,
-    build_projector,
-    build_unitary,
-    dwell_stats,
-    leak_spectrum,
-)
-from .standard_map import TWO_PI, Leak
+from .quantum import ResonanceSet
+from .standard_map import TWO_PI
 
 __all__ = [
     "HusimiField",
     "HusimiTransform",
     "WehrlRecord",
     "EntropyScatter",
-    "EntropyScan",
     "coherent_state",
     "husimi_plan",
     "husimi",
@@ -62,7 +53,6 @@ __all__ = [
     "state_entropies",
     "entropy_vs_dwell",
     "wehrl_stats",
-    "leak_scan",
 ]
 
 # Torus image cutoff for the coherent state.
@@ -425,35 +415,8 @@ def entropy_vs_dwell(res: ResonanceSet, bin_width: float, resolution, entropies=
     )
 
 
-@dataclass
-class EntropyScan:
-    """Leak-position scan of the mean Wehrl localization over all states."""
-
-    positions: np.ndarray
-    mean_s_w: np.ndarray
-    se_s_w: np.ndarray
-
-    @classmethod
-    def from_rows(cls, positions, rows) -> "EntropyScan":
-        """Assemble a scan from one `wehrl_stats` row per position."""
-        return cls(np.asarray(positions, dtype=float), *np.array(rows, dtype=float).reshape(-1, 2).T)
-
-
 def wehrl_stats(res: ResonanceSet, resolution) -> tuple:
-    """(mean s_w, its standard error) over all states of one resonance set:
-    the per-position statistics of `EntropyScan`."""
+    """(mean s_w, its standard error) over all states of one resonance
+    set."""
     s_w = state_entropies(res, resolution)
     return s_w.mean(), s_w.std(ddof=1) / math.sqrt(s_w.size)
-
-
-def leak_scan(params: QuantumParams, positions, width: float, resolution):
-    """Dwell and Wehrl statistics over leak positions from one Schur
-    spectrum per position: (QuantumScan, EntropyScan)."""
-    positions = np.asarray(positions, dtype=float)
-    u = build_unitary(params)
-    dw_rows, sw_rows = [], []
-    for c in positions:
-        res = leak_spectrum(u, build_projector(params, Leak(float(c), width)))
-        dw_rows.append(dwell_stats(res))
-        sw_rows.append(wehrl_stats(res, resolution))
-    return QuantumScan.from_rows(positions, dw_rows), EntropyScan.from_rows(positions, sw_rows)

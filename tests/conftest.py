@@ -5,9 +5,18 @@ directory on sys.path when it loads the file.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
-import numpy as np
+from leakmap.cli import apply_thread_env
+
+# Compute with one BLAS thread, as every CLI process does, so the suite
+# reports the numbers the commands produce.  The pin takes effect only
+# before numpy loads.
+assert "numpy" not in sys.modules, "numpy was loaded before the BLAS thread pin"
+apply_thread_env()
+
+import numpy as np  # noqa: E402
 
 from leakmap.standard_map import RENORM_INTERVAL, TWO_PI, MapParams, _sigma_max, mod1
 

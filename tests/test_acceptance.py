@@ -35,7 +35,6 @@ from leakmap.ensemble import (
     ftle_field,
     ftle_histogram,
     histogram_mean,
-    leak_scan_classical,
     short_dwell_cutoff,
     strip_scan,
     survival_probability,
@@ -44,18 +43,20 @@ from leakmap.quantum import (
     QuantumParams,
     build_projector,
     build_unitary,
-    leak_scan_quantum,
+    dwell_stats,
+    leak_spectrum,
     open_propagator,
     resonance_spectrum,
     unitarity_defect,
 )
+from leakmap.config import ExperimentConfig
+from leakmap.runner import leak_scan
 from leakmap.standard_map import Leak, MapParams, ftle
 from leakmap.tomography import (
     HusimiField,
     coherent_state,
     entropy_vs_dwell,
     husimi,
-    leak_scan,
     wehrl_entropy,
 )
 
@@ -229,28 +230,23 @@ def test_reference_leak_ordering_of_chaos_measures():
 
 def test_leak_position_scan_correspondence():
     positions = np.arange(50) / 50.0
-    qp = QuantumParams(256, 10.0)
-    cl = leak_scan_classical(positions, 0.2, PhaseSpaceGrid(500, 500), 1000, PARAMS)
-    qs, es = leak_scan(qp, positions, 0.2, (500, 500))
+    # the defaults are the gate's data: 50 positions of a width-0.2 leak,
+    # K = 10, a 500^2 grid to t_max = 1000, 500^2 Husimi grids
+    scan, _, _ = leak_scan(ExperimentConfig(dim=256), 1)
 
     def near_sticky(x):
         return min(abs(x - 0.2), abs(x - 0.8)) <= 0.05
 
-    argmin_tau = positions[np.argmin(cl.mean_tau)]
-    argmin_t = positions[np.argmin(qs.mean_dwell)]
-    corr_tau_t = float(np.corrcoef(cl.mean_tau, qs.mean_dwell)[0, 1])
-    corr_lam_sw = float(np.corrcoef(cl.mean_ftle, es.mean_s_w)[0, 1])
+    argmin_tau = positions[np.argmin(scan["mean_tau"])]
+    argmin_t = positions[np.argmin(scan["mean_T"])]
+    corr_tau_t = float(np.corrcoef(scan["mean_tau"], scan["mean_T"])[0, 1])
+    corr_lam_sw = float(np.corrcoef(scan["mean_lambda"], scan["mean_SW"])[0, 1])
 
     # mirror symmetry q -> 1-q, pairwise within three standard errors
     i = np.arange(1, 25)
     j = 50 - i
     sym_ok = True
-    for mean, se in (
-        (cl.mean_tau, cl.se_tau),
-        (cl.mean_ftle, cl.se_ftle),
-        (qs.mean_dwell, qs.se_dwell),
-        (es.mean_s_w, es.se_s_w),
-    ):
+    for mean, se in ((scan[f"mean_{k}"], scan[f"se_{k}"]) for k in ("tau", "lambda", "T", "SW")):
         dev = np.abs(mean[i] - mean[j])
         bound = 3.0 * np.hypot(se[i], se[j])
         sym_ok = sym_ok and bool(np.all(dev <= bound))
@@ -272,10 +268,13 @@ def test_leak_position_scan_correspondence():
 
 def test_quantum_dwell_curves_converge_with_dimension():
     positions = np.arange(20) / 20.0
-    curves = {
-        n: leak_scan_quantum(QuantumParams(n, 10.0), positions, 0.2).mean_dwell
-        for n in (128, 256, 512)
-    }
+
+    def mean_dwell(n):
+        qp = QuantumParams(n, 10.0)
+        u = build_unitary(qp)
+        return np.array([dwell_stats(leak_spectrum(u, build_projector(qp, Leak(float(c), 0.2))))[0] for c in positions])
+
+    curves = {n: mean_dwell(n) for n in (128, 256, 512)}
     rms_small = float(np.sqrt(np.mean((curves[128] - curves[256]) ** 2)))
     rms_large = float(np.sqrt(np.mean((curves[256] - curves[512]) ** 2)))
     report("dwell-convergence", rms_128_256=f"{rms_small:.4f}", rms_256_512=f"{rms_large:.4f}")

@@ -8,19 +8,18 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from leakmap.ensemble import (
-    ClassicalScan,
     EscapeEnsemble,
     PhaseSpaceGrid,
     ScalarField,
     SurvivalCurve,
     dwell_ftle_field,
     escape_ensemble,
+    escape_stats,
     exponential_tail_fit,
     ftle_ensemble,
     ftle_field,
     ftle_histogram,
     histogram_mean,
-    leak_scan_classical,
     mean_ftle_by_dwell,
     short_dwell_cutoff,
     strip_mean_ftle,
@@ -379,30 +378,21 @@ def test_mean_dwell_reflection_symmetry(reference_ensembles):
 
 
 # ---------------------------------------------------------------------------
-# leak-position scans
+# per-position statistics of the leak-position scan
 
 
-def test_leak_scan_classical_full_torus():
-    scan = leak_scan_classical([0.3], 1.0, PhaseSpaceGrid(6, 6), 10, PARAMS)
-    assert isinstance(scan, ClassicalScan)
-    assert scan.mean_tau[0] == 0.0
-    assert math.isnan(scan.mean_ftle[0])
+def test_escape_stats_full_torus():
+    mean_tau, _, mean_ftle, _, _ = escape_stats(escape_ensemble(PhaseSpaceGrid(6, 6), Leak(0.3, 1.0), 10, PARAMS))
+    assert mean_tau == 0.0
+    assert math.isnan(mean_ftle)
     # next to an empty selection, the smallest one: the strip [0, 0.5)
     # swallows one of two columns and leaves the other column's n_p = 2
     # orbits, enough for finite standard errors
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        scan = leak_scan_classical([0.25], 0.5, PhaseSpaceGrid(2, 2), 10, PARAMS)
-    assert scan.mean_tau[0] >= 1.0
-    assert np.isfinite(scan.se_tau[0])
-    assert np.isfinite(scan.se_ftle[0])
-
-
-def test_leak_scan_classical_symmetry_and_errors():
-    grid = PhaseSpaceGrid(80, 80)
-    scan = leak_scan_classical([0.2, 0.8], 0.2, grid, 800, PARAMS)
-    dev = abs(scan.mean_tau[0] - scan.mean_tau[1])
-    assert dev <= 3.0 * math.hypot(scan.se_tau[0], scan.se_tau[1])
-    dev = abs(scan.mean_ftle[0] - scan.mean_ftle[1])
-    assert dev <= 3.0 * math.hypot(scan.se_ftle[0], scan.se_ftle[1])
-    assert np.all(scan.unescaped_fraction < 0.01)
+        mean_tau, se_tau, _, se_ftle, _ = escape_stats(
+            escape_ensemble(PhaseSpaceGrid(2, 2), Leak(0.25, 0.5), 10, PARAMS)
+        )
+    assert mean_tau >= 1.0
+    assert np.isfinite(se_tau)
+    assert np.isfinite(se_ftle)

@@ -11,7 +11,8 @@ from leakmap.quantum import (
     QuantumParams,
     build_projector,
     build_unitary,
-    leak_scan_quantum,
+    dwell_stats,
+    leak_spectrum,
     open_propagator,
     resonance_spectrum,
     unitarity_defect,
@@ -173,17 +174,21 @@ def test_spectrum_rejects_nonsquare():
 
 
 # ---------------------------------------------------------------------------
-# position scan
+# per-position statistics of the leak-position scan
 
 
-def test_leak_scan_quantum_basic():
-    scan = leak_scan_quantum(QuantumParams(16, 10.0), [0.2, 0.5], 0.2)
-    assert scan.positions.shape == (2,)
-    assert np.all(np.isfinite(scan.mean_dwell))
-    assert np.all(scan.mean_dwell > 0.0)
-    assert np.all(scan.n_zero_modes >= 3)  # floor(N dq) = 3
+def test_dwell_stats_basic():
+    qp = QuantumParams(16, 10.0)
+    u = build_unitary(qp)
+    for center in (0.2, 0.5):
+        mean, se, n_zero = dwell_stats(leak_spectrum(u, build_projector(qp, Leak(center, 0.2))))
+        assert math.isfinite(mean) and mean > 0.0
+        assert math.isfinite(se)
+        assert n_zero >= 3  # floor(N dq) = 3
 
 
-def test_leak_scan_quantum_closed_is_nan():
-    scan = leak_scan_quantum(QuantumParams(8, 10.0), [0.5], 0.0)
-    assert math.isnan(scan.mean_dwell[0])
+def test_dwell_stats_closed_is_nan():
+    qp = QuantumParams(8, 10.0)
+    mean, se, _ = dwell_stats(leak_spectrum(build_unitary(qp), build_projector(qp, Leak(0.5, 0.0))))
+    assert math.isnan(mean)
+    assert math.isnan(se)

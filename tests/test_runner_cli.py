@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -14,12 +15,12 @@ import leakmap
 from leakmap import quantum, runner
 from leakmap.cli import apply_thread_env, main
 from leakmap.config import default_config
-from leakmap.ensemble import PhaseSpaceGrid, leak_scan_classical
-from leakmap.formats import read_lcf, sha256_file, write_csv
-from leakmap.quantum import QuantumParams
-from leakmap.standard_map import MapParams
-from leakmap.tomography import leak_scan
-from leakmap.runner import cmd_ftle_field, cmd_open_classical, cmd_quantum, cmd_scan, worker_count
+from leakmap.ensemble import PhaseSpaceGrid, escape_ensemble, escape_stats
+from leakmap.formats import read_lcf, sha256_file
+from leakmap.quantum import QuantumParams, build_projector, build_unitary, dwell_stats, leak_spectrum
+from leakmap.runner import cmd_ftle_field, cmd_open_classical, cmd_quantum, cmd_scan, leak_scan, worker_count
+from leakmap.standard_map import Leak, MapParams
+from leakmap.tomography import HusimiTransform, state_entropies
 
 
 def toy_config(outdir, **kw):
@@ -197,27 +198,66 @@ def test_cmd_scan_one_spectrum_per_position(tmp_path, monkeypatch):
     assert timings["quantum"] > 0.0 and timings["entropy"] > 0.0
 
 
-def test_cmd_scan_matches_the_serial_library_scans(tmp_path):
-    # the command's per-position tasks and the library's serial scans share
-    # their statistics code, so the written columns agree byte for byte
+def test_leak_scan_columns_are_the_per_position_statistics(tmp_path):
+    cfg = toy_config(tmp_path, dim=16, t_max=400, scan_positions=3)
+    scan, timings, busy = leak_scan(cfg, None)
+    assert list(scan) == ["q_L", *runner.SCAN_COLUMNS]
+    assert np.array_equal(scan["q_L"], np.arange(3) / 3)
+    qp = QuantumParams(16, cfg.k)
+    u = build_unitary(qp)
+    for i, center in enumerate(scan["q_L"]):
+        leak = Leak(float(center), cfg.leak_width)
+        cl = escape_stats(escape_ensemble(PhaseSpaceGrid(48, 48), leak, 400, MapParams(cfg.k)))
+        res = leak_spectrum(u, build_projector(qp, leak))
+        s_w = state_entropies(res, (40, 40))
+        row = [*cl, *dwell_stats(res)[:2], s_w.mean(), s_w.std(ddof=1) / math.sqrt(16)]
+        assert [scan[k][i] for k in runner.SCAN_COLUMNS] == row
+    assert len(busy) == 3 and all(len(b) == len(runner.SCAN_STAGES) for b in busy)
+    assert set(timings) == {"unitary", "positions", *runner.SCAN_STAGES}
+
+
+def test_leak_scan_mirror_symmetry(tmp_path):
+    # q -> 1 - q maps the leaked map onto itself, so every scan column is
+    # mirror symmetric within three standard errors; the horizon is long
+    # enough that almost every orbit escapes
+    cfg = toy_config(tmp_path, grid_q=80, grid_p=80, t_max=800, scan_positions=10, scan_husimi_q=100, scan_husimi_p=100)
+    scan, _, _ = leak_scan(cfg, None)
+    i = np.arange(1, 5)
+    j = 10 - i
+    for k in ("tau", "lambda", "T", "SW"):
+        mean, se = scan[f"mean_{k}"], scan[f"se_{k}"]
+        assert np.all(np.abs(mean[i] - mean[j]) <= 3.0 * np.hypot(se[i], se[j])), k
+    assert np.all(scan["unescaped_fraction"] < 0.01)
+
+
+def test_manifest_stage_keys_read_by_the_benchmark(tmp_path):
+    # perfbench reads these timings_s keys as its runner.stage.* metrics
+    cmd_scan(toy_config(tmp_path / "scan", dim=16, t_max=400))
+    manifest = load_manifest(tmp_path / "scan")
+    stages = {"unitary", "positions", "classical", "quantum", "entropy", "write", "manifest"}
+    assert set(manifest["timings_s"]) == stages
+    assert len(manifest["position_timings_s"]) == 4
+    cmd_quantum(toy_config(tmp_path / "quantum", dim=16))
+    stages = {"unitary", "spectrum", "husimi", "write", "manifest"}
+    assert set(load_manifest(tmp_path / "quantum")["timings_s"]) == stages
+
+
+def test_cmd_quantum_checks_top_states_before_any_transform(tmp_path, monkeypatch):
+    # N = 16 with the leak at 0.2 has 13 nonzero-dwell states
+    calls = []
+    real = HusimiTransform.overlap_field
+
+    def counting(self, *args):
+        calls.append(1)
+        return real(self, *args)
+
+    monkeypatch.setattr(HusimiTransform, "overlap_field", counting)
     out = tmp_path / "run"
-    cfg = toy_config(out, dim=16, t_max=400)
-    cmd_scan(cfg)
-    positions = np.arange(4) / 4
-    cl = leak_scan_classical(positions, cfg.leak_width, PhaseSpaceGrid(48, 48), 400, MapParams(cfg.k))
-    qs, es = leak_scan(QuantumParams(16, cfg.k), positions, cfg.leak_width, (40, 40))
-    expect = write_csv(
-        tmp_path / "scan_errors.csv",
-        ["q_L", "se_tau", "se_lambda", "se_T", "se_SW", "unescaped_fraction"],
-        [positions, cl.se_tau, cl.se_ftle, qs.se_dwell, es.se_s_w, cl.unescaped_fraction],
-    )
-    assert expect.read_bytes() == (out / "scan_errors.csv").read_bytes()
-    expect = write_csv(
-        tmp_path / "scan.csv",
-        ["q_L", "mean_tau", "mean_lambda", "mean_T", "mean_SW"],
-        [positions, cl.mean_tau, cl.mean_ftle, qs.mean_dwell, es.mean_s_w],
-    )
-    assert expect.read_bytes() == (out / "scan.csv").read_bytes()
+    cfg = toy_config(out, dim=16, leak_center=0.2, top_states=16, husimi_q=30, husimi_p=30)
+    with pytest.raises(RuntimeError, match="only 13 nonzero-dwell states available, need m=16"):
+        cmd_quantum(cfg)
+    assert calls == []
+    assert not any(out.iterdir())
 
 
 def test_manifest_lists_only_this_runs_files(tmp_path):
@@ -310,9 +350,13 @@ def test_cli_numerical_failure_exits_2(tmp_path, capsys):
     assert code == 2
     assert "degenerate coherent reference entropy" in capsys.readouterr().err
     assert not (out / "manifest.json").exists()
-    # a dwell bin so narrow that the bin indices overflow int64
+    # a dwell bin so narrow that the bin indices overflow int64 (one top
+    # state, since too few nonzero-dwell states would fail first)
     out = tmp_path / "narrow"
-    code = run_cli(["quantum", "--output", str(out), "--quantum.dim", "8", "--husimi.dwell_bin", "1e-300"])
+    code = run_cli(
+        ["quantum", "--output", str(out), "--quantum.dim", "8", "--husimi.dwell_bin", "1e-300",
+         "--husimi.top_states", "1"]
+    )
     assert code == 2
     assert "bin width 1e-300 is too small" in capsys.readouterr().err
     assert not any(out.iterdir())

@@ -7,12 +7,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from leakmap import quantum
 from leakmap.quantum import (
     QuantumParams,
     build_projector,
     build_unitary,
-    leak_scan_quantum,
     open_propagator,
     resonance_spectrum,
 )
@@ -28,7 +26,6 @@ from leakmap.tomography import (
     coherent_state,
     entropy_vs_dwell,
     husimi,
-    leak_scan,
     mean_husimi,
     state_entropies,
     wehrl_entropy,
@@ -469,31 +466,3 @@ def test_entropy_vs_dwell_rejects_bin_index_past_int64():
     with pytest.raises(ValueError, match=re.escape(message)):
         entropy_vs_dwell(res, 1e-300, (20, 20), entropies=never)
 
-
-def test_leak_scan_entropy_symmetry():
-    scan = leak_scan(QuantumParams(32, 10.0), [0.2, 0.3, 0.7, 0.8], 0.2, (100, 100))[1]
-    se = np.hypot(scan.se_s_w[:2], scan.se_s_w[::-1][:2])
-    dev = np.abs(scan.mean_s_w[:2] - scan.mean_s_w[::-1][:2])
-    assert np.all(dev <= 3.0 * se)
-
-
-def test_leak_scan_shares_one_spectrum_per_position(monkeypatch):
-    calls = []
-
-    def counting(m):
-        calls.append(m.shape)
-        return resonance_spectrum(m)
-
-    qp = QuantumParams(16, 10.0)
-    positions = [0.2, 0.5, 0.8]
-    monkeypatch.setattr(quantum, "resonance_spectrum", counting)
-    qs, es = leak_scan(qp, positions, 0.2, (40, 40))
-    assert calls == [(16, 16)] * len(positions)
-    monkeypatch.undo()
-    alone = leak_scan_quantum(qp, positions, 0.2)
-    assert np.array_equal(qs.mean_dwell, alone.mean_dwell)
-    assert np.array_equal(qs.se_dwell, alone.se_dwell)
-    for i, center in enumerate(positions):
-        s_w = state_entropies(open_resonances(16, center), (40, 40))
-        assert es.mean_s_w[i] == s_w.mean()
-        assert es.se_s_w[i] == s_w.std(ddof=1) / math.sqrt(16)
