@@ -26,6 +26,8 @@ from leakmap.ensemble import (
     strip_scan,
     survival_probability,
 )
+from leakmap.config import ExperimentConfig
+from leakmap.runner import leak_scan
 from leakmap.standard_map import RENORM_INTERVAL, Leak, MapParams, evolve_open, ftle
 
 PARAMS = MapParams(K=10.0)
@@ -396,3 +398,17 @@ def test_escape_stats_full_torus():
     assert mean_tau >= 1.0
     assert np.isfinite(se_tau)
     assert np.isfinite(se_ftle)
+
+
+def test_leak_scan_classical_symmetry_and_errors():
+    # q -> 1 - q maps the leaked map onto itself, so the classical columns
+    # are mirror symmetric within three standard errors; the horizon is long
+    # enough that almost every orbit escapes
+    cfg = ExperimentConfig(grid_q=80, grid_p=80, t_max=800, dim=32, scan_positions=10, scan_husimi_q=100, scan_husimi_p=100)
+    scan = leak_scan(cfg, None)[0]
+    i = np.arange(1, 5)
+    j = 10 - i
+    for k in ("tau", "lambda"):
+        mean, se = scan[f"mean_{k}"], scan[f"se_{k}"]
+        assert np.all(np.abs(mean[i] - mean[j]) <= 3.0 * np.hypot(se[i], se[j])), k
+    assert np.all(scan["unescaped_fraction"] < 0.01)

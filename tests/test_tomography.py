@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from leakmap.config import ExperimentConfig
 from leakmap.quantum import (
     QuantumParams,
     build_projector,
@@ -14,6 +15,7 @@ from leakmap.quantum import (
     open_propagator,
     resonance_spectrum,
 )
+from leakmap.runner import leak_scan
 from leakmap.standard_map import Leak
 from leakmap.tomography import (
     M_RANGE,
@@ -466,3 +468,14 @@ def test_entropy_vs_dwell_rejects_bin_index_past_int64():
     with pytest.raises(ValueError, match=re.escape(message)):
         entropy_vs_dwell(res, 1e-300, (20, 20), entropies=never)
 
+
+def test_leak_scan_entropy_symmetry():
+    # q -> 1 - q maps the leaked map onto itself, so the quantum dwell time
+    # and the Wehrl entropy are mirror symmetric within three standard errors
+    cfg = ExperimentConfig(grid_q=80, grid_p=80, t_max=800, dim=32, scan_positions=10, scan_husimi_q=100, scan_husimi_p=100)
+    scan = leak_scan(cfg, None)[0]
+    i = np.arange(1, 5)
+    j = 10 - i
+    for k in ("T", "SW"):
+        mean, se = scan[f"mean_{k}"], scan[f"se_{k}"]
+        assert np.all(np.abs(mean[i] - mean[j]) <= 3.0 * np.hypot(se[i], se[j])), k
