@@ -60,7 +60,7 @@ from .quantum import (
     unitarity_defect,
 )
 from .standard_map import Leak, MapParams
-from .tomography import entropy_vs_dwell, husimi_plan, mean_husimi, state_entropies, wehrl_stats
+from .tomography import bin_means, dwell_bins, husimi_plan, mean_husimi, state_entropies, wehrl_stats
 
 __all__ = ["cmd_ftle_field", "cmd_open_classical", "cmd_quantum", "cmd_scan", "leak_scan", "worker_count", "COMMANDS"]
 
@@ -87,6 +87,16 @@ def _pearson(x, y) -> float | None:
     if xy.shape[1] < 2 or not np.isfinite(xy).all() or (np.ptp(xy, axis=1) == 0.0).any():
         return None
     return float(np.corrcoef(xy)[0, 1])
+
+
+def _checked_unitary(qp: QuantumParams) -> tuple:
+    """The closed propagator and its unitarity defect; raises before the
+    system is opened when the defect exceeds UNITARITY_TOL."""
+    u = build_unitary(qp)
+    defect = unitarity_defect(u)
+    if defect > UNITARITY_TOL:
+        raise RuntimeError(f"propagator failed unitarity: defect {defect:.3g} > {UNITARITY_TOL}")
+    return u, defect
 
 
 def _usable_cpus() -> int:
@@ -213,7 +223,7 @@ class _Run:
         return self.files
 
 
-def cmd_ftle_field(cfg: ExperimentConfig, workers: int | None = None) -> list:
+def cmd_ftle_field(cfg: ExperimentConfig, workers: int | None) -> list:
     """Closed-map FTLE field and the strip-mean scan over leak positions."""
     run = _Run(cfg, "ftle-field")
     params = MapParams(cfg.k)
@@ -238,7 +248,7 @@ def cmd_ftle_field(cfg: ExperimentConfig, workers: int | None = None) -> list:
     )
 
 
-def cmd_open_classical(cfg: ExperimentConfig, workers: int | None = None) -> list:
+def cmd_open_classical(cfg: ExperimentConfig, workers: int | None) -> list:
     """Leaked-map dwell/FTLE fields, histogram, survival and dwell averages."""
     run = _Run(cfg, "open-classical")
     params = MapParams(cfg.k)
@@ -283,39 +293,36 @@ def cmd_open_classical(cfg: ExperimentConfig, workers: int | None = None) -> lis
     )
 
 
-def cmd_quantum(cfg: ExperimentConfig, workers: int | None = None) -> list:
-    """Resonance spectrum, mean Husimi field, and Wehrl scatter for one leak;
-    the states' entropies run in contiguous blocks, one per worker."""
+def cmd_quantum(cfg: ExperimentConfig, workers: int | None) -> list:
+    """Resonance spectrum, mean Husimi field, and Wehrl scatter for one leak.
+
+    Each Schur state is transformed once: `mean_husimi` yields the top
+    states' entropies with their mean field, and the remaining states'
+    entropies run in contiguous blocks, one per worker."""
     run = _Run(cfg, "quantum")
     qp = QuantumParams(cfg.dim, cfg.k)
     leak = Leak(cfg.leak_center, cfg.leak_width)
     run.stage("unitary")
-    u = build_unitary(qp)
-    defect = unitarity_defect(u)
-    if defect > UNITARITY_TOL:
-        raise RuntimeError(f"propagator failed unitarity: defect {defect:.3g} > {UNITARITY_TOL}")
+    u, defect = _checked_unitary(qp)
     run.stage("spectrum")
     keep = build_projector(qp, leak)
     res = leak_spectrum(u, keep)
+    # a bad dwell bin fails before any transform
+    bins = dwell_bins(res, cfg.dwell_bin)
     run.stage("husimi")
     resolution = (cfg.husimi_q, cfg.husimi_p)
-    # built once, inherited by forked workers
-    husimi_plan(cfg.dim, resolution)
-    n = run.use_workers(workers, cfg.dim)
-    edges = [b * cfg.dim // n for b in range(n + 1)]
+    # too few nonzero-dwell states fail before any transform; the plan is
+    # built (and its scale anchored) here, then inherited by forked workers
+    mean_field, top_s_w = mean_husimi(res, cfg.top_states, resolution)
+    rest = cfg.dim - cfg.top_states
+    n = run.use_workers(workers, rest)
+    edges = [cfg.top_states + b * rest // n for b in range(n + 1)]
 
-    def block_entropies(res, resolution):
-        def block(b):
-            return state_entropies(res, resolution, slice(edges[b], edges[b + 1]))
+    def block(b):
+        return state_entropies(res, resolution, slice(edges[b], edges[b + 1]))
 
-        with _task_results(block, n, n) as blocks:
-            return np.concatenate(list(blocks))
-
-    # too few nonzero-dwell states fail before any transform runs; a bad
-    # dwell bin fails after at most top_states transforms, before the
-    # entropies of every state
-    mean_field = mean_husimi(res, cfg.top_states, resolution)
-    scatter = entropy_vs_dwell(res, cfg.dwell_bin, resolution, entropies=block_entropies)
+    with _task_results(block, n, n) as blocks:
+        s_w = np.concatenate([top_s_w, *blocks])
     run.stage("write")
     k_idx = np.arange(1, cfg.dim + 1)
     run.add(
@@ -331,19 +338,14 @@ def cmd_quantum(cfg: ExperimentConfig, workers: int | None = None) -> list:
         write_csv(
             run.path("wehrl_scatter.csv"),
             ["dwell_time", "s_w", "bin_index"],
-            [scatter.dwell, scatter.s_w, scatter.bin_index],
+            [res.dwell, s_w, bins],
         )
     )
     run.add(
         write_csv(
             run.path("wehrl_bins.csv"),
             ["bin_index", "dwell_center", "mean_s_w", "count"],
-            [
-                np.floor(scatter.bin_centers / scatter.bin_width).astype(np.int64),
-                scatter.bin_centers,
-                scatter.bin_mean,
-                scatter.bin_count,
-            ],
+            bin_means(bins, s_w, cfg.dwell_bin),
         )
     )
     if cfg.dump_vectors:
@@ -356,7 +358,7 @@ def cmd_quantum(cfg: ExperimentConfig, workers: int | None = None) -> list:
             "masked_sites": int((~keep).sum()),
             "n_zero_modes": res.n_zero_modes,
             "top_states": cfg.top_states,
-            "max_s_w": float(scatter.s_w.max()),
+            "max_s_w": float(s_w.max()),
         }
     )
 
@@ -364,15 +366,16 @@ def cmd_quantum(cfg: ExperimentConfig, workers: int | None = None) -> list:
 def leak_scan(cfg: ExperimentConfig, workers: int | None) -> tuple:
     """Classical and quantum statistics at `cfg.scan_positions` leak centers.
 
-    The unitary, the projectors and the Husimi plan are built once; each
-    position is then one task (its escape ensemble and one Schur spectrum)
-    run over at most `worker_count(workers, positions)` processes, with one
-    stderr line as each is gathered.  Returns (columns, timings, busy):
-    columns maps q_L and each SCAN_COLUMNS header to its column; busy holds
-    each position's busy seconds per SCAN_STAGES key; timings holds the
-    wall seconds of the setup ("unitary") and of the tasks ("positions"),
-    and the busy seconds summed per stage (more than the wall time when
-    workers run in parallel)."""
+    The unitary (checked as `quantum` checks it), the projectors and the
+    Husimi plan are built once; each position is then one task (its escape
+    ensemble and one Schur spectrum) run over at most
+    `worker_count(workers, positions)` processes, with one stderr line as
+    each is gathered.  Returns (columns, timings, busy, defect): columns
+    maps q_L and each SCAN_COLUMNS header to its column; busy holds each
+    position's busy seconds per SCAN_STAGES key; timings holds the wall
+    seconds of the setup ("unitary") and of the tasks ("positions"), and
+    the busy seconds summed per stage (more than the wall time when workers
+    run in parallel); defect is the unitary's unitarity defect."""
     start = time.perf_counter()
     positions = _scan_positions(cfg)
     params = MapParams(cfg.k)
@@ -380,7 +383,7 @@ def leak_scan(cfg: ExperimentConfig, workers: int | None) -> tuple:
     grid = PhaseSpaceGrid(cfg.grid_q, cfg.grid_p)
     resolution = (cfg.scan_husimi_q, cfg.scan_husimi_p)
     # shared by every position: built once, inherited by forked workers
-    u = build_unitary(qp)
+    u, defect = _checked_unitary(qp)
     keeps = [build_projector(qp, Leak(float(c), cfg.leak_width)) for c in positions]
     husimi_plan(cfg.dim, resolution)
 
@@ -406,14 +409,14 @@ def leak_scan(cfg: ExperimentConfig, workers: int | None) -> tuple:
     timings = {"unitary": round(tasks_start - start, 6), "positions": round(time.perf_counter() - tasks_start, 6)}
     for key, times in zip(SCAN_STAGES, zip(*busy)):
         timings[key] = round(sum(times), 6)
-    return columns, timings, busy
+    return columns, timings, busy, defect
 
 
-def cmd_scan(cfg: ExperimentConfig, workers: int | None = None) -> list:
+def cmd_scan(cfg: ExperimentConfig, workers: int | None) -> list:
     """Classical and quantum leak-position scans (`leak_scan`) plus their
     correlations; position_timings_s holds each position's busy seconds."""
     run = _Run(cfg, "scan")
-    columns, timings, busy = leak_scan(cfg, run.use_workers(workers, cfg.scan_positions))
+    columns, timings, busy, defect = leak_scan(cfg, run.use_workers(workers, cfg.scan_positions))
     run.timings.update(timings)
     run.stage("write")
     for name, header in (
@@ -433,6 +436,7 @@ def cmd_scan(cfg: ExperimentConfig, workers: int | None = None) -> list:
             "N": cfg.dim,
             "positions": cfg.scan_positions,
             "leak_width": cfg.leak_width,
+            "unitarity_defect": defect,
             **corr,
         },
         position_timings_s=[

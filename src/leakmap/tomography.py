@@ -44,14 +44,14 @@ __all__ = [
     "HusimiField",
     "HusimiTransform",
     "WehrlRecord",
-    "EntropyScatter",
     "coherent_state",
     "husimi_plan",
     "husimi",
     "mean_husimi",
     "wehrl_entropy",
     "state_entropies",
-    "entropy_vs_dwell",
+    "dwell_bins",
+    "bin_means",
     "wehrl_stats",
 ]
 
@@ -315,8 +315,10 @@ def husimi(state: np.ndarray, N: int, resolution) -> HusimiField:
     return husimi_plan(N, resolution).field(state)
 
 
-def mean_husimi(res: ResonanceSet, m: int, resolution) -> HusimiField:
-    """Mean Husimi field of the m longest-lived Schur states, renormalized.
+def mean_husimi(res: ResonanceSet, m: int, resolution) -> tuple:
+    """Mean Husimi field of the m longest-lived Schur states, renormalized,
+    and the s_w of each of them: (HusimiField, `state_entropies` of
+    columns 0 .. m-1, bit for bit), one transform per state.
 
     Requires at least m states with nonzero dwell time; zero modes carry no
     lifetime and are never averaged in.
@@ -327,11 +329,17 @@ def mean_husimi(res: ResonanceSet, m: int, resolution) -> HusimiField:
     if n_alive < m:
         raise RuntimeError(f"only {n_alive} nonzero-dwell states available, need m={m}")
     plan = husimi_plan(res.vectors.shape[0], resolution)
+    # Anchor the scale (or fail) before the workspace exists, as
+    # state_entropies does; workers forked later inherit the anchored plan.
+    plan.coherent_entropy
     work = plan.workspace()
     acc = np.zeros((plan.n_q, plan.n_p))
+    raw = np.empty(m)
     for j in range(m):
-        acc += _normalize(plan.overlap_field(res.vectors[:, j], work))
-    return HusimiField(values=acc / acc.sum())
+        mass = _normalize(plan.overlap_field(res.vectors[:, j], work))
+        raw[j] = _raw_entropy(mass, work.entropy_scratch)
+        acc += mass
+    return HusimiField(values=acc / acc.sum()), plan.s_w(raw)
 
 
 @dataclass(frozen=True)
@@ -366,29 +374,11 @@ def state_entropies(res: ResonanceSet, resolution, cols=slice(None)) -> np.ndarr
     return plan.s_w(raw)
 
 
-@dataclass
-class EntropyScatter:
-    """Per-state (dwell, s_w) pairs plus a binned summary.
-
-    bin_index = floor(dwell / bin_width); bin means are over states in the
-    bin, bin centers at (index + 1/2) * bin_width.
-    """
-
-    dwell: np.ndarray
-    s_w: np.ndarray
-    bin_index: np.ndarray
-    bin_width: float
-    bin_centers: np.ndarray
-    bin_mean: np.ndarray
-    bin_count: np.ndarray
-
-
-def entropy_vs_dwell(res: ResonanceSet, bin_width: float, resolution, entropies=None) -> EntropyScatter:
-    """Wehrl localization against dwell time for all Schur states.
-
-    entropies(res, resolution), when given, replaces `state_entropies`
-    (say, by one that spreads blocks of states over worker processes); it
-    runs only after the inputs have passed their checks."""
+def dwell_bins(res: ResonanceSet, bin_width: float) -> np.ndarray:
+    """Dwell-time bin index floor(dwell / bin_width) of every Schur state,
+    as int64.  Raises ValueError for a bin width that is not finite and
+    positive, for infinite dwell times (a closed system), and for an index
+    past int64."""
     if not (math.isfinite(bin_width) and bin_width > 0.0):
         raise ValueError(f"bin width must be finite and positive, got {bin_width}")
     if np.isinf(res.dwell).any():
@@ -399,20 +389,17 @@ def entropy_vs_dwell(res: ResonanceSet, bin_width: float, resolution, entropies=
             f"bin width {bin_width} is too small for the largest dwell time {res.dwell.max()}: "
             "its bin index does not fit in int64"
         )
-    s_w = (entropies or state_entropies)(res, resolution)
-    idx = bins.astype(np.int64)
-    uniq = np.unique(idx)
-    mean = np.array([s_w[idx == b].mean() for b in uniq])
-    count = np.array([(idx == b).sum() for b in uniq])
-    return EntropyScatter(
-        dwell=res.dwell.copy(),
-        s_w=s_w,
-        bin_index=idx,
-        bin_width=bin_width,
-        bin_centers=(uniq + 0.5) * bin_width,
-        bin_mean=mean,
-        bin_count=count,
-    )
+    return bins.astype(np.int64)
+
+
+def bin_means(bins: np.ndarray, s_w: np.ndarray, bin_width: float) -> tuple:
+    """(index, center, mean s_w, count) of each occupied dwell bin, in index
+    order, for the `dwell_bins` indices of the states whose s_w are given; a
+    bin's center is (index + 1/2) * bin_width."""
+    index = np.unique(bins)
+    mean = np.array([s_w[bins == b].mean() for b in index])
+    count = np.array([(bins == b).sum() for b in index])
+    return index, (index + 0.5) * bin_width, mean, count
 
 
 def wehrl_stats(res: ResonanceSet, resolution) -> tuple:

@@ -55,8 +55,8 @@ from leakmap.standard_map import Leak, MapParams, ftle
 from leakmap.tomography import (
     HusimiField,
     coherent_state,
-    entropy_vs_dwell,
     husimi,
+    state_entropies,
     wehrl_entropy,
 )
 
@@ -215,8 +215,7 @@ def test_reference_leak_ordering_of_chaos_measures():
     max_sw = {}
     for center in (0.2, 0.5):
         _, res = open_spectrum(512, center)
-        scatter = entropy_vs_dwell(res, 0.08, (1000, 1000))
-        max_sw[center] = float(scatter.s_w.max())
+        max_sw[center] = float(state_entropies(res, (1000, 1000), slice(None)).max())
     report(
         "reference-ordering",
         hist_mean_02=f"{hist_mean[0.2]:.4f}",
@@ -232,7 +231,7 @@ def test_leak_position_scan_correspondence():
     positions = np.arange(50) / 50.0
     # the defaults are the gate's data: 50 positions of a width-0.2 leak,
     # K = 10, a 500^2 grid to t_max = 1000, 500^2 Husimi grids
-    scan, _, _ = leak_scan(ExperimentConfig(dim=256), 1)
+    scan = leak_scan(ExperimentConfig(dim=256), 1)[0]
 
     def near_sticky(x):
         return min(abs(x - 0.2), abs(x - 0.8)) <= 0.05

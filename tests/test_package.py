@@ -1,5 +1,7 @@
-"""The package surface: public name lists and the numpy-free top level."""
+"""The package surface: public name lists, the numpy-free top level and
+the count of settable options."""
 
+import ast
 import importlib
 import pkgutil
 import subprocess
@@ -27,3 +29,24 @@ def test_top_level_import_loads_no_numpy():
     code = f"import sys; sys.path.insert(0, {src!r}); import leakmap; print('numpy' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+# Settable options: ExperimentConfig fields plus every defaulted parameter
+# or dataclass field default under src/leakmap.
+MAX_OPTIONS = 25
+
+
+def count_options(source: str) -> int:
+    count = 0
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            count += len(node.args.defaults) + sum(d is not None for d in node.args.kw_defaults)
+        elif isinstance(node, ast.ClassDef) and any("dataclass" in ast.unparse(d) for d in node.decorator_list):
+            fields = [stmt for stmt in node.body if isinstance(stmt, ast.AnnAssign)]
+            count += len(fields) if node.name == "ExperimentConfig" else sum(f.value is not None for f in fields)
+    return count
+
+
+def test_settable_options_do_not_grow():
+    package = Path(leakmap.__file__).parent
+    assert sum(count_options(path.read_text()) for path in package.glob("*.py")) <= MAX_OPTIONS

@@ -1,5 +1,7 @@
 """Experiment commands and the command-line front end (toy scales)."""
 
+import collections
+import csv
 import dataclasses
 import json
 import math
@@ -12,12 +14,12 @@ import numpy as np
 import pytest
 
 import leakmap
-from leakmap import quantum, runner
+from leakmap import quantum, runner, tomography
 from leakmap.cli import apply_thread_env, main
 from leakmap.config import default_config
 from leakmap.ensemble import PhaseSpaceGrid, escape_ensemble, escape_stats
 from leakmap.formats import read_lcf, sha256_file
-from leakmap.quantum import QuantumParams, build_projector, build_unitary, dwell_stats, leak_spectrum
+from leakmap.quantum import QuantumParams, build_projector, build_unitary, dwell_stats, leak_spectrum, unitarity_defect
 from leakmap.runner import cmd_ftle_field, cmd_open_classical, cmd_quantum, cmd_scan, leak_scan, worker_count
 from leakmap.standard_map import Leak, MapParams
 from leakmap.tomography import HusimiTransform, state_entropies
@@ -74,7 +76,7 @@ def check_manifest(outdir):
 
 def test_cmd_ftle_field_artifacts(tmp_path):
     out = tmp_path / "run"
-    files = cmd_ftle_field(toy_config(out))
+    files = cmd_ftle_field(toy_config(out), None)
     assert all(p.exists() for p in files)
     manifest = check_manifest(out)
     assert manifest["command"] == "ftle-field"
@@ -93,7 +95,7 @@ def test_cmd_ftle_field_deterministic_reruns(tmp_path):
 
 
 def check_manifest_after(cmd, cfg, outdir):
-    cmd(cfg)
+    cmd(cfg, None)
     return check_manifest(outdir)
 
 
@@ -101,7 +103,7 @@ def test_cmd_open_classical_artifacts(tmp_path):
     out = tmp_path / "run"
     # survival reaches P = 1e-3 with tolerable counting noise only on a
     # reasonably fine grid
-    cmd_open_classical(toy_config(out, grid_q=160, grid_p=160))
+    cmd_open_classical(toy_config(out, grid_q=160, grid_p=160), None)
     manifest = check_manifest(out)
     extra = manifest["extra"]
     assert extra["leak"] == [0.5, 0.2]
@@ -124,7 +126,7 @@ def test_cmd_open_classical_artifacts(tmp_path):
 
 def test_cmd_quantum_artifacts(tmp_path):
     out = tmp_path / "run"
-    cmd_quantum(toy_config(out, leak_center=0.2))
+    cmd_quantum(toy_config(out, leak_center=0.2), None)
     manifest = check_manifest(out)
     extra = manifest["extra"]
     assert extra["N"] == 32
@@ -139,7 +141,7 @@ def test_cmd_quantum_artifacts(tmp_path):
 
 def test_cmd_quantum_dump_vectors(tmp_path):
     out = tmp_path / "run"
-    cmd_quantum(toy_config(out, dim=16, dump_vectors=True))
+    cmd_quantum(toy_config(out, dim=16, dump_vectors=True), None)
     vecs = read_lcf(out / "schur_vectors.lcf")
     assert vecs.shape == (16, 32)  # one row per state, interleaved re/im
     norms = vecs[:, 0::2] ** 2 + vecs[:, 1::2] ** 2
@@ -148,7 +150,7 @@ def test_cmd_quantum_dump_vectors(tmp_path):
 
 def test_cmd_scan_artifacts(tmp_path):
     out = tmp_path / "run"
-    cmd_scan(toy_config(out, dim=16, t_max=400))
+    cmd_scan(toy_config(out, dim=16, t_max=400), None)
     manifest = check_manifest(out)
     scan = (out / "scan.csv").read_text().splitlines()
     assert scan[0] == "q_L,mean_tau,mean_lambda,mean_T,mean_SW"
@@ -159,6 +161,7 @@ def test_cmd_scan_artifacts(tmp_path):
     assert set(corr) == {"pearson_tau_T", "pearson_lambda_SW"}
     assert all(-1.0 <= v <= 1.0 for v in corr.values())
     assert manifest["extra"]["pearson_tau_T"] == corr["pearson_tau_T"]
+    assert manifest["extra"]["unitarity_defect"] <= 1e-12
     assert (out / "scan_errors.csv").is_file()
 
 
@@ -175,7 +178,7 @@ def test_cmd_scan_writes_null_for_undefined_correlations(tmp_path, overrides):
     # closed system, whose dwell column is NaN and whose other columns are
     # constant, so Pearson's r is undefined
     out = tmp_path / "run"
-    cmd_scan(toy_config(out, dim=16, t_max=400, **overrides))
+    cmd_scan(toy_config(out, dim=16, t_max=400, **overrides), None)
     undefined = {"pearson_tau_T": None, "pearson_lambda_SW": None}
     assert strict_json(out / "correlations.json") == undefined
     extra = strict_json(out / "manifest.json")["extra"]
@@ -192,7 +195,7 @@ def test_cmd_scan_one_spectrum_per_position(tmp_path, monkeypatch):
 
     monkeypatch.setattr(quantum, "resonance_spectrum", counting)
     out = tmp_path / "run"
-    cmd_scan(toy_config(out, dim=16, t_max=400))
+    cmd_scan(toy_config(out, dim=16, t_max=400), None)
     assert len(calls) == 4
     timings = load_manifest(out)["timings_s"]
     assert timings["quantum"] > 0.0 and timings["entropy"] > 0.0
@@ -200,11 +203,12 @@ def test_cmd_scan_one_spectrum_per_position(tmp_path, monkeypatch):
 
 def test_leak_scan_columns_are_the_per_position_statistics(tmp_path):
     cfg = toy_config(tmp_path, dim=16, t_max=400, scan_positions=3)
-    scan, timings, busy = leak_scan(cfg, None)
+    scan, timings, busy, defect = leak_scan(cfg, None)
     assert list(scan) == ["q_L", *runner.SCAN_COLUMNS]
     assert np.array_equal(scan["q_L"], np.arange(3) / 3)
     qp = QuantumParams(16, cfg.k)
     u = build_unitary(qp)
+    assert defect == unitarity_defect(u)
     for i, center in enumerate(scan["q_L"]):
         leak = Leak(float(center), cfg.leak_width)
         cl = escape_stats(escape_ensemble(PhaseSpaceGrid(48, 48), leak, 400, MapParams(cfg.k)))
@@ -216,19 +220,28 @@ def test_leak_scan_columns_are_the_per_position_statistics(tmp_path):
     assert set(timings) == {"unitary", "positions", *runner.SCAN_STAGES}
 
 
+def test_leak_scan_checks_unitarity_before_any_position(tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(runner, "build_unitary", lambda qp: 1.001 * build_unitary(qp))
+    monkeypatch.setattr(runner, "escape_ensemble", lambda *args: calls.append(args))
+    with pytest.raises(RuntimeError, match="propagator failed unitarity"):
+        leak_scan(toy_config(tmp_path, dim=16, t_max=400), None)
+    assert calls == []
+
+
 def test_manifest_stage_keys_read_by_the_benchmark(tmp_path):
     # perfbench reads these timings_s keys as its runner.stage.* metrics
-    cmd_scan(toy_config(tmp_path / "scan", dim=16, t_max=400))
+    cmd_scan(toy_config(tmp_path / "scan", dim=16, t_max=400), None)
     manifest = load_manifest(tmp_path / "scan")
     stages = {"unitary", "positions", "classical", "quantum", "entropy", "write", "manifest"}
     assert set(manifest["timings_s"]) == stages
     assert len(manifest["position_timings_s"]) == 4
-    cmd_quantum(toy_config(tmp_path / "quantum", dim=16))
+    cmd_quantum(toy_config(tmp_path / "quantum", dim=16), None)
     stages = {"unitary", "spectrum", "husimi", "write", "manifest"}
     assert set(load_manifest(tmp_path / "quantum")["timings_s"]) == stages
 
 
-def test_cmd_quantum_checks_top_states_before_any_transform(tmp_path, monkeypatch):
+def test_cmd_quantum_checks_top_states_before_any_transform(tmp_path, monkeypatch, capsys):
     # N = 16 with the leak at 0.2 has 13 nonzero-dwell states
     calls = []
     real = HusimiTransform.overlap_field
@@ -241,9 +254,25 @@ def test_cmd_quantum_checks_top_states_before_any_transform(tmp_path, monkeypatc
     out = tmp_path / "run"
     cfg = toy_config(out, dim=16, leak_center=0.2, top_states=16, husimi_q=30, husimi_p=30)
     with pytest.raises(RuntimeError, match="only 13 nonzero-dwell states available, need m=16"):
-        cmd_quantum(cfg)
+        cmd_quantum(cfg, None)
     assert calls == []
     assert not any(out.iterdir())
+    # a dwell bin so narrow that the bin indices overflow int64 fails
+    # before the top-states check (8 states, 20 asked for)
+    out = tmp_path / "narrow"
+    code = run_cli(
+        ["quantum", "--output", str(out), "--quantum.dim", "8", "--husimi.dwell_bin", "1e-300",
+         "--husimi.grid_q", "30", "--husimi.grid_p", "30"]
+    )
+    assert code == 2
+    assert "bin width 1e-300 is too small" in capsys.readouterr().err
+    assert calls == []
+    assert not any(out.iterdir())
+    # a run that passes its checks transforms each Schur state once, plus
+    # the coherent reference state of the freshly built plan
+    tomography._plan.cache_clear()
+    cmd_quantum(dataclasses.replace(cfg, top_states=5, output=str(tmp_path / "ok")), None)
+    assert len(calls) == 16 + 1
 
 
 def test_manifest_lists_only_this_runs_files(tmp_path):
@@ -255,7 +284,7 @@ def test_manifest_lists_only_this_runs_files(tmp_path):
         (cmd_quantum, toy_config(out, dim=16)),
         (cmd_ftle_field, toy_config(out)),
     ):
-        written = [str(p.relative_to(out)) for p in cmd(cfg) if p.name != "manifest.json"]
+        written = [str(p.relative_to(out)) for p in cmd(cfg, None) if p.name != "manifest.json"]
         outputs = load_manifest(out)["outputs"]
         assert [e["path"] for e in outputs] == sorted(written)
         for entry in outputs:
@@ -336,16 +365,27 @@ def test_cli_numerical_failure_exits_2(tmp_path, capsys):
     assert code == 2
     assert "degenerate coherent reference entropy" in capsys.readouterr().err
     assert not (out / "manifest.json").exists()
-    # a dwell bin so narrow that the bin indices overflow int64 (one top
-    # state, since too few nonzero-dwell states would fail first)
-    out = tmp_path / "narrow"
+
+
+def read_columns(path):
+    with open(path, newline="") as f:
+        rows = list(csv.DictReader(f))
+    return {key: [row[key] for row in rows] for key in rows[0]}
+
+
+def test_wehrl_bins_are_the_scatter_bins(tmp_path):
+    # at a dwell bin of 1e-15 the indices pass 2^52, where the bin center
+    # (index + 1/2) * width no longer divides back to its index
+    out = tmp_path / "fine"
     code = run_cli(
-        ["quantum", "--output", str(out), "--quantum.dim", "8", "--husimi.dwell_bin", "1e-300",
-         "--husimi.top_states", "1"]
+        ["quantum", "--output", str(out), "--quantum.dim", "64", "--husimi.dwell_bin", "1e-15",
+         "--husimi.grid_q", "30", "--husimi.grid_p", "30", "--husimi.top_states", "5"]
     )
-    assert code == 2
-    assert "bin width 1e-300 is too small" in capsys.readouterr().err
-    assert not any(out.iterdir())
+    assert code == 0
+    scatter = read_columns(out / "wehrl_scatter.csv")
+    bins = read_columns(out / "wehrl_bins.csv")
+    per_bin = collections.Counter(int(b) for b in scatter["bin_index"])
+    assert dict(zip(map(int, bins["bin_index"]), map(int, bins["count"]))) == per_bin
 
 
 def test_thread_env(monkeypatch):
@@ -408,12 +448,12 @@ class RecordingPool:
         pass
 
 
-@pytest.mark.parametrize("cmd,tasks", [(cmd_scan, 4), (cmd_quantum, 16)])
+@pytest.mark.parametrize("cmd,tasks", [(cmd_scan, 4), (cmd_quantum, 11)])
 def test_huge_worker_request_is_capped_and_gathered_in_order(tmp_path, monkeypatch, cmd, tasks):
     # an extreme request starts no process here: the pool is a recorder
     monkeypatch.setattr(runner, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(RecordingPool, "started", [])
-    cmd(toy_config(tmp_path / "one", dim=16, t_max=400))
+    cmd(toy_config(tmp_path / "one", dim=16, t_max=400), None)
     cmd(toy_config(tmp_path / "many", dim=16, t_max=400), workers=10**6)
     expect = min(tasks, len(os.sched_getaffinity(0)))
     assert RecordingPool.started == ([expect] if expect > 1 else [])
@@ -471,7 +511,7 @@ def test_output_bytes_do_not_depend_on_worker_count(tmp_path, command):
         assert proc.returncode == 0, proc.stderr
         manifests[threads] = check_manifest(out)
     assert manifests[2]["outputs"] == manifests[1]["outputs"]
-    tasks = {"quantum": 32, "scan": 4}.get(command, 1)
+    tasks = {"quantum": 32 - 5, "scan": 4}.get(command, 1)
     for threads, manifest in manifests.items():
         env = manifest["environment"]
         assert env["workers"] == min(threads, tasks, len(os.sched_getaffinity(0)))
@@ -488,14 +528,23 @@ def test_output_bytes_do_not_depend_on_worker_count(tmp_path, command):
 
 
 def test_numerical_failure_in_a_worker_exits_2(tmp_path):
-    # the degenerate coherent reference of test_cli_numerical_failure_exits_2,
-    # now raised inside the workers that run the blocks of states
-    out = tmp_path / "coarse"
-    proc = run_cli_process(
-        ["quantum", "--output", str(out), "--quantum.dim", "4", "--husimi.grid_q", "2",
-         "--husimi.grid_p", "2", "--husimi.top_states", "1", "--leak.width", "0.3"],
-        2,
+    # a block of states that fails inside a worker process: the error
+    # crosses the pool, the command exits 2 and writes no manifest
+    out = tmp_path / "blocks"
+    code = (
+        "import os, sys\n"
+        "from leakmap.cli import apply_thread_env, main\n"
+        "apply_thread_env()\n"
+        "from leakmap import runner\n"
+        "parent = os.getpid()\n"
+        "def failing(*args):\n"
+        "    raise RuntimeError('block failed in the ' + ('parent' if os.getpid() == parent else 'worker'))\n"
+        "runner.state_entropies = failing\n"
+        f"sys.exit(main(['quantum', '--output', {str(out)!r}, '--quantum.dim', '16', '--husimi.grid_q', '20',"
+        " '--husimi.grid_p', '20', '--husimi.top_states', '1']))\n"
     )
-    assert proc.returncode == 2
-    assert "degenerate coherent reference entropy" in proc.stderr
+    proc = subprocess.run([sys.executable, "-c", code], env=cli_env(2), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    where = "worker" if len(os.sched_getaffinity(0)) > 1 else "parent"
+    assert f"error: block failed in the {where}" in proc.stderr
     assert not (out / "manifest.json").exists()

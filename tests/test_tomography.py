@@ -25,8 +25,9 @@ from leakmap.tomography import (
     HusimiTransform,
     _plan,
     _raw_entropy,
+    bin_means,
     coherent_state,
-    entropy_vs_dwell,
+    dwell_bins,
     husimi,
     mean_husimi,
     state_entropies,
@@ -303,7 +304,9 @@ def test_batch_loops_equal_per_state_path(n, n_q, n_p, center):
     acc = np.zeros((n_q, n_p))
     for f in fields[:5]:
         acc += f
-    assert np.array_equal(mean_husimi(res, 5, (n_q, n_p)).values, acc / acc.sum())
+    mean, top_s_w = mean_husimi(res, 5, (n_q, n_p))
+    assert np.array_equal(mean.values, acc / acc.sum())
+    assert np.array_equal(top_s_w, state_entropies(res, (n_q, n_p), slice(0, 5)))
 
 
 @pytest.mark.parametrize("n,cuts", [(32, (0, 16, 32)), (17, (0, 5, 6, 17)), (8, (0, 8))])
@@ -418,7 +421,7 @@ def test_closed_map_states_cluster_at_high_entropy():
 
 def test_mean_husimi_single_state_identity():
     res = open_resonances(16, 0.2)
-    m1 = mean_husimi(res, 1, (60, 60))
+    m1 = mean_husimi(res, 1, (60, 60))[0]
     top = husimi(res.vectors[:, 0], 16, (60, 60))
     assert_allclose(m1.values, top.values, rtol=0, atol=1e-14)
 
@@ -431,42 +434,43 @@ def test_mean_husimi_needs_enough_live_states():
 
 def test_mean_husimi_normalized():
     res = open_resonances(16, 0.5)
-    f = mean_husimi(res, 5, (40, 40))
+    f = mean_husimi(res, 5, (40, 40))[0]
     assert abs(f.values.sum() - 1.0) <= 1e-12
 
 
 def test_entropy_vs_dwell_binning():
     res = open_resonances(32, 0.2)
-    sc = entropy_vs_dwell(res, 0.08, (100, 100))
-    assert sc.dwell.shape == sc.s_w.shape == (32,)
-    for b, mean in zip(np.unique(sc.bin_index), sc.bin_mean):
-        members = sc.s_w[sc.bin_index == b]
-        assert members.min() - 1e-12 <= mean <= members.max() + 1e-12
+    bins = dwell_bins(res, 0.08)
+    s_w = state_entropies(res, (100, 100))
+    assert bins.dtype == np.int64
+    assert np.array_equal(bins, np.floor(res.dwell / 0.08))
+    index, center, mean, count = bin_means(bins, s_w, 0.08)
+    assert np.array_equal(index, np.unique(bins))
+    assert np.array_equal(center, (index + 0.5) * 0.08)
+    assert count.sum() == 32
+    for b, m, c in zip(index, mean, count):
+        members = s_w[bins == b]
+        assert c == members.size
+        assert members.min() - 1e-12 <= m <= members.max() + 1e-12
 
 
 def test_entropy_vs_dwell_rejects_closed_system():
     res = resonance_spectrum(build_unitary(QuantumParams(8, 10.0)))
     with pytest.raises(ValueError):
-        entropy_vs_dwell(res, 0.08, (50, 50))
+        dwell_bins(res, 0.08)
 
 
 @pytest.mark.parametrize("width", [0.0, math.nan, math.inf])
 def test_entropy_vs_dwell_rejects_bad_bin_width(width):
-    def never(res, resolution):
-        raise AssertionError("entropies ran before the bin width was checked")
-
     with pytest.raises(ValueError, match="bin width"):
-        entropy_vs_dwell(open_resonances(8, 0.2), width, (20, 20), entropies=never)
+        dwell_bins(open_resonances(8, 0.2), width)
 
 
 def test_entropy_vs_dwell_rejects_bin_index_past_int64():
-    def never(res, resolution):
-        raise AssertionError("entropies ran before the bin indices were checked")
-
     res = open_resonances(8, 0.2)
     message = f"bin width 1e-300 is too small for the largest dwell time {res.dwell.max()}"
     with pytest.raises(ValueError, match=re.escape(message)):
-        entropy_vs_dwell(res, 1e-300, (20, 20), entropies=never)
+        dwell_bins(res, 1e-300)
 
 
 def test_leak_scan_entropy_symmetry():
