@@ -1,10 +1,11 @@
 """Experiment configuration: INI-style text with typed, validated keys.
 
 Defaults reproduce the reference setup: K = 10 strong chaos, leak width
-0.2, 10-step FTLE fields, 10^6-cell Husimi grids, dwell bin 0.08, and a
-desk-scale Hilbert dimension of 512 (dimensions of 10^4 are accepted but
-mean a very large dense Schur job).  Unknown sections or keys are hard
-errors; all violations in a file are reported at once.
+0.2, 10-step FTLE fields, a 10^6-cell mean-Husimi image, 500^2-cell scan
+entropy grids (`quantum` chooses its entropy grid from N), dwell bin
+0.08, and a desk-scale Hilbert dimension of 512 (dimensions of 10^4 are
+accepted but mean a very large dense Schur job).  Unknown sections or
+keys are hard errors; all violations in a file are reported at once.
 """
 
 from __future__ import annotations

@@ -60,7 +60,7 @@ from .quantum import (
     unitarity_defect,
 )
 from .standard_map import Leak, MapParams
-from .tomography import bin_means, dwell_bins, husimi_plan, mean_husimi, state_entropies, wehrl_stats
+from .tomography import bin_means, dwell_bins, entropy_grid, husimi_plan, mean_husimi, state_entropies, wehrl_stats
 
 __all__ = ["cmd_ftle_field", "cmd_open_classical", "cmd_quantum", "cmd_scan", "leak_scan", "worker_count", "COMMANDS"]
 
@@ -97,6 +97,12 @@ def _checked_unitary(qp: QuantumParams) -> tuple:
     if defect > UNITARITY_TOL:
         raise RuntimeError(f"propagator failed unitarity: defect {defect:.3g} > {UNITARITY_TOL}")
     return u, defect
+
+
+def _linalg_build() -> dict:
+    """Name and version of the BLAS and LAPACK numpy was built against."""
+    deps = np.show_config(mode="dicts")["Build Dependencies"]
+    return {lib: {key: deps.get(lib, {}).get(key) for key in ("name", "version")} for lib in ("blas", "lapack")}
 
 
 def _usable_cpus() -> int:
@@ -212,6 +218,7 @@ class _Run:
                 "python": platform.python_version(),
                 "numpy": np.__version__,
                 "scipy": scipy.__version__,
+                **_linalg_build(),
             },
             "outputs": outputs,
             "extra": extra,
@@ -296,9 +303,11 @@ def cmd_open_classical(cfg: ExperimentConfig, workers: int | None) -> list:
 def cmd_quantum(cfg: ExperimentConfig, workers: int | None) -> list:
     """Resonance spectrum, mean Husimi field, and Wehrl scatter for one leak.
 
-    Each Schur state is transformed once: `mean_husimi` yields the top
-    states' entropies with their mean field, and the remaining states'
-    entropies run in contiguous blocks, one per worker."""
+    The config's Husimi grid images the mean field of the top states; every
+    s_w is integrated on the square `entropy_grid(N)`, in contiguous blocks
+    of states, one per worker.  The top states are taken again at twice
+    that grid, and the manifest records the largest change of their s_w
+    (`entropy_grid_check`)."""
     run = _Run(cfg, "quantum")
     qp = QuantumParams(cfg.dim, cfg.k)
     leak = Leak(cfg.leak_center, cfg.leak_width)
@@ -310,19 +319,23 @@ def cmd_quantum(cfg: ExperimentConfig, workers: int | None) -> list:
     # a bad dwell bin fails before any transform
     bins = dwell_bins(res, cfg.dwell_bin)
     run.stage("husimi")
-    resolution = (cfg.husimi_q, cfg.husimi_p)
-    # too few nonzero-dwell states fail before any transform; the plan is
-    # built (and its scale anchored) here, then inherited by forked workers
-    mean_field, top_s_w = mean_husimi(res, cfg.top_states, resolution)
-    rest = cfg.dim - cfg.top_states
-    n = run.use_workers(workers, rest)
-    edges = [cfg.top_states + b * rest // n for b in range(n + 1)]
+    # too few nonzero-dwell states fail before any transform
+    mean_field = mean_husimi(res, cfg.top_states, (cfg.husimi_q, cfg.husimi_p))
+    n_grid = entropy_grid(cfg.dim)
+    grid = (n_grid, n_grid)
+    # the plan is built and its scale anchored here, then inherited by
+    # forked workers
+    husimi_plan(cfg.dim, grid).coherent_entropy
+    n = run.use_workers(workers, cfg.dim)
+    edges = [b * cfg.dim // n for b in range(n + 1)]
 
     def block(b):
-        return state_entropies(res, resolution, slice(edges[b], edges[b + 1]))
+        return state_entropies(res, grid, slice(edges[b], edges[b + 1]))
 
     with _task_results(block, n, n) as blocks:
-        s_w = np.concatenate([top_s_w, *blocks])
+        s_w = np.concatenate(list(blocks))
+    top = slice(0, cfg.top_states)
+    grid_check = np.abs(state_entropies(res, (2 * n_grid, 2 * n_grid), top) - s_w[top]).max()
     run.stage("write")
     k_idx = np.arange(1, cfg.dim + 1)
     run.add(
@@ -358,6 +371,8 @@ def cmd_quantum(cfg: ExperimentConfig, workers: int | None) -> list:
             "masked_sites": int((~keep).sum()),
             "n_zero_modes": res.n_zero_modes,
             "top_states": cfg.top_states,
+            "entropy_grid": list(grid),
+            "entropy_grid_check": float(grid_check),
             "max_s_w": float(s_w.max()),
         }
     )

@@ -27,6 +27,11 @@ with Gaussian weight below ~1e-20 are dropped.
 Batches of states (`state_entropies`, `mean_husimi`) run every transform,
 normalization and entropy reduction inside one workspace allocated per
 call, so the per-state loop allocates no grid-sized array.
+
+A Wehrl entropy is an integral over the torus, and the grid that images a
+field need not be the grid that integrates it: `entropy_grid(N)` is the
+quadrature grid at which the Husimi field's Fourier modes have fallen
+below double precision.
 """
 
 from __future__ import annotations
@@ -47,6 +52,7 @@ __all__ = [
     "coherent_state",
     "husimi_plan",
     "husimi",
+    "entropy_grid",
     "mean_husimi",
     "wehrl_entropy",
     "state_entropies",
@@ -315,10 +321,43 @@ def husimi(state: np.ndarray, N: int, resolution) -> HusimiField:
     return husimi_plan(N, resolution).field(state)
 
 
-def mean_husimi(res: ResonanceSet, m: int, resolution) -> tuple:
+def entropy_grid(N: int) -> int:
+    """Cells per axis of the square grid on which the Wehrl entropy of a
+    length-N state is integrated.
+
+    The torus Husimi function is the Wigner function smoothed by the
+    coherent state, a Gaussian of variance 1/(4 pi N) per axis, so its
+    Fourier coefficient at integer mode (n, m) is the state's expectation
+    of a phase-space translation, at most 1 in modulus, times the
+    Gaussian's transform exp(-pi (n^2 + m^2) / (2N)).  The periodic
+    midpoint sum on n cells per axis integrates every mode exactly except
+    those aliased from multiples of n, whose weight is at most about
+    exp(-pi n^2 / (2N)).  That drops below double-precision epsilon, 2^-52,
+    at n >= sqrt(2N ln(2^52) / pi), so the grid then sees every mode the
+    field has.  n is the smallest 5-smooth integer (2^a 3^b 5^c) at or above
+    that bound, a size the FFT handles without a slow prime factor: 20, 40,
+    60, 80 and 120 at N = 16, 64, 128, 256 and 512.
+
+    The entropy integrand -H ln H is broader in Fourier space than H
+    itself, so the bound does not make s_w exact; `quantum` records the
+    change of its top states' s_w between n and 2n as a check.
+    """
+    n = math.ceil(math.sqrt(2.0 * N * math.log(2.0**52) / math.pi))
+    while not _five_smooth(n):
+        n += 1
+    return n
+
+
+def _five_smooth(n: int) -> bool:
+    for p in (2, 3, 5):
+        while n % p == 0:
+            n //= p
+    return n == 1
+
+
+def mean_husimi(res: ResonanceSet, m: int, resolution) -> HusimiField:
     """Mean Husimi field of the m longest-lived Schur states, renormalized,
-    and the s_w of each of them: (HusimiField, `state_entropies` of
-    columns 0 .. m-1, bit for bit), one transform per state.
+    one transform per state.
 
     Requires at least m states with nonzero dwell time; zero modes carry no
     lifetime and are never averaged in.
@@ -329,17 +368,11 @@ def mean_husimi(res: ResonanceSet, m: int, resolution) -> tuple:
     if n_alive < m:
         raise RuntimeError(f"only {n_alive} nonzero-dwell states available, need m={m}")
     plan = husimi_plan(res.vectors.shape[0], resolution)
-    # Anchor the scale (or fail) before the workspace exists, as
-    # state_entropies does; workers forked later inherit the anchored plan.
-    plan.coherent_entropy
     work = plan.workspace()
     acc = np.zeros((plan.n_q, plan.n_p))
-    raw = np.empty(m)
     for j in range(m):
-        mass = _normalize(plan.overlap_field(res.vectors[:, j], work))
-        raw[j] = _raw_entropy(mass, work.entropy_scratch)
-        acc += mass
-    return HusimiField(values=acc / acc.sum()), plan.s_w(raw)
+        acc += _normalize(plan.overlap_field(res.vectors[:, j], work))
+    return HusimiField(values=acc / acc.sum())
 
 
 @dataclass(frozen=True)
@@ -374,20 +407,28 @@ def state_entropies(res: ResonanceSet, resolution, cols=slice(None)) -> np.ndarr
     return plan.s_w(raw)
 
 
+# Dwell-bin indices stay below this.  Below 2^52, index + 1/2 is a
+# double, and rounding the product (index + 1/2) * width moves it by at
+# most (index + 1/2) * width * 2^-53 < width / 2, so every bin center lies
+# strictly inside its bin.
+BIN_INDEX_LIMIT = 2.0**52
+
+
 def dwell_bins(res: ResonanceSet, bin_width: float) -> np.ndarray:
     """Dwell-time bin index floor(dwell / bin_width) of every Schur state,
     as int64.  Raises ValueError for a bin width that is not finite and
     positive, for infinite dwell times (a closed system), and for an index
-    past int64."""
+    of BIN_INDEX_LIMIT or more, past which a bin center is no longer a
+    double inside its bin."""
     if not (math.isfinite(bin_width) and bin_width > 0.0):
         raise ValueError(f"bin width must be finite and positive, got {bin_width}")
     if np.isinf(res.dwell).any():
         raise ValueError("dwell times are infinite (closed system); open the propagator first")
     bins = np.floor(res.dwell / bin_width)
-    if not bins.max() < 2.0**63:
+    if not bins.max() < BIN_INDEX_LIMIT:
         raise ValueError(
             f"bin width {bin_width} is too small for the largest dwell time {res.dwell.max()}: "
-            "its bin index does not fit in int64"
+            "its bin index reaches 2^52, past which a bin center can fall outside its bin"
         )
     return bins.astype(np.int64)
 

@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -139,6 +140,30 @@ def test_cmd_quantum_artifacts(tmp_path):
     assert not (out / "schur_vectors.lcf").exists()
 
 
+@pytest.mark.parametrize("dim,n", [(16, 20), (64, 40)])
+def test_cmd_quantum_integrates_s_w_on_the_entropy_grid(tmp_path, dim, n):
+    # the 30^2 image grid makes the mean field only; every s_w is taken on
+    # entropy_grid(N), and the manifest records the top states' change at 2n
+    cmd_quantum(toy_config(tmp_path, dim=dim, leak_center=0.2, husimi_q=30, husimi_p=30), None)
+    extra = load_manifest(tmp_path)["extra"]
+    assert extra["entropy_grid"] == [n, n]
+    qp = QuantumParams(dim, 10.0)
+    res = leak_spectrum(build_unitary(qp), build_projector(qp, Leak(0.2, 0.2)))
+    s_w = state_entropies(res, (n, n))
+    assert np.array_equal([float(x) for x in read_columns(tmp_path / "wehrl_scatter.csv")["s_w"]], s_w)
+    check = np.abs(state_entropies(res, (2 * n, 2 * n), slice(0, 5)) - s_w[:5]).max()
+    assert extra["entropy_grid_check"] == check
+    assert 0.0 < check < 1e-3
+
+
+def test_manifest_environment_names_the_linalg_build(tmp_path):
+    cmd_ftle_field(toy_config(tmp_path), None)
+    env = load_manifest(tmp_path)["environment"]
+    deps = np.show_config(mode="dicts")["Build Dependencies"]
+    for lib in ("blas", "lapack"):
+        assert env[lib] == {"name": deps[lib]["name"], "version": deps[lib]["version"]}
+
+
 def test_cmd_quantum_dump_vectors(tmp_path):
     out = tmp_path / "run"
     cmd_quantum(toy_config(out, dim=16, dump_vectors=True), None)
@@ -268,11 +293,12 @@ def test_cmd_quantum_checks_top_states_before_any_transform(tmp_path, monkeypatc
     assert "bin width 1e-300 is too small" in capsys.readouterr().err
     assert calls == []
     assert not any(out.iterdir())
-    # a run that passes its checks transforms each Schur state once, plus
-    # the coherent reference state of the freshly built plan
+    # a run that passes its checks transforms the top states on the image
+    # grid, every state and the coherent reference on the entropy grid, and
+    # the top states and the reference again at twice that grid
     tomography._plan.cache_clear()
     cmd_quantum(dataclasses.replace(cfg, top_states=5, output=str(tmp_path / "ok")), None)
-    assert len(calls) == 16 + 1
+    assert len(calls) == 16 + 2 * 5 + 2
 
 
 def test_manifest_lists_only_this_runs_files(tmp_path):
@@ -356,11 +382,13 @@ def test_cli_numerical_failure_exits_2(tmp_path, capsys):
     )
     assert code == 2
     assert "error" in capsys.readouterr().err
-    # a 2x2 Husimi grid cannot resolve the N = 4 coherent reference state
+    # a 2x2 scan Husimi grid cannot resolve the N = 4 coherent reference
+    # state (quantum integrates its entropies on entropy_grid(N) instead)
     out = tmp_path / "coarse"
     code = run_cli(
-        ["quantum", "--output", str(out), "--quantum.dim", "4", "--husimi.grid_q", "2",
-         "--husimi.grid_p", "2", "--husimi.top_states", "1", "--leak.width", "0.3"]
+        ["scan", "--output", str(out), "--quantum.dim", "4", "--scan.husimi_grid_q", "2",
+         "--scan.husimi_grid_p", "2", "--scan.positions", "1", "--classical.grid_q", "30",
+         "--classical.grid_p", "30", "--classical.t_max", "50"]
     )
     assert code == 2
     assert "degenerate coherent reference entropy" in capsys.readouterr().err
@@ -373,19 +401,33 @@ def read_columns(path):
     return {key: [row[key] for row in rows] for key in rows[0]}
 
 
+FINE_BINS = ["quantum", "--quantum.dim", "64", "--husimi.grid_q", "30", "--husimi.grid_p", "30",
+             "--husimi.top_states", "5", "--husimi.dwell_bin"]
+
+
 def test_wehrl_bins_are_the_scatter_bins(tmp_path):
-    # at a dwell bin of 1e-15 the indices pass 2^52, where the bin center
-    # (index + 1/2) * width no longer divides back to its index
+    # at a dwell bin of 1e-14 the largest index is about 9e14, where the
+    # bin center (index + 1/2) * width no longer divides back to its index
     out = tmp_path / "fine"
-    code = run_cli(
-        ["quantum", "--output", str(out), "--quantum.dim", "64", "--husimi.dwell_bin", "1e-15",
-         "--husimi.grid_q", "30", "--husimi.grid_p", "30", "--husimi.top_states", "5"]
-    )
-    assert code == 0
+    assert run_cli([*FINE_BINS, "1e-14", "--output", str(out)]) == 0
     scatter = read_columns(out / "wehrl_scatter.csv")
     bins = read_columns(out / "wehrl_bins.csv")
+    assert max(int(b) for b in bins["bin_index"]) > 2**49
     per_bin = collections.Counter(int(b) for b in scatter["bin_index"])
     assert dict(zip(map(int, bins["bin_index"]), map(int, bins["count"]))) == per_bin
+    # every center lies strictly inside its bin, in exact arithmetic
+    width = Fraction(1e-14)
+    for index, center in zip(bins["bin_index"], bins["dwell_center"]):
+        assert int(index) * width < Fraction(float(center)) < (int(index) + 1) * width
+
+
+def test_dwell_bin_past_exact_centers_exits_2(tmp_path, capsys):
+    # at 1e-15 the largest index is about 9e15 > 2^52, where 5 of 52 bin
+    # centers used to land on or outside their bins
+    out = tmp_path / "finer"
+    assert run_cli([*FINE_BINS, "1e-15", "--output", str(out)]) == 2
+    assert "bin width 1e-15 is too small for the largest dwell time" in capsys.readouterr().err
+    assert not any(out.iterdir())
 
 
 def test_thread_env(monkeypatch):
@@ -448,7 +490,7 @@ class RecordingPool:
         pass
 
 
-@pytest.mark.parametrize("cmd,tasks", [(cmd_scan, 4), (cmd_quantum, 11)])
+@pytest.mark.parametrize("cmd,tasks", [(cmd_scan, 4), (cmd_quantum, 16)])
 def test_huge_worker_request_is_capped_and_gathered_in_order(tmp_path, monkeypatch, cmd, tasks):
     # an extreme request starts no process here: the pool is a recorder
     monkeypatch.setattr(runner, "ProcessPoolExecutor", RecordingPool)
@@ -511,7 +553,7 @@ def test_output_bytes_do_not_depend_on_worker_count(tmp_path, command):
         assert proc.returncode == 0, proc.stderr
         manifests[threads] = check_manifest(out)
     assert manifests[2]["outputs"] == manifests[1]["outputs"]
-    tasks = {"quantum": 32 - 5, "scan": 4}.get(command, 1)
+    tasks = {"quantum": 32, "scan": 4}.get(command, 1)
     for threads, manifest in manifests.items():
         env = manifest["environment"]
         assert env["workers"] == min(threads, tasks, len(os.sched_getaffinity(0)))

@@ -2,6 +2,8 @@
 
 import math
 import re
+from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from leakmap.quantum import (
 from leakmap.runner import leak_scan
 from leakmap.standard_map import Leak
 from leakmap.tomography import (
+    BIN_INDEX_LIMIT,
     M_RANGE,
     PLAN_CACHE_SIZE,
     WINDOW_LOG_CUT,
@@ -28,6 +31,7 @@ from leakmap.tomography import (
     bin_means,
     coherent_state,
     dwell_bins,
+    entropy_grid,
     husimi,
     mean_husimi,
     state_entropies,
@@ -304,9 +308,7 @@ def test_batch_loops_equal_per_state_path(n, n_q, n_p, center):
     acc = np.zeros((n_q, n_p))
     for f in fields[:5]:
         acc += f
-    mean, top_s_w = mean_husimi(res, 5, (n_q, n_p))
-    assert np.array_equal(mean.values, acc / acc.sum())
-    assert np.array_equal(top_s_w, state_entropies(res, (n_q, n_p), slice(0, 5)))
+    assert np.array_equal(mean_husimi(res, 5, (n_q, n_p)).values, acc / acc.sum())
 
 
 @pytest.mark.parametrize("n,cuts", [(32, (0, 16, 32)), (17, (0, 5, 6, 17)), (8, (0, 8))])
@@ -416,12 +418,41 @@ def test_closed_map_states_cluster_at_high_entropy():
 
 
 # ---------------------------------------------------------------------------
+# entropy quadrature grid
+
+
+def test_husimi_fourier_modes_lie_under_the_coherent_envelope():
+    # a state's Husimi field is its Wigner function smoothed by the
+    # coherent state, so no Fourier mode beyond n exceeds exp(-pi n^2 / 2N),
+    # down to the double-precision floor where entropy_grid stops
+    N, n = 64, 256
+    k = np.abs(np.fft.fftfreq(n, 1.0 / n))
+    beyond = np.maximum(k[:, None], k[None, :])
+    last = math.floor(math.sqrt(2.0 * N * math.log(2.0**52) / math.pi))
+    assert last == 38
+    rng = np.random.default_rng(3)
+    for _ in range(3):
+        v = rng.normal(size=N) + 1j * rng.normal(size=N)
+        modes = np.abs(np.fft.fft2(husimi(v, N, (n, n)).values))
+        for m in range(1, last + 1):
+            assert modes[beyond >= m].max() <= math.exp(-math.pi * m * m / (2 * N)), m
+
+
+def test_entropy_grid_is_the_smallest_5_smooth_size_past_the_envelope():
+    assert [entropy_grid(N) for N in (16, 64, 128, 256, 512)] == [20, 40, 60, 80, 120]
+    smooth = sorted(2**a * 3**b * 5**c for a in range(12) for b in range(8) for c in range(6))
+    for N in range(2, 1100):
+        bound = math.sqrt(2.0 * N * 52 * math.log(2.0) / math.pi)
+        assert entropy_grid(N) == next(x for x in smooth if x >= bound), N
+
+
+# ---------------------------------------------------------------------------
 # state ensembles
 
 
 def test_mean_husimi_single_state_identity():
     res = open_resonances(16, 0.2)
-    m1 = mean_husimi(res, 1, (60, 60))[0]
+    m1 = mean_husimi(res, 1, (60, 60))
     top = husimi(res.vectors[:, 0], 16, (60, 60))
     assert_allclose(m1.values, top.values, rtol=0, atol=1e-14)
 
@@ -434,7 +465,7 @@ def test_mean_husimi_needs_enough_live_states():
 
 def test_mean_husimi_normalized():
     res = open_resonances(16, 0.5)
-    f = mean_husimi(res, 5, (40, 40))[0]
+    f = mean_husimi(res, 5, (40, 40))
     assert abs(f.values.sum() - 1.0) <= 1e-12
 
 
@@ -464,6 +495,23 @@ def test_entropy_vs_dwell_rejects_closed_system():
 def test_entropy_vs_dwell_rejects_bad_bin_width(width):
     with pytest.raises(ValueError, match="bin width"):
         dwell_bins(open_resonances(8, 0.2), width)
+
+
+def test_bin_centers_lie_strictly_inside_their_bins_up_to_the_limit():
+    # indices just below 2^52, where rounding (index + 1/2) * width is
+    # nearly half a bin, checked in exact arithmetic
+    rng = np.random.default_rng(7)
+    for width in (1e-15, 0.08, 0.3, 7.0, *10.0 ** rng.uniform(-12, 3, 20)):
+        top = BIN_INDEX_LIMIT - np.arange(2, 200)
+        dwell = np.concatenate([top * width, rng.uniform(0.0, 1.0, 50) * top[0] * width])
+        bins = dwell_bins(SimpleNamespace(dwell=dwell), width)
+        assert bins.max() >= BIN_INDEX_LIMIT - 300
+        index, center, _, _ = bin_means(bins, np.zeros(dwell.size), width)
+        w = Fraction(width)
+        for i, c in zip(index.tolist(), center.tolist()):
+            assert i * w < Fraction(c) < (i + 1) * w, (width, i)
+    with pytest.raises(ValueError, match="bin index reaches 2\\^52"):
+        dwell_bins(SimpleNamespace(dwell=np.array([0.5, BIN_INDEX_LIMIT * 0.08])), 0.08)
 
 
 def test_entropy_vs_dwell_rejects_bin_index_past_int64():
