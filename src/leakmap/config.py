@@ -27,15 +27,6 @@ class ConfigError(ValueError):
         super().__init__("invalid configuration:\n" + "\n".join(f"  - {v}" for v in self.violations))
 
 
-def _parse_bool(text: str) -> bool:
-    t = text.strip().lower()
-    if t in ("1", "true", "yes", "on"):
-        return True
-    if t in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     k: float = 10.0
@@ -46,7 +37,6 @@ class ExperimentConfig:
     ftle_steps: int = 10
     t_max: int = 1000
     dim: int = 512
-    dump_vectors: bool = False
     husimi_q: int = 1000
     husimi_p: int = 1000
     top_states: int = 20
@@ -68,7 +58,6 @@ _SCHEMA = {
     ("classical", "ftle_steps"): ("ftle_steps", int),
     ("classical", "t_max"): ("t_max", int),
     ("quantum", "dim"): ("dim", int),
-    ("quantum", "dump_vectors"): ("dump_vectors", _parse_bool),
     ("husimi", "grid_q"): ("husimi_q", int),
     ("husimi", "grid_p"): ("husimi_p", int),
     ("husimi", "top_states"): ("top_states", int),
@@ -177,8 +166,6 @@ def serialize_config(cfg: ExperimentConfig) -> str:
         val = getattr(cfg, attr)
         if parser is float:
             text = repr(float(val))
-        elif parser is _parse_bool:
-            text = "true" if val else "false"
         else:
             text = str(val)
         lines.append(f"{key} = {text}")

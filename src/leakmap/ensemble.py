@@ -238,7 +238,7 @@ def escape_ensemble(grid: PhaseSpaceGrid, leak: Leak, t_max: int, params: MapPar
     )
 
 
-def dwell_ftle_field(ensemble: EscapeEnsemble, cutoff: int = 0):
+def dwell_ftle_field(ensemble: EscapeEnsemble, cutoff: int):
     """Dwell-time and dwell-FTLE fields from an escape ensemble.
 
     Cells with tau < cutoff are masked out (short transients), as are cells

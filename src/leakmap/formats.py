@@ -18,9 +18,7 @@ __all__ = [
     "write_lcf",
     "read_lcf",
     "write_csv",
-    "write_field_csv",
     "write_pgm",
-    "complex_to_interleaved",
     "sha256_file",
 ]
 
@@ -29,12 +27,10 @@ LCF_DTYPE_F64 = 1  # little-endian float64; the only code defined so far
 
 
 def _format_column(col: np.ndarray) -> list:
-    """Shortest round-trip text of every entry: bools as 1/0, integers
-    plain, everything else as the repr of a float.  Formatting Python
-    scalars from `tolist` is about twice as fast as numpy scalars."""
+    """Shortest round-trip text of every entry: integers plain, everything
+    else as the repr of a float.  Formatting Python scalars from `tolist`
+    is about twice as fast as numpy scalars."""
     values = col.tolist()
-    if col.dtype.kind == "b":
-        return ["1" if x else "0" for x in values]
     if col.dtype.kind in "iu":
         return list(map(str, values))
     return [repr(float(x)) for x in values]
@@ -82,17 +78,6 @@ def write_csv(path, header, columns) -> Path:
     return path
 
 
-def write_field_csv(path, field) -> Path:
-    """ScalarField as rows `q,p,value,mask` over all cells, row-major."""
-    grid = field.grid
-    qq, pp = grid.points()
-    return write_csv(
-        path,
-        ["q", "p", "value", "mask"],
-        [qq, pp, field.values.ravel(), field.mask.ravel()],
-    )
-
-
 def write_pgm(path, values: np.ndarray, mask: np.ndarray | None = None) -> list[Path]:
     """8-bit grayscale PGM heatmap plus a JSON sidecar with the scale.
 
@@ -136,19 +121,6 @@ def write_pgm(path, values: np.ndarray, mask: np.ndarray | None = None) -> list[
     }
     sidecar.write_text(json.dumps(meta, indent=1, sort_keys=True) + "\n")
     return [path, sidecar]
-
-
-def complex_to_interleaved(vectors: np.ndarray) -> np.ndarray:
-    """Columns of a complex matrix as rows of interleaved re/im pairs.
-
-    An (N, M) complex matrix becomes an (M, 2N) real matrix: row j holds
-    [re v_j[0], im v_j[0], re v_j[1], ...] for column j of the input.
-    """
-    v = np.asarray(vectors)
-    out = np.empty((v.shape[1], 2 * v.shape[0]))
-    out[:, 0::2] = v.real.T
-    out[:, 1::2] = v.imag.T
-    return out
 
 
 def sha256_file(path) -> str:

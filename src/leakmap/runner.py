@@ -50,7 +50,7 @@ from .ensemble import (
     strip_scan,
     survival_probability,
 )
-from .formats import complex_to_interleaved, sha256_file, write_csv, write_field_csv, write_lcf, write_pgm
+from .formats import sha256_file, write_csv, write_lcf, write_pgm
 from .quantum import (
     QuantumParams,
     build_projector,
@@ -242,7 +242,6 @@ def cmd_ftle_field(cfg: ExperimentConfig, workers: int | None) -> list:
     means = strip_scan(field, positions, cfg.leak_width)
     run.stage("write")
     run.add(write_lcf(run.path("ftle_field.lcf"), field.values))
-    run.add(write_field_csv(run.path("ftle_field.csv"), field))
     run.add(write_pgm(run.path("ftle_field.pgm"), field.values, field.mask))
     run.add(write_csv(run.path("strip_means.csv"), ["q_L", "mean_ftle"], [positions, means]))
     return run.finish(
@@ -274,10 +273,8 @@ def cmd_open_classical(cfg: ExperimentConfig, workers: int | None) -> list:
     run.stage("write")
     run.add(write_csv(run.path("survival.csv"), ["n", "P"], [curve.n, curve.p]))
     run.add(write_lcf(run.path("dwell_time_field.lcf"), dwell.values))
-    run.add(write_field_csv(run.path("dwell_time_field.csv"), dwell))
     run.add(write_pgm(run.path("dwell_time_field.pgm"), dwell.values, dwell.mask))
     run.add(write_lcf(run.path("dwell_ftle_field.lcf"), lam.values))
-    run.add(write_field_csv(run.path("dwell_ftle_field.csv"), lam))
     run.add(write_pgm(run.path("dwell_ftle_field.pgm"), lam.values, lam.mask))
     run.add(
         write_csv(
@@ -361,8 +358,6 @@ def cmd_quantum(cfg: ExperimentConfig, workers: int | None) -> list:
             bin_means(bins, s_w, cfg.dwell_bin),
         )
     )
-    if cfg.dump_vectors:
-        run.add(write_lcf(run.path("schur_vectors.lcf"), complex_to_interleaved(res.vectors)))
     return run.finish(
         {
             "N": cfg.dim,
@@ -428,8 +423,9 @@ def leak_scan(cfg: ExperimentConfig, workers: int | None) -> tuple:
 
 
 def cmd_scan(cfg: ExperimentConfig, workers: int | None) -> list:
-    """Classical and quantum leak-position scans (`leak_scan`) plus their
-    correlations; position_timings_s holds each position's busy seconds."""
+    """Classical and quantum leak-position scans (`leak_scan`); the
+    manifest's extra holds their Pearson correlations, and its
+    position_timings_s each position's busy seconds."""
     run = _Run(cfg, "scan")
     columns, timings, busy, defect = leak_scan(cfg, run.use_workers(workers, cfg.scan_positions))
     run.timings.update(timings)
@@ -439,20 +435,14 @@ def cmd_scan(cfg: ExperimentConfig, workers: int | None) -> list:
         ("scan_errors.csv", ["q_L", "se_tau", "se_lambda", "se_T", "se_SW", "unescaped_fraction"]),
     ):
         run.add(write_csv(run.path(name), header, [columns[h] for h in header]))
-    corr = {
-        "pearson_tau_T": _pearson(columns["mean_tau"], columns["mean_T"]),
-        "pearson_lambda_SW": _pearson(columns["mean_lambda"], columns["mean_SW"]),
-    }
-    cpath = run.path("correlations.json")
-    cpath.write_text(json.dumps(corr, indent=1, sort_keys=True, allow_nan=False) + "\n")
-    run.add(cpath)
     return run.finish(
         {
             "N": cfg.dim,
             "positions": cfg.scan_positions,
             "leak_width": cfg.leak_width,
             "unitarity_defect": defect,
-            **corr,
+            "pearson_tau_T": _pearson(columns["mean_tau"], columns["mean_T"]),
+            "pearson_lambda_SW": _pearson(columns["mean_lambda"], columns["mean_SW"]),
         },
         position_timings_s=[
             {"q_L": float(q), **{key: round(t, 6) for key, t in zip(SCAN_STAGES, times)}}

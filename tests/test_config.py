@@ -22,7 +22,7 @@ def test_default_serialization_round_trip():
 
 def test_modified_round_trip():
     cfg = dataclasses.replace(
-        default_config(), k=7.5, dim=128, dump_vectors=True, output="elsewhere"
+        default_config(), k=7.5, dim=128, top_states=7, output="elsewhere"
     )
     assert parse_config(serialize_config(cfg)) == cfg
 
@@ -38,13 +38,13 @@ center = 0.5
 width = 0.1
 
 [quantum]
-dump_vectors = yes
+dim = 64
 """
     )
     assert cfg.k == 9.0
     assert cfg.leak_center == 0.5
     assert cfg.leak_width == 0.1
-    assert cfg.dump_vectors is True
+    assert cfg.dim == 64
     assert cfg.t_max == default_config().t_max  # untouched keys keep defaults
 
 

@@ -269,7 +269,7 @@ def test_dwell_ftle_field_always_masks_leak_interior():
 def test_full_torus_leak_yields_empty_field():
     ens = escape_ensemble(PhaseSpaceGrid(8, 8), Leak(0.5, 1.0), 10, PARAMS)
     assert ens.escape_fraction == 1.0
-    _, f = dwell_ftle_field(ens)
+    _, f = dwell_ftle_field(ens, 0)
     assert not f.mask.any()
     with pytest.raises(ValueError):
         ftle_histogram(f)

@@ -7,16 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-from leakmap.ensemble import PhaseSpaceGrid, ScalarField
-from leakmap.formats import (
-    complex_to_interleaved,
-    read_lcf,
-    sha256_file,
-    write_csv,
-    write_field_csv,
-    write_lcf,
-    write_pgm,
-)
+from leakmap.formats import read_lcf, sha256_file, write_csv, write_lcf, write_pgm
 
 
 # ---------------------------------------------------------------------------
@@ -70,10 +61,10 @@ def test_lcf_read_validation(tmp_path):
 def test_csv_formatting(tmp_path):
     p = write_csv(
         tmp_path / "t.csv",
-        ["n", "x", "flag"],
-        [np.array([1, 2]), np.array([0.1, 2.0]), np.array([True, False])],
+        ["n", "x"],
+        [np.array([1, 2]), np.array([0.1, 2.0])],
     )
-    assert p.read_text() == "n,x,flag\n1,0.1,1\n2,2.0,0\n"
+    assert p.read_text() == "n,x\n1,0.1\n2,2.0\n"
 
 
 def test_csv_floats_round_trip_exactly(tmp_path):
@@ -86,8 +77,6 @@ def test_csv_floats_round_trip_exactly(tmp_path):
 
 def per_scalar_text(x) -> str:
     """Reference formatting of one numpy scalar, as write_csv once did it."""
-    if isinstance(x, (bool, np.bool_)):
-        return "1" if x else "0"
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     return repr(float(x))
@@ -101,30 +90,15 @@ def test_csv_bytes_equal_per_scalar_formatting(tmp_path):
         np.arange(100, dtype=np.uint8),
         floats,
         rng.normal(size=100).astype(np.float32),
-        rng.random(100) > 0.5,
     ]
-    p = write_csv(tmp_path / "t.csv", ["i", "u", "x", "y", "flag"], cols)
-    lines = ["i,u,x,y,flag"] + [",".join(per_scalar_text(c[i]) for c in cols) for i in range(100)]
+    p = write_csv(tmp_path / "t.csv", ["i", "u", "x", "y"], cols)
+    lines = ["i,u,x,y"] + [",".join(per_scalar_text(c[i]) for c in cols) for i in range(100)]
     assert p.read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
 def test_csv_rejects_ragged_columns(tmp_path):
     with pytest.raises(ValueError):
         write_csv(tmp_path / "t.csv", ["a", "b"], [np.arange(3), np.arange(4)])
-
-
-def test_field_csv_rows_are_row_major_cells(tmp_path):
-    grid = PhaseSpaceGrid(2, 2)
-    f = ScalarField(
-        grid,
-        np.array([[1.0, 2.0], [3.0, np.nan]]),
-        np.array([[True, True], [True, False]]),
-    )
-    p = write_field_csv(tmp_path / "f.csv", f)
-    lines = p.read_text().splitlines()
-    assert lines[0] == "q,p,value,mask"
-    assert lines[1] == "0.25,0.25,1.0,1"
-    assert lines[4] == "0.75,0.75,nan,0"
 
 
 # ---------------------------------------------------------------------------
@@ -179,12 +153,6 @@ def test_pgm_rejects_non_matrix(tmp_path):
 
 # ---------------------------------------------------------------------------
 # helpers
-
-
-def test_complex_to_interleaved_layout():
-    m = np.array([[1 + 2j, 5 + 6j], [3 + 4j, 7 + 8j]])
-    out = complex_to_interleaved(m)
-    assert_array_equal(out, [[1.0, 2.0, 3.0, 4.0], [5.0, 6.0, 7.0, 8.0]])
 
 
 def test_sha256_known_vector(tmp_path):

@@ -20,7 +20,7 @@ def test_digests_of_this_tree_agree_across_worker_settings(capsys):
     fields = [line.split(" ") for line in lines]
     assert all(len(f) == 3 and len(f[2]) == 64 for f in fields)
     assert {f[0] for f in fields} == {"ftle-field", "open-classical", "quantum", "scan"}
-    assert ["scan", "correlations.json"] in [f[:2] for f in fields]
+    assert ["scan", "scan.csv"] in [f[:2] for f in fields]
 
 
 def test_disagreeing_worker_settings_exit_1(monkeypatch, capsys):

@@ -71,6 +71,19 @@ def check_manifest(outdir):
     return manifest
 
 
+def manifest_paths(manifest):
+    return {entry["path"] for entry in manifest["outputs"]}
+
+
+def pgm_pixels(path):
+    """Pixel matrix of a binary PGM as write_pgm writes it (rows along q)."""
+    raw = path.read_bytes()
+    magic, size, depth, pixels = raw.split(b"\n", 3)
+    cols, rows = map(int, size.split())
+    assert (magic, depth) == (b"P5", b"255")
+    return np.frombuffer(pixels, dtype=np.uint8).reshape(rows, cols)
+
+
 # ---------------------------------------------------------------------------
 # commands
 
@@ -81,6 +94,7 @@ def test_cmd_ftle_field_artifacts(tmp_path):
     assert all(p.exists() for p in files)
     manifest = check_manifest(out)
     assert manifest["command"] == "ftle-field"
+    assert manifest_paths(manifest) == {"ftle_field.lcf", "ftle_field.pgm", "ftle_field.pgm.json", "strip_means.csv"}
     field = read_lcf(out / "ftle_field.lcf")
     assert field.shape == (48, 48)
     assert manifest["extra"]["field_mean"] == pytest.approx(field.mean())
@@ -114,21 +128,41 @@ def test_cmd_open_classical_artifacts(tmp_path):
     survival = (out / "survival.csv").read_text().splitlines()
     assert survival[0] == "n,P"
     assert len(survival) == 602  # header + n = 0 .. t_max
-    dwell = read_lcf(out / "dwell_time_field.lcf")
-    assert dwell.shape == (160, 160)
-    for name in (
+    assert manifest_paths(manifest) == {
+        "survival.csv",
+        "dwell_time_field.lcf",
         "dwell_time_field.pgm",
+        "dwell_time_field.pgm.json",
+        "dwell_ftle_field.lcf",
         "dwell_ftle_field.pgm",
+        "dwell_ftle_field.pgm.json",
         "ftle_histogram.csv",
         "ftle_by_dwell.csv",
-    ):
-        assert (out / name).is_file()
+    }
+    # the fields' mask is rebuilt from the dwell LCF and the manifest's n_c:
+    # it is exactly the nonzero pixels of both images, and the dwell FTLE
+    # is finite on it
+    dwell = read_lcf(out / "dwell_time_field.lcf")
+    assert dwell.shape == (160, 160)
+    mask = dwell >= max(extra["n_c"], 1)
+    assert 0 < mask.sum() < mask.size
+    for name in ("dwell_time_field.pgm", "dwell_ftle_field.pgm"):
+        assert np.array_equal(pgm_pixels(out / name) != 0, mask)
+    assert np.isfinite(read_lcf(out / "dwell_ftle_field.lcf")[mask]).all()
 
 
 def test_cmd_quantum_artifacts(tmp_path):
     out = tmp_path / "run"
     cmd_quantum(toy_config(out, leak_center=0.2), None)
     manifest = check_manifest(out)
+    assert manifest_paths(manifest) == {
+        "spectrum.csv",
+        "mean_husimi.lcf",
+        "mean_husimi.pgm",
+        "mean_husimi.pgm.json",
+        "wehrl_scatter.csv",
+        "wehrl_bins.csv",
+    }
     extra = manifest["extra"]
     assert extra["N"] == 32
     assert extra["unitarity_defect"] <= 1e-12
@@ -137,7 +171,6 @@ def test_cmd_quantum_artifacts(tmp_path):
     spectrum = (out / "spectrum.csv").read_text().splitlines()
     assert spectrum[0] == "k,re_z,im_z,theta,gamma,dwell_time"
     assert len(spectrum) == 33
-    assert not (out / "schur_vectors.lcf").exists()
 
 
 @pytest.mark.parametrize("dim,n", [(16, 20), (64, 40)])
@@ -164,30 +197,19 @@ def test_manifest_environment_names_the_linalg_build(tmp_path):
         assert env[lib] == {"name": deps[lib]["name"], "version": deps[lib]["version"]}
 
 
-def test_cmd_quantum_dump_vectors(tmp_path):
-    out = tmp_path / "run"
-    cmd_quantum(toy_config(out, dim=16, dump_vectors=True), None)
-    vecs = read_lcf(out / "schur_vectors.lcf")
-    assert vecs.shape == (16, 32)  # one row per state, interleaved re/im
-    norms = vecs[:, 0::2] ** 2 + vecs[:, 1::2] ** 2
-    np.testing.assert_allclose(norms.sum(axis=1), 1.0, rtol=1e-12)
-
-
 def test_cmd_scan_artifacts(tmp_path):
     out = tmp_path / "run"
     cmd_scan(toy_config(out, dim=16, t_max=400), None)
     manifest = check_manifest(out)
+    assert manifest_paths(manifest) == {"scan.csv", "scan_errors.csv"}
     scan = (out / "scan.csv").read_text().splitlines()
     assert scan[0] == "q_L,mean_tau,mean_lambda,mean_T,mean_SW"
     assert len(scan) == 5
     first = scan[1].split(",")
     assert float(first[0]) == 0.0  # positions sample [0, 1) from 0
-    corr = json.loads((out / "correlations.json").read_text())
-    assert set(corr) == {"pearson_tau_T", "pearson_lambda_SW"}
-    assert all(-1.0 <= v <= 1.0 for v in corr.values())
-    assert manifest["extra"]["pearson_tau_T"] == corr["pearson_tau_T"]
-    assert manifest["extra"]["unitarity_defect"] <= 1e-12
-    assert (out / "scan_errors.csv").is_file()
+    extra = manifest["extra"]
+    assert all(-1.0 <= extra[k] <= 1.0 for k in ("pearson_tau_T", "pearson_lambda_SW"))
+    assert extra["unitarity_defect"] <= 1e-12
 
 
 def strict_json(path):
@@ -205,7 +227,6 @@ def test_cmd_scan_writes_null_for_undefined_correlations(tmp_path, overrides):
     out = tmp_path / "run"
     cmd_scan(toy_config(out, dim=16, t_max=400, **overrides), None)
     undefined = {"pearson_tau_T": None, "pearson_lambda_SW": None}
-    assert strict_json(out / "correlations.json") == undefined
     extra = strict_json(out / "manifest.json")["extra"]
     assert {k: extra[k] for k in undefined} == undefined
 
@@ -306,8 +327,8 @@ def test_manifest_lists_only_this_runs_files(tmp_path):
     # files its own command wrote, not what an earlier run left behind
     out = tmp_path / "shared"
     for cmd, cfg in (
-        (cmd_quantum, toy_config(out, dim=16, dump_vectors=True)),
         (cmd_quantum, toy_config(out, dim=16)),
+        (cmd_quantum, toy_config(out, dim=16, leak_center=0.2)),
         (cmd_ftle_field, toy_config(out)),
     ):
         written = [str(p.relative_to(out)) for p in cmd(cfg, None) if p.name != "manifest.json"]
@@ -315,7 +336,7 @@ def test_manifest_lists_only_this_runs_files(tmp_path):
         assert [e["path"] for e in outputs] == sorted(written)
         for entry in outputs:
             assert sha256_file(out / entry["path"]) == entry["sha256"]
-    assert (out / "schur_vectors.lcf").is_file()  # left over, unlisted
+    assert (out / "spectrum.csv").is_file()  # left over, unlisted
 
 
 # ---------------------------------------------------------------------------
@@ -367,6 +388,8 @@ def test_cli_config_errors_exit_1(tmp_path, capsys):
     assert run_cli(["quantum", "--quantum.dims", "4"]) == 1  # unknown key
     capsys.readouterr()
     out = tmp_path / "never"
+    assert run_cli(["quantum", "--output", str(out), "--quantum.dump_vectors", "true"]) == 1
+    assert "quantum.dump_vectors: unknown key" in capsys.readouterr().err
     for key, value in (("leak.center", "nan"), ("husimi.dwell_bin", "nan"), ("husimi.dwell_bin", "inf")):
         assert run_cli(["quantum", "--output", str(out), f"--{key}", value]) == 1
         assert f"{key}:" in capsys.readouterr().err
