@@ -205,8 +205,6 @@ class EscapeEnsemble:
     """
 
     grid: PhaseSpaceGrid
-    leak: Leak
-    params: MapParams
     t_max: int
     tau: np.ndarray
     ftle: np.ndarray
@@ -229,8 +227,6 @@ def escape_ensemble(grid: PhaseSpaceGrid, leak: Leak, t_max: int, params: MapPar
     shape = (grid.n_q, grid.n_p)
     return EscapeEnsemble(
         grid=grid,
-        leak=leak,
-        params=params,
         t_max=t_max,
         tau=tau.reshape(shape),
         ftle=lam.reshape(shape),
@@ -300,10 +296,9 @@ def survival_probability(ensemble: EscapeEnsemble) -> SurvivalCurve:
 
 @dataclass(frozen=True)
 class TailFit:
-    """Least-squares exponential fit ln P(n) = intercept - gamma n."""
+    """Least-squares exponential fit ln P(n) = c - gamma n."""
 
     gamma: float
-    intercept: float
     n_lo: int
     n_hi: int
     n_points: int
@@ -334,7 +329,6 @@ def exponential_tail_fit(curve: SurvivalCurve) -> TailFit:
         raise RuntimeError(f"survival tail does not decay (fitted rate {gamma:.3g})")
     return TailFit(
         gamma=gamma,
-        intercept=float(intercept),
         n_lo=int(x[0]),
         n_hi=int(x[-1]),
         n_points=n_points,

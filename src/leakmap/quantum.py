@@ -8,6 +8,14 @@ which is unitary for every N, not just special values: the free part is a
 quadratic Gauss kernel and the kick is a diagonal phase.  Opening the system
 projects out lattice sites inside the leak strip; decay rates and dwell
 times come from the moduli of the resulting non-unitary spectrum.
+
+The kick acts first: U = F K, with K the diagonal kick phase and F the
+Gauss kernel, while the classical map (`standard_map`) kicks last.  A
+state v of U, and so every Schur vector, lives on the pre-kick section;
+every classical field is indexed by the post-kick (q, p), where the
+matching state is K v.  P F K and P K F are similar through K, so the
+spectrum and the dwell times do not depend on the choice; the Husimi
+fields and Wehrl entropies do (ROADMAP, open item 2).
 """
 
 from __future__ import annotations

@@ -327,12 +327,12 @@ def cmd_quantum(cfg: ExperimentConfig, workers: int | None) -> list:
     edges = [b * cfg.dim // n for b in range(n + 1)]
 
     def block(b):
-        return state_entropies(res, grid, slice(edges[b], edges[b + 1]))
+        return state_entropies(res.vectors[:, edges[b] : edges[b + 1]], grid)
 
     with _task_results(block, n, n) as blocks:
         s_w = np.concatenate(list(blocks))
     top = slice(0, cfg.top_states)
-    grid_check = np.abs(state_entropies(res, (2 * n_grid, 2 * n_grid), top) - s_w[top]).max()
+    grid_check = np.abs(state_entropies(res.vectors[:, top], (2 * n_grid, 2 * n_grid)) - s_w[top]).max()
     run.stage("write")
     k_idx = np.arange(1, cfg.dim + 1)
     run.add(
@@ -342,8 +342,8 @@ def cmd_quantum(cfg: ExperimentConfig, workers: int | None) -> list:
             [k_idx, res.z.real, res.z.imag, res.theta, res.gamma, res.dwell],
         )
     )
-    run.add(write_lcf(run.path("mean_husimi.lcf"), mean_field.values))
-    run.add(write_pgm(run.path("mean_husimi.pgm"), mean_field.values))
+    run.add(write_lcf(run.path("mean_husimi.lcf"), mean_field))
+    run.add(write_pgm(run.path("mean_husimi.pgm"), mean_field))
     run.add(
         write_csv(
             run.path("wehrl_scatter.csv"),
@@ -377,9 +377,10 @@ def leak_scan(cfg: ExperimentConfig, workers: int | None) -> tuple:
     """Classical and quantum statistics at `cfg.scan_positions` leak centers.
 
     The unitary (checked as `quantum` checks it), the projectors and the
-    Husimi plan are built once; each position is then one task (its escape
-    ensemble and one Schur spectrum) run over at most
-    `worker_count(workers, positions)` processes, with one stderr line as
+    Husimi plan with its coherent reference are built once, so a bad
+    unitary or Husimi grid fails before any position runs; each position is
+    then one task (its escape ensemble and one Schur spectrum) run over at
+    most `worker_count(workers, positions)` processes, with one stderr line as
     each is gathered.  Returns (columns, timings, busy, defect): columns
     maps q_L and each SCAN_COLUMNS header to its column; busy holds each
     position's busy seconds per SCAN_STAGES key; timings holds the wall
@@ -395,7 +396,7 @@ def leak_scan(cfg: ExperimentConfig, workers: int | None) -> tuple:
     # shared by every position: built once, inherited by forked workers
     u, defect = _checked_unitary(qp)
     keeps = [build_projector(qp, Leak(float(c), cfg.leak_width)) for c in positions]
-    husimi_plan(cfg.dim, resolution)
+    husimi_plan(cfg.dim, resolution).coherent_entropy
 
     def position(i):
         t0 = time.perf_counter()

@@ -24,9 +24,10 @@ the FFT columns, later ones (wraps) are added, in lattice order.  The
 result is identical to the naive overlaps at machine precision; only terms
 with Gaussian weight below ~1e-20 are dropped.
 
-Batches of states (`state_entropies`, `mean_husimi`) run every transform,
-normalization and entropy reduction inside one workspace allocated per
-call, so the per-state loop allocates no grid-sized array.
+Every field and every s_w comes from a plan (`husimi_plan`) and one
+workspace per batch of states, so the per-state loop allocates no
+grid-sized array; the coherent reference that fixes the s_w scale runs
+through the same entropy loop as every state.
 
 A Wehrl entropy is an integral over the torus, and the grid that images a
 field need not be the grid that integrates it: `entropy_grid(N)` is the
@@ -38,7 +39,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,15 +46,11 @@ from .quantum import ResonanceSet
 from .standard_map import TWO_PI
 
 __all__ = [
-    "HusimiField",
     "HusimiTransform",
-    "WehrlRecord",
     "coherent_state",
     "husimi_plan",
-    "husimi",
     "entropy_grid",
     "mean_husimi",
-    "wehrl_entropy",
     "state_entropies",
     "dwell_bins",
     "bin_means",
@@ -72,23 +68,6 @@ WINDOW_LOG_CUT = 46.0
 EXP_ZERO_EXPONENT = 746.0
 
 
-@dataclass
-class HusimiField:
-    """Non-negative Husimi masses on an n_q x n_p grid of cell centers
-    ((i+1/2)/n_q, (j+1/2)/n_p); masses sum to 1."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.ndim != 2:
-            raise ValueError(f"Husimi field must be 2-D, got shape {self.values.shape}")
-
-    @property
-    def shape(self):
-        return self.values.shape
-
-
 def coherent_state(center, N: int) -> np.ndarray:
     """Normalized torus coherent state at (q0, p0), length-N complex vector."""
     if N < 2:
@@ -104,7 +83,7 @@ def coherent_state(center, N: int) -> np.ndarray:
     return psi / nrm
 
 
-def _raw_entropy(masses: np.ndarray, scratch=None) -> float:
+def _raw_entropy(masses: np.ndarray, scratch: tuple) -> float:
     """-sum m ln(m M) over cells, with 0 ln 0 := 0.
 
     This is the differential entropy of the field relative to the uniform
@@ -114,13 +93,11 @@ def _raw_entropy(masses: np.ndarray, scratch=None) -> float:
 
     The positive masses are compressed to a contiguous run before the
     log and the sum, so cells of exact zero mass leave the pairwise sum
-    untouched.  scratch, a (bool, float, float) triple of length-M
-    buffers such as `_Workspace.entropy_scratch`, avoids allocating them.
+    untouched.  scratch is a (bool, float, float) triple of length-M
+    buffers, `_Workspace.entropy_scratch`.
     """
     m = masses.ravel()
     big = m.size
-    if scratch is None:
-        scratch = (np.empty(big, dtype=bool), np.empty(big), np.empty(big))
     positive, kept, terms = scratch
     np.greater(m, 0.0, out=positive)
     n = int(np.count_nonzero(positive))
@@ -170,8 +147,7 @@ class HusimiTransform:
     (`coherent_entropy`, `s_w`).  Reuse one instance across many states;
     building it costs about as much as a handful of transforms.  The plan
     itself is read-only: per-call buffers live in a `workspace()`, which
-    the batch functions allocate once per call and pass to every
-    `overlap_field`.
+    each batch allocates once and passes to every `overlap_field`.
     """
 
     def __init__(self, N: int, n_q: int, n_p: int):
@@ -240,18 +216,14 @@ class HusimiTransform:
         """Fresh buffers for `overlap_field`; one per batch of states."""
         return _Workspace(self.n_q, self.n_p)
 
-    def overlap_field(self, state: np.ndarray, work: _Workspace | None = None) -> np.ndarray:
-        """|<alpha(q_i, p_j)|state>|^2 before mass normalization.
-
-        With a workspace the result is written into work.mass, which the
-        next call with that workspace overwrites, and nothing grid-sized is
-        allocated.  Without one the result is a fresh array.
+    def overlap_field(self, state: np.ndarray, work: _Workspace) -> np.ndarray:
+        """|<alpha(q_i, p_j)|state>|^2 before mass normalization, written
+        into work.mass, which the next call with that workspace overwrites;
+        nothing grid-sized is allocated.
         """
         v = np.asarray(state, dtype=complex).ravel()
         if v.size != self.N:
             raise ValueError(f"state length {v.size} != N = {self.N}")
-        if work is None:
-            work = self.workspace()
         phased = v[self._src] * self._half_phase
         # The first chunk is written onto columns 0 .. width-1, later ones
         # (wraps) are added, so each column sums its sites in lattice order.
@@ -271,9 +243,10 @@ class HusimiTransform:
         mass /= self._norm2
         return mass
 
-    def field(self, state: np.ndarray) -> HusimiField:
-        """Mass-normalized Husimi field of a state."""
-        return HusimiField(values=_normalize(self.overlap_field(state)))
+    def field(self, state: np.ndarray) -> np.ndarray:
+        """Mass-normalized Husimi field of a state, a fresh array: masses
+        at the cell centers ((i+1/2)/n_q, (j+1/2)/n_p), summing to 1."""
+        return _normalize(self.overlap_field(state, self.workspace()))
 
     @property
     def coherent_entropy(self) -> float:
@@ -284,7 +257,7 @@ class HusimiTransform:
         coarse to resolve the coherent state the scale has no length.
         """
         if self._s_coh is None:
-            s_coh = _raw_entropy(self.field(coherent_state((0.5, 0.5), self.N)).values)
+            s_coh = float(_raw_entropies(self, coherent_state((0.5, 0.5), self.N)[:, None])[0])
             if s_coh >= -1e-9:
                 raise RuntimeError(f"degenerate coherent reference entropy {s_coh:.3g}")
             self._s_coh = s_coh
@@ -314,11 +287,6 @@ def husimi_plan(N: int, resolution) -> HusimiTransform:
     every function here uses; building it ahead of a fork lets worker
     processes inherit it."""
     return _plan(int(N), int(resolution[0]), int(resolution[1]))
-
-
-def husimi(state: np.ndarray, N: int, resolution) -> HusimiField:
-    """Husimi field of a length-N state on an n_q x n_p grid."""
-    return husimi_plan(N, resolution).field(state)
 
 
 def entropy_grid(N: int) -> int:
@@ -355,7 +323,7 @@ def _five_smooth(n: int) -> bool:
     return n == 1
 
 
-def mean_husimi(res: ResonanceSet, m: int, resolution) -> HusimiField:
+def mean_husimi(res: ResonanceSet, m: int, resolution) -> np.ndarray:
     """Mean Husimi field of the m longest-lived Schur states, renormalized,
     one transform per state.
 
@@ -372,39 +340,28 @@ def mean_husimi(res: ResonanceSet, m: int, resolution) -> HusimiField:
     acc = np.zeros((plan.n_q, plan.n_p))
     for j in range(m):
         acc += _normalize(plan.overlap_field(res.vectors[:, j], work))
-    return HusimiField(values=acc / acc.sum())
+    return acc / acc.sum()
 
 
-@dataclass(frozen=True)
-class WehrlRecord:
-    """Normalized Wehrl localization of one field: s_w from
-    `HusimiTransform.s_w` and the raw entropy it maps."""
-
-    s_w: float
-    raw_entropy: float
-
-
-def wehrl_entropy(field: HusimiField, N: int) -> WehrlRecord:
-    """Wehrl localization measure of a Husimi field for dimension N."""
-    plan = _plan(N, field.values.shape[0], field.values.shape[1])
-    s = _raw_entropy(field.values)
-    return WehrlRecord(s_w=float(plan.s_w(s)), raw_entropy=s)
-
-
-def state_entropies(res: ResonanceSet, resolution, cols=slice(None)) -> np.ndarray:
-    """s_w of the Schur states res.vectors[:, cols] (all of them by
-    default), in lifetime order.  Each state's value does not depend on
-    the others, so contiguous blocks of columns concatenate to the whole."""
-    vectors = res.vectors[:, cols]
-    plan = husimi_plan(vectors.shape[0], resolution)
-    # Anchor the scale (or fail) before the batch workspace exists, so the
-    # reference transform's buffers are freed before these are allocated.
-    plan.coherent_entropy
+def _raw_entropies(plan: HusimiTransform, vectors: np.ndarray) -> np.ndarray:
+    """Raw entropy of the Husimi field of each column of vectors, all in
+    one workspace."""
     work = plan.workspace()
     raw = np.empty(vectors.shape[1])
     for j in range(raw.size):
         raw[j] = _raw_entropy(_normalize(plan.overlap_field(vectors[:, j], work)), work.entropy_scratch)
-    return plan.s_w(raw)
+    return raw
+
+
+def state_entropies(vectors: np.ndarray, resolution) -> np.ndarray:
+    """s_w of each column of vectors, a 2-D array of length-N states (such
+    as Schur states), in column order.  Each state's value does not depend
+    on the others, so blocks of columns concatenate to the whole."""
+    plan = husimi_plan(vectors.shape[0], resolution)
+    # Anchor the scale (or fail) before the batch workspace exists, so the
+    # reference's buffers are freed before these are allocated.
+    plan.coherent_entropy
+    return plan.s_w(_raw_entropies(plan, vectors))
 
 
 # Dwell-bin indices stay below this.  Below 2^52, index + 1/2 is a
@@ -446,5 +403,5 @@ def bin_means(bins: np.ndarray, s_w: np.ndarray, bin_width: float) -> tuple:
 def wehrl_stats(res: ResonanceSet, resolution) -> tuple:
     """(mean s_w, its standard error) over all states of one resonance
     set."""
-    s_w = state_entropies(res, resolution)
+    s_w = state_entropies(res.vectors, resolution)
     return s_w.mean(), s_w.std(ddof=1) / math.sqrt(s_w.size)

@@ -52,13 +52,7 @@ from leakmap.quantum import (
 from leakmap.config import ExperimentConfig
 from leakmap.runner import leak_scan
 from leakmap.standard_map import Leak, MapParams, ftle
-from leakmap.tomography import (
-    HusimiField,
-    coherent_state,
-    husimi,
-    state_entropies,
-    wehrl_entropy,
-)
+from leakmap.tomography import _raw_entropy, coherent_state, husimi_plan, state_entropies
 
 from conftest import TangentFrame, component_rng, step, tangent_step
 
@@ -186,17 +180,17 @@ def test_small_dimension_eigenvalues_match_polynomial_roots():
 def test_entropy_endpoints_and_bounds():
     n = 128
     resolution = (500, 500)
-    uniform = HusimiField(np.full(resolution, 1.0 / (resolution[0] * resolution[1])))
-    assert wehrl_entropy(uniform, n).s_w == 1.0
-    anchor = husimi(coherent_state((0.5, 0.5), n), n, resolution)
-    assert wehrl_entropy(anchor, n).s_w == 0.0
+    plan = husimi_plan(n, resolution)
+    uniform = np.full(resolution, 1.0 / (resolution[0] * resolution[1]))
+    assert plan.s_w(_raw_entropy(uniform, plan.workspace().entropy_scratch)) == 1.0
+    assert state_entropies(coherent_state((0.5, 0.5), n)[:, None], resolution)[0] == 0.0
     rng = component_rng(1, "tomography")
-    lo, hi = np.inf, -np.inf
+    states = []
     for _ in range(100):
         v = rng.normal(size=n) + 1j * rng.normal(size=n)
-        v /= np.linalg.norm(v)
-        s = wehrl_entropy(husimi(v, n, resolution), n).s_w
-        lo, hi = min(lo, s), max(hi, s)
+        states.append(v / np.linalg.norm(v))
+    s_w = state_entropies(np.stack(states, axis=1), resolution)
+    lo, hi = s_w.min(), s_w.max()
     report("entropy-endpoints", random_min=f"{lo:.4f}", random_max=f"{hi:.4f}")
     assert 0.0 < lo and hi <= 1.0
 
@@ -215,7 +209,7 @@ def test_reference_leak_ordering_of_chaos_measures():
     max_sw = {}
     for center in (0.2, 0.5):
         _, res = open_spectrum(512, center)
-        max_sw[center] = float(state_entropies(res, (1000, 1000), slice(None)).max())
+        max_sw[center] = float(state_entropies(res.vectors, (1000, 1000)).max())
     report(
         "reference-ordering",
         hist_mean_02=f"{hist_mean[0.2]:.4f}",

@@ -39,8 +39,6 @@ def make_ensemble(tau, escaped, ftle_vals, grid=None, t_max=100):
         grid = PhaseSpaceGrid(tau.shape[0], tau.shape[1])
     return EscapeEnsemble(
         grid=grid,
-        leak=Leak(0.5, 0.2),
-        params=PARAMS,
         t_max=t_max,
         tau=tau,
         ftle=np.asarray(ftle_vals, dtype=float),

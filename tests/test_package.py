@@ -1,5 +1,5 @@
 """The package surface: public name lists, the numpy-free top level and
-the count of settable options."""
+the counts of settable options and public names."""
 
 import ast
 import importlib
@@ -33,7 +33,7 @@ def test_top_level_import_loads_no_numpy():
 
 # Settable options: ExperimentConfig fields plus every defaulted parameter
 # or dataclass field default under src/leakmap.
-MAX_OPTIONS = 23
+MAX_OPTIONS = 20
 
 
 def count_options(source: str) -> int:
@@ -50,3 +50,13 @@ def count_options(source: str) -> int:
 def test_settable_options_do_not_grow():
     package = Path(leakmap.__file__).parent
     assert sum(count_options(path.read_text()) for path in package.glob("*.py")) <= MAX_OPTIONS
+
+
+# Public names: the summed length of every submodule's __all__.
+MAX_PUBLIC_NAMES = 63
+
+
+def test_public_names_do_not_grow():
+    modules = [m.name for m in pkgutil.iter_modules(leakmap.__path__)]
+    total = sum(len(getattr(importlib.import_module(f"leakmap.{name}"), "__all__", ())) for name in modules)
+    assert total <= MAX_PUBLIC_NAMES

@@ -182,9 +182,9 @@ def test_cmd_quantum_integrates_s_w_on_the_entropy_grid(tmp_path, dim, n):
     assert extra["entropy_grid"] == [n, n]
     qp = QuantumParams(dim, 10.0)
     res = leak_spectrum(build_unitary(qp), build_projector(qp, Leak(0.2, 0.2)))
-    s_w = state_entropies(res, (n, n))
+    s_w = state_entropies(res.vectors, (n, n))
     assert np.array_equal([float(x) for x in read_columns(tmp_path / "wehrl_scatter.csv")["s_w"]], s_w)
-    check = np.abs(state_entropies(res, (2 * n, 2 * n), slice(0, 5)) - s_w[:5]).max()
+    check = np.abs(state_entropies(res.vectors[:, :5], (2 * n, 2 * n)) - s_w[:5]).max()
     assert extra["entropy_grid_check"] == check
     assert 0.0 < check < 1e-3
 
@@ -259,7 +259,7 @@ def test_leak_scan_columns_are_the_per_position_statistics(tmp_path):
         leak = Leak(float(center), cfg.leak_width)
         cl = escape_stats(escape_ensemble(PhaseSpaceGrid(48, 48), leak, 400, MapParams(cfg.k)))
         res = leak_spectrum(u, build_projector(qp, leak))
-        s_w = state_entropies(res, (40, 40))
+        s_w = state_entropies(res.vectors, (40, 40))
         row = [*cl, *dwell_stats(res)[:2], s_w.mean(), s_w.std(ddof=1) / math.sqrt(16)]
         assert [scan[k][i] for k in runner.SCAN_COLUMNS] == row
     assert len(busy) == 3 and all(len(b) == len(runner.SCAN_STAGES) for b in busy)
@@ -273,6 +273,26 @@ def test_leak_scan_checks_unitarity_before_any_position(tmp_path, monkeypatch):
     with pytest.raises(RuntimeError, match="propagator failed unitarity"):
         leak_scan(toy_config(tmp_path, dim=16, t_max=400), None)
     assert calls == []
+
+
+def test_leak_scan_checks_the_coherent_reference_before_any_position(tmp_path, monkeypatch):
+    # a 2x2 Husimi grid cannot resolve the N = 4 coherent state
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(runner, "escape_ensemble", counted("escape_ensemble", escape_ensemble))
+    monkeypatch.setattr(runner, "leak_spectrum", counted("leak_spectrum", leak_spectrum))
+    cfg = toy_config(tmp_path, dim=4, t_max=400, scan_husimi_q=2, scan_husimi_p=2)
+    with pytest.raises(RuntimeError, match="degenerate coherent reference entropy"):
+        leak_scan(cfg, None)
+    assert calls["escape_ensemble"] == 0
+    assert calls["leak_spectrum"] == 0
 
 
 def test_manifest_stage_keys_read_by_the_benchmark(tmp_path):

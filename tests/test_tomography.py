@@ -24,7 +24,6 @@ from leakmap.tomography import (
     M_RANGE,
     PLAN_CACHE_SIZE,
     WINDOW_LOG_CUT,
-    HusimiField,
     HusimiTransform,
     _plan,
     _raw_entropy,
@@ -32,10 +31,9 @@ from leakmap.tomography import (
     coherent_state,
     dwell_bins,
     entropy_grid,
-    husimi,
+    husimi_plan,
     mean_husimi,
     state_entropies,
-    wehrl_entropy,
 )
 
 
@@ -107,7 +105,7 @@ def test_overlap_field_matches_brute_force(n, n_q, n_p):
     v /= np.linalg.norm(v)
     plan = HusimiTransform(n, n_q, n_p)
     assert band_sites(plan)[0].shape[1] < extended_sites(n).size
-    fast = plan.overlap_field(v)
+    fast = plan.overlap_field(v, plan.workspace())
     slow = brute_husimi_overlaps(v, n, n_q, n_p)
     assert_allclose(fast, slow, rtol=1e-10, atol=1e-14 * slow.max())
 
@@ -115,24 +113,24 @@ def test_overlap_field_matches_brute_force(n, n_q, n_p):
 def test_husimi_mass_sum_and_positivity():
     rng = np.random.default_rng(1)
     v = rng.normal(size=24) + 1j * rng.normal(size=24)
-    f = husimi(v, 24, (50, 60))
+    f = husimi_plan(24, (50, 60)).field(v)
     assert f.shape == (50, 60)
-    assert np.all(f.values >= 0.0)
-    assert abs(f.values.sum() - 1.0) <= 1e-12
+    assert np.all(f >= 0.0)
+    assert abs(f.sum() - 1.0) <= 1e-12
 
 
 def test_husimi_peak_at_coherent_center():
     n = 32
-    f = husimi(coherent_state((0.5, 0.5), n), n, (101, 101))
-    assert np.unravel_index(np.argmax(f.values), f.shape) == (50, 50)
+    f = husimi_plan(n, (101, 101)).field(coherent_state((0.5, 0.5), n))
+    assert np.unravel_index(np.argmax(f), f.shape) == (50, 50)
 
 
 def test_husimi_uniform_position_state_constant_along_q():
     # equal position amplitudes = momentum eigenstate: mass depends on p only
     n = 64
-    f = husimi(np.full(n, n ** -0.5, dtype=complex), n, (40, 48))
-    sig = f.values.max(axis=0) > 1e-10 * f.values.max()
-    ripple = f.values.max(axis=0)[sig] / f.values.min(axis=0)[sig] - 1.0
+    f = husimi_plan(n, (40, 48)).field(np.full(n, n ** -0.5, dtype=complex))
+    sig = f.max(axis=0) > 1e-10 * f.max()
+    ripple = f.max(axis=0)[sig] / f.min(axis=0)[sig] - 1.0
     assert ripple.max() <= 1e-6
 
 
@@ -143,8 +141,9 @@ def test_husimi_translation_covariance():
     rng = np.random.default_rng(3)
     v = rng.normal(size=n) + 1j * rng.normal(size=n)
     v /= np.linalg.norm(v)
-    f0 = husimi(v, n, (n_q, 32)).values
-    f1 = husimi(np.roll(v, 1), n, (n_q, 32)).values
+    plan = husimi_plan(n, (n_q, 32))
+    f0 = plan.field(v)
+    f1 = plan.field(np.roll(v, 1))
     assert_allclose(f1, np.roll(f0, n_q // n, axis=0), rtol=0, atol=1e-12 * f0.max())
 
 
@@ -153,8 +152,9 @@ def test_husimi_reflection_pairs_with_reflected_leak():
     n = 16
     ra = open_resonances(n, 0.2, 0.25)
     rb = open_resonances(n, 0.8, 0.25)
-    fa = husimi(ra.vectors[:, 0], n, (40, 40)).values
-    fb = husimi(rb.vectors[:, 0], n, (40, 40)).values
+    plan = husimi_plan(n, (40, 40))
+    fa = plan.field(ra.vectors[:, 0])
+    fb = plan.field(rb.vectors[:, 0])
     assert_allclose(fa, np.flip(fb), rtol=0, atol=1e-12)
 
 
@@ -240,7 +240,7 @@ def test_cyclic_placement_equals_zero_filled_fold(n, n_q, n_p):
     for _ in range(3):
         v = rng.normal(size=n) + 1j * rng.normal(size=n)
         v /= np.linalg.norm(v)
-        assert np.array_equal(plan.overlap_field(v), zero_filled_band_overlaps(plan, v))
+        assert np.array_equal(plan.overlap_field(v, plan.workspace()), zero_filled_band_overlaps(plan, v))
 
 
 @pytest.mark.parametrize("n,n_q,n_p", WRAP_CASES + [(512, 100, 100), (512, 500, 500)])
@@ -255,7 +255,7 @@ def test_band_fold_matches_full_lattice_fold(n, n_q, n_p):
     states.append(np.eye(n, dtype=complex)[int(0.3 * n)])
     for v in states:
         full = full_lattice_overlaps(plan, v)
-        assert_allclose(plan.overlap_field(v), full, rtol=0, atol=1e-14 * full.max())
+        assert_allclose(plan.overlap_field(v, plan.workspace()), full, rtol=0, atol=1e-14 * full.max())
 
 
 @pytest.mark.parametrize("n,n_q,n_p", WRAP_CASES + [(7, 11, 13), (512, 100, 100), (512, 31, 500)])
@@ -283,11 +283,11 @@ def test_overlap_field_workspace_output_is_not_aliased():
     rng = np.random.default_rng(6)
     plan = HusimiTransform(16, 17, 17)
     a, b = (rng.normal(size=16) + 1j * rng.normal(size=16) for _ in range(2))
-    fresh_a = plan.overlap_field(a)
+    fresh_a = plan.overlap_field(a, plan.workspace())
     work = plan.workspace()
     assert np.array_equal(plan.overlap_field(a, work), fresh_a)
     kept = fresh_a.copy()
-    fresh_b = plan.overlap_field(b)
+    fresh_b = plan.overlap_field(b, plan.workspace())
     into = plan.overlap_field(b, work)
     assert into is work.mass
     assert np.array_equal(into, fresh_b)
@@ -301,21 +301,21 @@ def test_batch_loops_equal_per_state_path(n, n_q, n_p, center):
     res = open_resonances(n, center)
     plan = _plan(n, n_q, n_p)
     s_coh = plan.coherent_entropy
-    fields = [plan.field(res.vectors[:, j]).values for j in range(n)]
+    fields = [plan.field(res.vectors[:, j]) for j in range(n)]
     raw = np.array([reference_entropy(f) for f in fields])
     expect = np.clip((raw - s_coh) / (0.0 - s_coh), 0.0, 1.0)
-    assert np.array_equal(state_entropies(res, (n_q, n_p)), expect)
+    assert np.array_equal(state_entropies(res.vectors, (n_q, n_p)), expect)
     acc = np.zeros((n_q, n_p))
     for f in fields[:5]:
         acc += f
-    assert np.array_equal(mean_husimi(res, 5, (n_q, n_p)).values, acc / acc.sum())
+    assert np.array_equal(mean_husimi(res, 5, (n_q, n_p)), acc / acc.sum())
 
 
 @pytest.mark.parametrize("n,cuts", [(32, (0, 16, 32)), (17, (0, 5, 6, 17)), (8, (0, 8))])
 def test_state_entropies_in_column_blocks_concatenate_to_the_whole(n, cuts):
     res = open_resonances(n, 0.4)
-    whole = state_entropies(res, (30, 31))
-    blocks = [state_entropies(res, (30, 31), slice(a, b)) for a, b in zip(cuts[:-1], cuts[1:])]
+    whole = state_entropies(res.vectors, (30, 31))
+    blocks = [state_entropies(res.vectors[:, a:b], (30, 31)) for a, b in zip(cuts[:-1], cuts[1:])]
     assert np.array_equal(np.concatenate(blocks), whole)
 
 
@@ -329,7 +329,6 @@ def test_entropy_reduction_with_zero_cells(seed):
     masses /= masses.sum()
     work = HusimiTransform(8, 30, 40).workspace()
     expect = reference_entropy(masses)
-    assert np.array_equal(_raw_entropy(masses), expect)
     assert np.array_equal(_raw_entropy(masses, work.entropy_scratch), expect)
     dense = masses + 1e-9
     assert np.array_equal(_raw_entropy(dense, work.entropy_scratch), reference_entropy(dense))
@@ -337,7 +336,7 @@ def test_entropy_reduction_with_zero_cells(seed):
 
 def test_plan_cache_is_bounded_and_holds_no_workspace():
     for n in range(8, 8 + PLAN_CACHE_SIZE + 2):
-        state_entropies(open_resonances(n, 0.5), (12, 14))
+        state_entropies(open_resonances(n, 0.5).vectors, (12, 14))
     info = _plan.cache_info()
     assert info.maxsize == PLAN_CACHE_SIZE
     assert info.currsize <= PLAN_CACHE_SIZE
@@ -352,7 +351,7 @@ def test_transform_validation():
         HusimiTransform(8, 1, 10)
     plan = HusimiTransform(8, 10, 10)
     with pytest.raises(ValueError):
-        plan.overlap_field(np.ones(9, dtype=complex))
+        plan.overlap_field(np.ones(9, dtype=complex), plan.workspace())
 
 
 # ---------------------------------------------------------------------------
@@ -360,24 +359,22 @@ def test_transform_validation():
 
 
 def test_wehrl_uniform_is_one_exactly():
-    f = HusimiField(np.full((40, 40), 1.0 / 1600.0))
-    rec = wehrl_entropy(f, 16)
-    assert type(rec.s_w) is float
-    assert rec.s_w == 1.0
-    assert rec.raw_entropy == 0.0
+    plan = husimi_plan(16, (40, 40))
+    raw = _raw_entropy(np.full((40, 40), 1.0 / 1600.0), plan.workspace().entropy_scratch)
+    assert type(raw) is float
+    assert raw == 0.0
+    assert plan.s_w(raw) == 1.0
 
 
 def test_wehrl_reference_coherent_is_zero_exactly():
     n = 16
-    f = husimi(coherent_state((0.5, 0.5), n), n, (80, 80))
-    assert wehrl_entropy(f, n).s_w == 0.0
+    assert np.array_equal(state_entropies(coherent_state((0.5, 0.5), n)[:, None], (80, 80)), [0.0])
 
 
 def test_wehrl_translated_coherent_stays_near_zero():
     # the anchor is translation covariant up to grid discretization
     n = 16
-    f = husimi(coherent_state((0.3, 0.7), n), n, (80, 80))
-    assert wehrl_entropy(f, n).s_w <= 0.05
+    assert state_entropies(coherent_state((0.3, 0.7), n)[:, None], (80, 80))[0] <= 0.05
 
 
 def test_wehrl_bounds_random_states():
@@ -385,33 +382,33 @@ def test_wehrl_bounds_random_states():
     for _ in range(10):
         v = rng.normal(size=32) + 1j * rng.normal(size=32)
         v /= np.linalg.norm(v)
-        rec = wehrl_entropy(husimi(v, 32, (200, 200)), 32)
-        assert 0.0 < rec.s_w <= 1.0
+        s_w = state_entropies(v[:, None], (200, 200))[0]
+        assert 0.0 < s_w <= 1.0
 
 
 def test_wehrl_resolution_stability():
     res = open_resonances(64, 0.2)
-    v = res.vectors[:, 0]
-    a = wehrl_entropy(husimi(v, 64, (250, 250)), 64).s_w
-    b = wehrl_entropy(husimi(v, 64, (500, 500)), 64).s_w
+    v = res.vectors[:, :1]
+    a = state_entropies(v, (250, 250))[0]
+    b = state_entropies(v, (500, 500))[0]
     assert abs(a - b) < 0.01
 
 
 def test_degenerate_coherent_reference_raises():
     # a 2x2 grid cannot resolve the N = 4 coherent state: its raw entropy
     # comes out at about +8e-17, so the Wehrl scale has no length, and
-    # the per-state path must refuse it just as the single-field one does
+    # neither the batch nor the plan's own scale may be used
     res = open_resonances(4, 0.2, 0.3)
     with pytest.raises(RuntimeError, match="degenerate coherent reference entropy"):
-        state_entropies(res, (2, 2))
+        state_entropies(res.vectors, (2, 2))
     with pytest.raises(RuntimeError, match="degenerate coherent reference entropy"):
-        wehrl_entropy(husimi(res.vectors[:, 0], 4, (2, 2)), 4)
+        husimi_plan(4, (2, 2)).s_w(0.0)
 
 
 def test_closed_map_states_cluster_at_high_entropy():
     # frozen regression band: chaotic eigenstates are strongly delocalized
     res = resonance_spectrum(build_unitary(QuantumParams(128, 10.0)))
-    sw = state_entropies(res, (500, 500))
+    sw = state_entropies(res.vectors, (500, 500))
     assert sw.min() >= 0.75
     assert sw.max() <= 0.95
     assert 0.84 <= sw.mean() <= 0.91
@@ -433,7 +430,7 @@ def test_husimi_fourier_modes_lie_under_the_coherent_envelope():
     rng = np.random.default_rng(3)
     for _ in range(3):
         v = rng.normal(size=N) + 1j * rng.normal(size=N)
-        modes = np.abs(np.fft.fft2(husimi(v, N, (n, n)).values))
+        modes = np.abs(np.fft.fft2(husimi_plan(N, (n, n)).field(v)))
         for m in range(1, last + 1):
             assert modes[beyond >= m].max() <= math.exp(-math.pi * m * m / (2 * N)), m
 
@@ -453,8 +450,8 @@ def test_entropy_grid_is_the_smallest_5_smooth_size_past_the_envelope():
 def test_mean_husimi_single_state_identity():
     res = open_resonances(16, 0.2)
     m1 = mean_husimi(res, 1, (60, 60))
-    top = husimi(res.vectors[:, 0], 16, (60, 60))
-    assert_allclose(m1.values, top.values, rtol=0, atol=1e-14)
+    top = husimi_plan(16, (60, 60)).field(res.vectors[:, 0])
+    assert_allclose(m1, top, rtol=0, atol=1e-14)
 
 
 def test_mean_husimi_needs_enough_live_states():
@@ -466,13 +463,13 @@ def test_mean_husimi_needs_enough_live_states():
 def test_mean_husimi_normalized():
     res = open_resonances(16, 0.5)
     f = mean_husimi(res, 5, (40, 40))
-    assert abs(f.values.sum() - 1.0) <= 1e-12
+    assert abs(f.sum() - 1.0) <= 1e-12
 
 
 def test_entropy_vs_dwell_binning():
     res = open_resonances(32, 0.2)
     bins = dwell_bins(res, 0.08)
-    s_w = state_entropies(res, (100, 100))
+    s_w = state_entropies(res.vectors, (100, 100))
     assert bins.dtype == np.int64
     assert np.array_equal(bins, np.floor(res.dwell / 0.08))
     index, center, mean, count = bin_means(bins, s_w, 0.08)
