@@ -1,9 +1,11 @@
 """Grid ensembles on the torus: FTLE fields, dwell statistics, survival.
 
-Initial conditions sit at cell centers of a uniform n_q x n_p grid.  One
-vectorized map-and-tangent loop, `_orbits`, evolves every ensemble: an
-active set that shrinks as trajectories get absorbed, and the closed-map
-FTLE is the same loop with the empty leak.  The scalar
+Initial conditions sit at cell centers of a uniform n_q x n_p grid, and
+every field is a plain (n_q, n_p) array whose entry [i, j] belongs to
+cell center (q_i, p_j); `dwell_mask` marks the cells a dwell statistic
+keeps.  One vectorized map-and-tangent loop, `_orbits`, evolves every
+ensemble: an active set that shrinks as trajectories get absorbed, and the
+closed-map FTLE is the same loop with the empty leak.  The scalar
 `standard_map.evolve_open` is its independent reference.
 """
 
@@ -11,7 +13,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,20 +21,16 @@ from .standard_map import TWO_PI, RENORM_INTERVAL, Leak, MapParams, _sigma_max
 
 __all__ = [
     "PhaseSpaceGrid",
-    "ScalarField",
     "EscapeEnsemble",
-    "SurvivalCurve",
     "TailFit",
-    "DwellFtleTable",
     "ftle_ensemble",
     "ftle_field",
     "escape_ensemble",
-    "dwell_ftle_field",
+    "dwell_mask",
     "survival_probability",
     "exponential_tail_fit",
     "short_dwell_cutoff",
     "mean_ftle_by_dwell",
-    "strip_mean_ftle",
     "strip_scan",
     "ftle_histogram",
     "histogram_mean",
@@ -49,6 +47,9 @@ TAIL_RESIDUAL_MAX = 0.2
 # Relative distance from the tail rate within which a local decay rate
 # counts as relaxed (`short_dwell_cutoff`).
 CUTOFF_TOL = 0.1
+
+# Bins of the dwell-FTLE histogram (`ftle_histogram`).
+HISTOGRAM_BINS = 60
 
 
 @dataclass(frozen=True)
@@ -67,10 +68,6 @@ class PhaseSpaceGrid:
             raise ValueError(f"grid needs >= 2 cells per axis, got {self.n_q}x{self.n_p}")
 
     @property
-    def size(self) -> int:
-        return self.n_q * self.n_p
-
-    @property
     def q_centers(self) -> np.ndarray:
         return (np.arange(self.n_q) + 0.5) / self.n_q
 
@@ -82,35 +79,6 @@ class PhaseSpaceGrid:
         """All cell centers as flat arrays (q, p), row-major in (i, j)."""
         qq, pp = np.meshgrid(self.q_centers, self.p_centers, indexing="ij")
         return qq.ravel(), pp.ravel()
-
-
-@dataclass
-class ScalarField:
-    """Scalar observable sampled on a PhaseSpaceGrid, with a validity mask.
-
-    values[i, j] belongs to cell center (q_i, p_j).  Values must be finite
-    wherever mask is true; masked-out cells may hold anything (often NaN).
-    """
-
-    grid: PhaseSpaceGrid
-    values: np.ndarray
-    mask: np.ndarray = field(default=None)  # type: ignore[assignment]
-
-    def __post_init__(self):
-        shape = (self.grid.n_q, self.grid.n_p)
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != shape:
-            raise ValueError(f"values shape {self.values.shape} != grid shape {shape}")
-        if self.mask is None:
-            self.mask = np.ones(shape, dtype=bool)
-        self.mask = np.asarray(self.mask, dtype=bool)
-        if self.mask.shape != shape:
-            raise ValueError(f"mask shape {self.mask.shape} != grid shape {shape}")
-        if not np.all(np.isfinite(self.values[self.mask])):
-            raise ValueError("non-finite values on masked-in cells")
-
-    def masked_values(self) -> np.ndarray:
-        return self.values[self.mask]
 
 
 def _orbits(q0, p0, leak: Leak, t_max: int, params: MapParams):
@@ -188,10 +156,9 @@ def ftle_ensemble(q0, p0, n: int, params: MapParams) -> np.ndarray:
     return _orbits(q0, p0, Leak(0.0, 0.0), n, params)[1]
 
 
-def ftle_field(grid: PhaseSpaceGrid, n: int, params: MapParams) -> ScalarField:
-    """Closed-map FTLE field over the grid; every cell is valid."""
-    lam = ftle_ensemble(*grid.points(), n, params).reshape(grid.n_q, grid.n_p)
-    return ScalarField(grid=grid, values=lam)
+def ftle_field(grid: PhaseSpaceGrid, n: int, params: MapParams) -> np.ndarray:
+    """Closed-map FTLE field over the grid, an (n_q, n_p) array."""
+    return ftle_ensemble(*grid.points(), n, params).reshape(grid.n_q, grid.n_p)
 
 
 @dataclass
@@ -204,7 +171,6 @@ class EscapeEnsemble:
     absorbed within the horizon.
     """
 
-    grid: PhaseSpaceGrid
     t_max: int
     tau: np.ndarray
     ftle: np.ndarray
@@ -226,7 +192,6 @@ def escape_ensemble(grid: PhaseSpaceGrid, leak: Leak, t_max: int, params: MapPar
     tau, lam, escaped = _orbits(*grid.points(), leak, t_max, params)
     shape = (grid.n_q, grid.n_p)
     return EscapeEnsemble(
-        grid=grid,
         t_max=t_max,
         tau=tau.reshape(shape),
         ftle=lam.reshape(shape),
@@ -234,13 +199,14 @@ def escape_ensemble(grid: PhaseSpaceGrid, leak: Leak, t_max: int, params: MapPar
     )
 
 
-def dwell_ftle_field(ensemble: EscapeEnsemble, cutoff: int):
-    """Dwell-time and dwell-FTLE fields from an escape ensemble.
+def dwell_mask(ensemble: EscapeEnsemble, cutoff: int) -> np.ndarray:
+    """Cells of the dwell-time and dwell-FTLE fields (`ensemble.tau`,
+    `ensemble.ftle`) that dwell statistics keep.
 
     Cells with tau < cutoff are masked out (short transients), as are cells
-    that started inside the leak (tau = 0, no exponent defined).  Survivors
-    of the horizon keep their t_max-step values.  Returns (dwell, ftle)
-    ScalarFields sharing one mask.
+    that started inside the leak (tau = 0, no exponent defined), so the
+    FTLE is finite on every kept cell.  Survivors of the horizon keep their
+    t_max-step values.
     """
     if cutoff < 0:
         raise ValueError(f"cutoff must be >= 0, got {cutoff}")
@@ -251,32 +217,16 @@ def dwell_ftle_field(ensemble: EscapeEnsemble, cutoff: int):
             "dwell statistics may be horizon-limited",
             stacklevel=2,
         )
-    mask = (ensemble.tau >= max(cutoff, 1))
-    dwell = ScalarField(ensemble.grid, ensemble.tau.astype(float), mask.copy())
-    lam = ScalarField(ensemble.grid, ensemble.ftle, mask.copy())
-    return dwell, lam
+    return ensemble.tau >= max(cutoff, 1)
 
 
-@dataclass
-class SurvivalCurve:
-    """P(n): fraction of initial conditions still inside at step n.
-
-    P(0) counts everything not absorbed before the first step, i.e.
-    1 - (leak area fraction) up to grid discretization.
-    """
-
-    n: np.ndarray
-    p: np.ndarray
-    total: int
-    n_unescaped: int
-
-
-def survival_probability(ensemble: EscapeEnsemble) -> SurvivalCurve:
-    """Survival probability over n = 0 .. t_max from escape records.
+def survival_probability(ensemble: EscapeEnsemble) -> np.ndarray:
+    """Survival probability P(n), n = 0 .. t_max, from escape records.
 
     P(n) = [#(escaped with tau > n) + #(never escaped)] / total.  The curve
     is non-increasing by construction and counts survivors of the horizon
-    as still inside at every n.
+    as still inside at every n.  P(0) counts everything not absorbed before
+    the first step, i.e. 1 - (leak area fraction) up to grid discretization.
     """
     t_max = ensemble.t_max
     tau = ensemble.tau.ravel()
@@ -285,13 +235,7 @@ def survival_probability(ensemble: EscapeEnsemble) -> SurvivalCurve:
     # histogram of absorption times; non-escaped cells are never counted out
     counts = np.bincount(tau[escaped], minlength=t_max + 1)[: t_max + 1]
     absorbed_by_n = np.cumsum(counts)
-    p = 1.0 - absorbed_by_n / total
-    return SurvivalCurve(
-        n=np.arange(t_max + 1),
-        p=p,
-        total=total,
-        n_unescaped=int((~escaped).sum()),
-    )
+    return 1.0 - absorbed_by_n / total
 
 
 @dataclass(frozen=True)
@@ -299,58 +243,50 @@ class TailFit:
     """Least-squares exponential fit ln P(n) = c - gamma n."""
 
     gamma: float
-    n_lo: int
     n_hi: int
-    n_points: int
     rms_residual: float
 
 
-def exponential_tail_fit(curve: SurvivalCurve) -> TailFit:
-    """Fit the exponential tail of a survival curve on the P-window.
+def exponential_tail_fit(p: np.ndarray) -> TailFit:
+    """Fit the exponential tail of a survival curve P(n), n = 0, 1, ...,
+    on the P-window.
 
     The fit runs over all n with TAIL_WINDOW[0] <= P(n) <= TAIL_WINDOW[1];
     fewer than three such points means no exponential regime was reached
     within the horizon and is an error.
     """
     lo, hi = TAIL_WINDOW
-    sel = (curve.p >= lo) & (curve.p <= hi) & (curve.p > 0.0)
+    sel = (p >= lo) & (p <= hi) & (p > 0.0)
     n_points = int(sel.sum())
     if n_points < 3:
         raise RuntimeError(
             f"no exponential regime within horizon: {n_points} survival points "
-            f"with P in [{lo:g}, {hi:g}] (t_max={curve.n[-1]}, final P={curve.p[-1]:.3g})"
+            f"with P in [{lo:g}, {hi:g}] (t_max={p.size - 1}, final P={p[-1]:.3g})"
         )
-    x = curve.n[sel].astype(float)
-    y = np.log(curve.p[sel])
+    x = np.flatnonzero(sel).astype(float)
+    y = np.log(p[sel])
     slope, intercept = np.polyfit(x, y, 1)
     resid = y - (slope * x + intercept)
     gamma = -float(slope)
     if gamma <= 0.0:
         raise RuntimeError(f"survival tail does not decay (fitted rate {gamma:.3g})")
-    return TailFit(
-        gamma=gamma,
-        n_lo=int(x[0]),
-        n_hi=int(x[-1]),
-        n_points=n_points,
-        rms_residual=float(np.sqrt(np.mean(resid**2))),
-    )
+    return TailFit(gamma=gamma, n_hi=int(x[-1]), rms_residual=float(np.sqrt(np.mean(resid**2))))
 
 
-def short_dwell_cutoff(curve: SurvivalCurve) -> int:
+def short_dwell_cutoff(p: np.ndarray, fit: TailFit) -> int:
     """Smallest n whose local decay rate matches the asymptotic tail rate.
 
     The local rate is r(n) = ln P(n) - ln P(n+1); the cutoff is the first n
-    with |r(n) - gamma| <= CUTOFF_TOL * gamma, where gamma comes from the
-    tail fit.  Orbits absorbed earlier than the cutoff are transients that
-    have not yet relaxed onto the exponential decay.
+    with |r(n) - gamma| <= CUTOFF_TOL * gamma, where gamma comes from `fit`,
+    the tail fit of the same curve P.  Orbits absorbed earlier than the
+    cutoff are transients that have not yet relaxed onto the exponential
+    decay.
     """
-    fit = exponential_tail_fit(curve)
     if fit.rms_residual > TAIL_RESIDUAL_MAX:
         raise RuntimeError(
             f"survival tail is not exponential (rms ln-residual {fit.rms_residual:.3f} "
             f"> {TAIL_RESIDUAL_MAX})"
         )
-    p = curve.p
     for n in range(fit.n_hi):
         if p[n + 1] <= 0.0 or p[n] <= 0.0:
             break
@@ -362,21 +298,13 @@ def short_dwell_cutoff(curve: SurvivalCurve) -> int:
     )
 
 
-@dataclass
-class DwellFtleTable:
-    """Mean FTLE conditioned on absorption time tau (escaped orbits only)."""
-
-    tau: np.ndarray
-    mean_ftle: np.ndarray
-    count: np.ndarray
-
-
-def mean_ftle_by_dwell(ensemble: EscapeEnsemble) -> DwellFtleTable:
+def mean_ftle_by_dwell(ensemble: EscapeEnsemble) -> tuple:
     """Group escaped orbits by tau and average their Lyapunov exponents.
 
-    Orbits with tau = 0 (started inside the leak) and survivors of the
-    horizon are excluded.  The count-weighted mean over groups equals the
-    plain mean over the included orbits.
+    Returns (tau, mean_ftle): the absorption times that occur and the mean
+    FTLE of each group.  Orbits with tau = 0 (started inside the leak) and
+    survivors of the horizon are excluded.  The count-weighted mean over
+    groups equals the plain mean over the included orbits.
     """
     sel = ensemble.escaped & (ensemble.tau >= 1)
     if not sel.any():
@@ -386,39 +314,32 @@ def mean_ftle_by_dwell(ensemble: EscapeEnsemble) -> DwellFtleTable:
     sums = np.bincount(tau, weights=lam)
     counts = np.bincount(tau)
     nz = counts > 0
-    return DwellFtleTable(
-        tau=np.nonzero(nz)[0],
-        mean_ftle=sums[nz] / counts[nz],
-        count=counts[nz],
-    )
+    return np.nonzero(nz)[0], sums[nz] / counts[nz]
 
 
-def strip_mean_ftle(field: ScalarField, strip: Leak) -> float:
-    """Mean field value over cells whose q center lies in the strip."""
-    sel_q = strip.contains(field.grid.q_centers)
-    if not sel_q.any():
-        raise ValueError(f"no grid columns inside strip at {strip.center} width {strip.width}")
-    block = field.mask[sel_q, :]
-    if not block.any():
-        raise ValueError("strip contains no masked-in cells")
-    return float(field.values[sel_q, :][block].mean())
+def strip_scan(field: np.ndarray, centers, width: float) -> np.ndarray:
+    """Mean of an (n_q, n_p) field over the cells whose q center lies in a
+    strip of the given width, at each of the strip centers."""
+    q = PhaseSpaceGrid(*field.shape).q_centers
+    means = []
+    for c in centers:
+        sel_q = Leak(float(c), width).contains(q)
+        if not sel_q.any():
+            raise ValueError(f"no grid columns inside strip at {float(c)} width {width}")
+        means.append(field[sel_q, :].mean())
+    return np.array(means)
 
 
-def strip_scan(field: ScalarField, centers, width: float) -> np.ndarray:
-    """strip_mean_ftle evaluated at several strip centers."""
-    return np.array([strip_mean_ftle(field, Leak(float(c), width)) for c in centers])
-
-
-def ftle_histogram(field: ScalarField, bins=60):
-    """Normalized histogram of field values over masked-in cells.
+def ftle_histogram(values: np.ndarray):
+    """Normalized HISTOGRAM_BINS-bin histogram of 1-D field values, such as
+    `ens.ftle[dwell_mask(ens, cutoff)]`.
 
     Returns (edges, probs) with probs summing to 1.
     """
-    vals = field.masked_values()
-    if vals.size == 0:
-        raise ValueError("field has no masked-in cells")
-    counts, edges = np.histogram(vals, bins=bins)
-    return edges, counts / vals.size
+    if values.size == 0:
+        raise ValueError("no field values to histogram")
+    counts, edges = np.histogram(values, bins=HISTOGRAM_BINS)
+    return edges, counts / values.size
 
 
 def histogram_mean(edges: np.ndarray, probs: np.ndarray) -> float:

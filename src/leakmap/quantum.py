@@ -208,9 +208,9 @@ def leak_spectrum(u: np.ndarray, keep: np.ndarray) -> ResonanceSet:
 
 
 def dwell_stats(res: ResonanceSet) -> tuple:
-    """(mean dwell, its standard error, zero-mode count) over all states of
-    one resonance set, zero modes entering with dwell 0.  An infinite dwell
-    time (a closed system) makes the mean meaningless (NaN)."""
+    """(mean dwell, its standard error) over all states of one resonance
+    set, zero modes entering with dwell 0.  An infinite dwell time (a
+    closed system) makes the mean meaningless (NaN)."""
     if np.isinf(res.dwell).any():
-        return math.nan, math.nan, res.n_zero_modes
-    return res.dwell.mean(), res.dwell.std(ddof=1) / math.sqrt(res.dwell.size), res.n_zero_modes
+        return math.nan, math.nan
+    return res.dwell.mean(), res.dwell.std(ddof=1) / math.sqrt(res.dwell.size)

@@ -38,7 +38,7 @@ from . import __version__
 from .config import ExperimentConfig, serialize_config
 from .ensemble import (
     PhaseSpaceGrid,
-    dwell_ftle_field,
+    dwell_mask,
     escape_ensemble,
     escape_stats,
     exponential_tail_fit,
@@ -71,7 +71,7 @@ UNITARITY_TOL = 1e-12
 SCAN_STAGES = ("classical", "quantum", "entropy")
 
 # Statistics of one scan position, in the order its task returns them:
-# `escape_stats`, then the mean and error of `dwell_stats` and `wehrl_stats`.
+# `escape_stats`, then `dwell_stats` and `wehrl_stats`.
 SCAN_COLUMNS = ("mean_tau", "se_tau", "mean_lambda", "se_lambda", "unescaped_fraction", "mean_T", "se_T", "mean_SW", "se_SW")
 
 
@@ -241,15 +241,15 @@ def cmd_ftle_field(cfg: ExperimentConfig, workers: int | None) -> list:
     positions = _scan_positions(cfg)
     means = strip_scan(field, positions, cfg.leak_width)
     run.stage("write")
-    run.add(write_lcf(run.path("ftle_field.lcf"), field.values))
-    run.add(write_pgm(run.path("ftle_field.pgm"), field.values, field.mask))
+    run.add(write_lcf(run.path("ftle_field.lcf"), field))
+    run.add(write_pgm(run.path("ftle_field.pgm"), field))
     run.add(write_csv(run.path("strip_means.csv"), ["q_L", "mean_ftle"], [positions, means]))
     return run.finish(
         {
             "ftle_steps": cfg.ftle_steps,
             "grid": [cfg.grid_q, cfg.grid_p],
             "strip_width": cfg.leak_width,
-            "field_mean": float(field.values.mean()),
+            "field_mean": float(field.mean()),
         }
     )
 
@@ -263,19 +263,18 @@ def cmd_open_classical(cfg: ExperimentConfig, workers: int | None) -> list:
     run.stage("evolve")
     ens = escape_ensemble(grid, leak, cfg.t_max, params)
     run.stage("survival")
-    curve = survival_probability(ens)
-    fit = exponential_tail_fit(curve)
-    n_c = short_dwell_cutoff(curve)
+    p = survival_probability(ens)
+    fit = exponential_tail_fit(p)
+    n_c = short_dwell_cutoff(p, fit)
     run.stage("fields")
-    dwell, lam = dwell_ftle_field(ens, n_c)
-    edges, probs = ftle_histogram(lam)
-    table = mean_ftle_by_dwell(ens)
+    mask = dwell_mask(ens, n_c)
+    edges, probs = ftle_histogram(ens.ftle[mask])
+    tau, mean_ftle = mean_ftle_by_dwell(ens)
     run.stage("write")
-    run.add(write_csv(run.path("survival.csv"), ["n", "P"], [curve.n, curve.p]))
-    run.add(write_lcf(run.path("dwell_time_field.lcf"), dwell.values))
-    run.add(write_pgm(run.path("dwell_time_field.pgm"), dwell.values, dwell.mask))
-    run.add(write_lcf(run.path("dwell_ftle_field.lcf"), lam.values))
-    run.add(write_pgm(run.path("dwell_ftle_field.pgm"), lam.values, lam.mask))
+    run.add(write_csv(run.path("survival.csv"), ["n", "P"], [np.arange(p.size), p]))
+    for name, values in (("dwell_time", ens.tau.astype(float)), ("dwell_ftle", ens.ftle)):
+        run.add(write_lcf(run.path(f"{name}_field.lcf"), values))
+        run.add(write_pgm(run.path(f"{name}_field.pgm"), values, mask))
     run.add(
         write_csv(
             run.path("ftle_histogram.csv"),
@@ -283,7 +282,7 @@ def cmd_open_classical(cfg: ExperimentConfig, workers: int | None) -> list:
             [edges[:-1], edges[1:], probs],
         )
     )
-    run.add(write_csv(run.path("ftle_by_dwell.csv"), ["tau", "mean_ftle"], [table.tau, table.mean_ftle]))
+    run.add(write_csv(run.path("ftle_by_dwell.csv"), ["tau", "mean_ftle"], [tau, mean_ftle]))
     return run.finish(
         {
             "leak": [cfg.leak_center, cfg.leak_width],
@@ -403,10 +402,10 @@ def leak_scan(cfg: ExperimentConfig, workers: int | None) -> tuple:
         cl = escape_stats(escape_ensemble(grid, Leak(float(positions[i]), cfg.leak_width), cfg.t_max, params))
         t1 = time.perf_counter()
         res = leak_spectrum(u, keeps[i])
-        mean_t, se_t, _ = dwell_stats(res)
+        dw = dwell_stats(res)
         t2 = time.perf_counter()
         sw = wehrl_stats(res, resolution)
-        return (*cl, mean_t, se_t, *sw), (t1 - t0, t2 - t1, time.perf_counter() - t2)
+        return (*cl, *dw, *sw), (t1 - t0, t2 - t1, time.perf_counter() - t2)
 
     tasks_start = time.perf_counter()
     rows = []

@@ -29,7 +29,7 @@ from scipy.optimize import linear_sum_assignment
 
 from leakmap.ensemble import (
     PhaseSpaceGrid,
-    dwell_ftle_field,
+    dwell_mask,
     escape_ensemble,
     exponential_tail_fit,
     ftle_field,
@@ -201,9 +201,9 @@ def test_reference_leak_ordering_of_chaos_measures():
     hist_mean = {}
     for center in (0.2, 0.5):
         ens = escape_ensemble(PhaseSpaceGrid(500, 500), Leak(center, 0.2), 1000, PARAMS)
-        n_c = short_dwell_cutoff(survival_probability(ens))
-        _, lam = dwell_ftle_field(ens, n_c)
-        edges, probs = ftle_histogram(lam)
+        p = survival_probability(ens)
+        n_c = short_dwell_cutoff(p, exponential_tail_fit(p))
+        edges, probs = ftle_histogram(ens.ftle[dwell_mask(ens, n_c)])
         hist_mean[center] = histogram_mean(edges, probs)
     # quantum side: largest Wehrl entropy over the dwell/entropy scatter
     max_sw = {}

@@ -8,11 +8,10 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from leakmap.ensemble import (
+    HISTOGRAM_BINS,
     EscapeEnsemble,
     PhaseSpaceGrid,
-    ScalarField,
-    SurvivalCurve,
-    dwell_ftle_field,
+    dwell_mask,
     escape_ensemble,
     escape_stats,
     exponential_tail_fit,
@@ -22,7 +21,6 @@ from leakmap.ensemble import (
     histogram_mean,
     mean_ftle_by_dwell,
     short_dwell_cutoff,
-    strip_mean_ftle,
     strip_scan,
     survival_probability,
 )
@@ -33,14 +31,10 @@ from leakmap.standard_map import RENORM_INTERVAL, Leak, MapParams, evolve_open, 
 PARAMS = MapParams(K=10.0)
 
 
-def make_ensemble(tau, escaped, ftle_vals, grid=None, t_max=100):
-    tau = np.asarray(tau, dtype=np.int64)
-    if grid is None:
-        grid = PhaseSpaceGrid(tau.shape[0], tau.shape[1])
+def make_ensemble(tau, escaped, ftle_vals, t_max=100):
     return EscapeEnsemble(
-        grid=grid,
         t_max=t_max,
-        tau=tau,
+        tau=np.asarray(tau, dtype=np.int64),
         ftle=np.asarray(ftle_vals, dtype=float),
         escaped=np.asarray(escaped, dtype=bool),
     )
@@ -52,7 +46,6 @@ def make_ensemble(tau, escaped, ftle_vals, grid=None, t_max=100):
 
 def test_grid_centers_and_points():
     g = PhaseSpaceGrid(4, 2)
-    assert g.size == 8
     assert_allclose(g.q_centers, [0.125, 0.375, 0.625, 0.875])
     assert_allclose(g.p_centers, [0.25, 0.75])
     q, p = g.points()
@@ -66,27 +59,13 @@ def test_grid_validation():
         PhaseSpaceGrid(1, 10)
 
 
-def test_scalar_field_validation():
-    g = PhaseSpaceGrid(2, 2)
-    with pytest.raises(ValueError):
-        ScalarField(g, np.zeros((2, 3)))
-    with pytest.raises(ValueError):
-        ScalarField(g, np.zeros((2, 2)), np.ones((3, 2), dtype=bool))
-    with pytest.raises(ValueError):
-        ScalarField(g, np.array([[1.0, np.nan], [0.0, 0.0]]))
-    # NaN is fine on masked-out cells
-    f = ScalarField(g, np.array([[1.0, np.nan], [2.0, 3.0]]),
-                    np.array([[True, False], [True, True]]))
-    assert_array_equal(np.sort(f.masked_values()), [1.0, 2.0, 3.0])
-
-
 def test_ftle_field_matches_single_orbit_routine():
     g = PhaseSpaceGrid(5, 4)
     f = ftle_field(g, 30, PARAMS)
-    assert f.mask.all()
+    assert f.shape == (5, 4)
     q, p = g.points()
     ref = np.array([ftle((qi, pi), 30, PARAMS) for qi, pi in zip(q, p)])
-    assert_allclose(f.values.ravel(), ref, rtol=1e-12)
+    assert_allclose(f.ravel(), ref, rtol=1e-12)
 
 
 def test_ftle_ensemble_validation():
@@ -125,8 +104,9 @@ def test_escape_ensemble_matches_scalar_evolution():
 
 
 def test_escape_ensemble_inside_leak_cells():
-    ens = escape_ensemble(PhaseSpaceGrid(10, 3), Leak(0.5, 0.2), 50, PARAMS)
-    inside = Leak(0.5, 0.2).contains(ens.grid.q_centers)
+    grid = PhaseSpaceGrid(10, 3)
+    ens = escape_ensemble(grid, Leak(0.5, 0.2), 50, PARAMS)
+    inside = Leak(0.5, 0.2).contains(grid.q_centers)
     assert_array_equal(ens.tau[inside, :], 0)
     assert ens.escaped[inside, :].all()
     assert np.isnan(ens.ftle[inside, :]).all()
@@ -146,50 +126,45 @@ def test_survival_from_synthetic_records():
     tau = [[0, 0, 1], [2, 2, 100]]
     esc = [[True, True, True], [True, True, False]]
     lam = [[np.nan, np.nan, 1.0], [1.0, 1.0, 1.0]]
-    curve = survival_probability(make_ensemble(tau, esc, lam))
-    assert curve.total == 6
-    assert curve.n_unescaped == 1
-    assert_array_equal(curve.n[:4], [0, 1, 2, 3])
-    assert_allclose(curve.p[:4], [4 / 6, 3 / 6, 1 / 6, 1 / 6])
-    assert_allclose(curve.p[-1], 1 / 6)  # survivor never counted out
-    assert np.all(np.diff(curve.p) <= 0.0)
+    p = survival_probability(make_ensemble(tau, esc, lam))
+    assert p.shape == (101,)  # n = 0 .. t_max
+    assert_allclose(p[:4], [4 / 6, 3 / 6, 1 / 6, 1 / 6])
+    assert_allclose(p[-1], 1 / 6)  # survivor never counted out
+    assert np.all(np.diff(p) <= 0.0)
 
 
 def test_survival_initial_value_is_leak_complement():
     # strip [0.4, 0.6) catches exactly 40 of 200 column centers
     ens = escape_ensemble(PhaseSpaceGrid(200, 10), Leak(0.5, 0.2), 400, PARAMS)
-    curve = survival_probability(ens)
-    assert curve.p[0] == 0.8
+    assert survival_probability(ens)[0] == 0.8
 
 
 def test_tail_fit_on_pure_exponential():
     n = np.arange(61)
     p = 0.8**n
-    fit = exponential_tail_fit(SurvivalCurve(n=n, p=p, total=10**6, n_unescaped=0))
+    fit = exponential_tail_fit(p)
     assert_allclose(fit.gamma, -math.log(0.8), rtol=1e-12)
     assert fit.rms_residual <= 1e-12
-    # window [1e-3, 1e-1]: 0.8^11 = 0.086 is the first point below 0.1,
-    # 0.8^30 = 1.2e-3 the last above 1e-3
-    assert (fit.n_lo, fit.n_hi, fit.n_points) == (11, 30, 20)
+    # window [1e-3, 1e-1]: 0.8^30 = 1.2e-3 is the last point above 1e-3
+    assert fit.n_hi == 30
 
 
 def test_tail_fit_needs_points_in_window():
     n = np.arange(5)
     with pytest.raises(RuntimeError):
-        exponential_tail_fit(SurvivalCurve(n=n, p=0.8**n, total=100, n_unescaped=0))
+        exponential_tail_fit(0.8**n)
 
 
 def test_tail_fit_rejects_nondecaying_tail():
     n = np.arange(12)
     p = 0.01 * (1.0 + 0.01 * n)  # rises inside the fit window
     with pytest.raises(RuntimeError):
-        exponential_tail_fit(SurvivalCurve(n=n, p=p, total=100, n_unescaped=0))
+        exponential_tail_fit(p)
 
 
 def test_short_dwell_cutoff_zero_for_pure_exponential():
-    n = np.arange(61)
-    curve = SurvivalCurve(n=n, p=0.8**n, total=10**6, n_unescaped=0)
-    assert short_dwell_cutoff(curve) == 0
+    p = 0.8 ** np.arange(61)
+    assert short_dwell_cutoff(p, exponential_tail_fit(p)) == 0
 
 
 def test_short_dwell_cutoff_skips_flat_transient():
@@ -197,16 +172,14 @@ def test_short_dwell_cutoff_skips_flat_transient():
     # matches the tail at n = 5
     n = np.arange(66)
     p = np.where(n <= 5, 1.0, 0.8 ** (n - 5.0))
-    curve = SurvivalCurve(n=n, p=p, total=10**6, n_unescaped=0)
-    assert short_dwell_cutoff(curve) == 5
+    assert short_dwell_cutoff(p, exponential_tail_fit(p)) == 5
 
 
 def test_short_dwell_cutoff_rejects_power_law():
     n = np.arange(400)
     p = (1.0 + n) ** -2.0
-    curve = SurvivalCurve(n=n, p=p, total=10**6, n_unescaped=0)
     with pytest.raises(RuntimeError):
-        short_dwell_cutoff(curve)
+        short_dwell_cutoff(p, exponential_tail_fit(p))
 
 
 # ---------------------------------------------------------------------------
@@ -217,19 +190,19 @@ def test_mean_ftle_by_dwell_synthetic_groups():
     tau = [[0, 1, 1], [3, 3, 50]]
     esc = [[True, True, True], [True, True, False]]
     lam = [[np.nan, 2.0, 4.0], [1.0, 2.0, 9.0]]
-    table = mean_ftle_by_dwell(make_ensemble(tau, esc, lam, t_max=50))
-    assert_array_equal(table.tau, [1, 3])
-    assert_allclose(table.mean_ftle, [3.0, 1.5])
-    assert_array_equal(table.count, [2, 2])
+    groups, mean = mean_ftle_by_dwell(make_ensemble(tau, esc, lam, t_max=50))
+    assert_array_equal(groups, [1, 3])
+    assert_allclose(mean, [3.0, 1.5])
 
 
 def test_mean_ftle_by_dwell_weighted_mean_identity():
     ens = escape_ensemble(PhaseSpaceGrid(40, 40), Leak(0.5, 0.2), 600, PARAMS)
-    table = mean_ftle_by_dwell(ens)
+    groups, mean = mean_ftle_by_dwell(ens)
     sel = ens.escaped & (ens.tau >= 1)
-    grand = (table.mean_ftle * table.count).sum() / table.count.sum()
+    count = np.bincount(ens.tau[sel])[groups]
+    grand = (mean * count).sum() / count.sum()
     assert_allclose(grand, ens.ftle[sel].mean(), rtol=1e-12)
-    assert table.count.sum() == sel.sum()
+    assert count.sum() == sel.sum()
 
 
 def test_mean_ftle_by_dwell_requires_escapes():
@@ -246,31 +219,31 @@ def test_dwell_ftle_field_masking():
     lam = [[np.nan, 1.0, 2.0], [3.0, 4.0, 5.0]]
     ens = make_ensemble(tau, esc, lam)
     with pytest.warns(UserWarning):  # 5 of 6 escaped < 99%
-        dwell, f = dwell_ftle_field(ens, cutoff=5)
+        mask = dwell_mask(ens, cutoff=5)
     expected = np.array([[False, False, True], [True, True, True]])
-    assert_array_equal(dwell.mask, expected)
-    assert_array_equal(f.mask, expected)
-    assert_allclose(dwell.values[expected], [5.0, 7.0, 40.0, 100.0])
-    assert_allclose(f.masked_values(), [2.0, 3.0, 4.0, 5.0])
+    assert_array_equal(mask, expected)
+    assert_allclose(ens.tau[mask], [5.0, 7.0, 40.0, 100.0])
+    assert_allclose(ens.ftle[mask], [2.0, 3.0, 4.0, 5.0])
     with pytest.raises(ValueError):
-        dwell_ftle_field(ens, cutoff=-1)
+        dwell_mask(ens, cutoff=-1)
 
 
 def test_dwell_ftle_field_always_masks_leak_interior():
-    ens = escape_ensemble(PhaseSpaceGrid(20, 20), Leak(0.5, 0.2), 500, PARAMS)
-    _, f = dwell_ftle_field(ens, cutoff=0)
-    inside = Leak(0.5, 0.2).contains(ens.grid.q_centers)
-    assert not f.mask[inside, :].any()
-    assert f.mask[~inside, :].all()
+    grid = PhaseSpaceGrid(20, 20)
+    ens = escape_ensemble(grid, Leak(0.5, 0.2), 500, PARAMS)
+    mask = dwell_mask(ens, cutoff=0)
+    inside = Leak(0.5, 0.2).contains(grid.q_centers)
+    assert not mask[inside, :].any()
+    assert mask[~inside, :].all()
 
 
 def test_full_torus_leak_yields_empty_field():
     ens = escape_ensemble(PhaseSpaceGrid(8, 8), Leak(0.5, 1.0), 10, PARAMS)
     assert ens.escape_fraction == 1.0
-    _, f = dwell_ftle_field(ens, 0)
-    assert not f.mask.any()
+    mask = dwell_mask(ens, 0)
+    assert not mask.any()
     with pytest.raises(ValueError):
-        ftle_histogram(f)
+        ftle_histogram(ens.ftle[mask])
 
 
 # ---------------------------------------------------------------------------
@@ -278,54 +251,41 @@ def test_full_torus_leak_yields_empty_field():
 
 
 def test_ftle_histogram_normalization():
-    g = PhaseSpaceGrid(10, 10)
     rng = np.random.default_rng(5)
-    f = ScalarField(g, rng.normal(size=(10, 10)))
-    edges, probs = ftle_histogram(f, bins=17)
-    assert edges.shape == (18,)
+    edges, probs = ftle_histogram(rng.normal(size=100))
+    assert edges.shape == (HISTOGRAM_BINS + 1,)
     assert_allclose(probs.sum(), 1.0, rtol=1e-12)
 
 
 def test_histogram_mean_recovers_constant():
-    g = PhaseSpaceGrid(4, 4)
-    f = ScalarField(g, np.full((4, 4), 2.5))
-    edges, probs = ftle_histogram(f, bins=9)
-    assert_allclose(histogram_mean(edges, probs), 2.5, rtol=1e-12)
+    # the constant fills the one bin of [2, 3] that holds it, and the mean
+    # is that bin's midpoint: 2.5 itself only for an odd bin count
+    edges, probs = ftle_histogram(np.full(16, 2.5))
+    (k,) = np.flatnonzero(probs)
+    assert edges[k] <= 2.5 < edges[k + 1]
+    assert_allclose(histogram_mean(edges, probs), 0.5 * (edges[k] + edges[k + 1]), rtol=1e-12)
     with pytest.raises(ValueError):
         histogram_mean(edges, np.zeros_like(probs))
 
 
 def test_strip_mean_ftle_column_selection():
-    g = PhaseSpaceGrid(10, 4)
     vals = np.tile(np.arange(10.0)[:, None], (1, 4))
-    f = ScalarField(g, vals)
     # strip [0.2, 0.4) catches centers 0.25 and 0.35 (columns 2 and 3)
-    assert strip_mean_ftle(f, Leak(0.3, 0.2)) == 2.5
-    mask = np.ones((10, 4), dtype=bool)
-    mask[3, :] = False
-    f2 = ScalarField(g, vals, mask)
-    assert strip_mean_ftle(f2, Leak(0.3, 0.2)) == 2.0
+    assert strip_scan(vals, [0.3], 0.2)[0] == 2.5
 
 
 def test_strip_mean_ftle_errors():
-    g = PhaseSpaceGrid(10, 4)
-    f = ScalarField(g, np.zeros((10, 4)))
     with pytest.raises(ValueError):
-        strip_mean_ftle(f, Leak(0.2, 0.001))  # falls between centers
-    mask = np.ones((10, 4), dtype=bool)
-    mask[2:4, :] = False
-    f2 = ScalarField(g, np.zeros((10, 4)), mask)
-    with pytest.raises(ValueError):
-        strip_mean_ftle(f2, Leak(0.3, 0.2))
+        strip_scan(np.zeros((10, 4)), [0.2], 0.001)  # falls between centers
 
 
 def test_strip_scan_matches_pointwise_calls():
     g = PhaseSpaceGrid(20, 5)
     rng = np.random.default_rng(11)
-    f = ScalarField(g, rng.normal(size=(20, 5)))
+    f = rng.normal(size=(20, 5))
     centers = [0.1, 0.5, 0.9]
     out = strip_scan(f, centers, 0.2)
-    ref = [strip_mean_ftle(f, Leak(c, 0.2)) for c in centers]
+    ref = [f[Leak(c, 0.2).contains(g.q_centers)].mean() for c in centers]
     assert_allclose(out, ref, rtol=0, atol=0)
 
 
@@ -354,18 +314,27 @@ def test_escape_rate_regression(reference_ensembles):
 
 def test_short_dwell_cutoff_regression(reference_ensembles):
     # frozen: survival for the leak at 0.2 is exponential from the start
-    cut = {
-        c: short_dwell_cutoff(survival_probability(e))
-        for c, e in reference_ensembles.items()
-    }
+    cut = {}
+    for c, e in reference_ensembles.items():
+        p = survival_probability(e)
+        cut[c] = short_dwell_cutoff(p, exponential_tail_fit(p))
     assert cut[0.2] == 0
     assert cut[0.5] == 2
+
+
+def test_dwell_ftle_is_finite_on_the_dwell_mask(reference_ensembles):
+    # FTLE is NaN only where tau = 0, and every mask requires tau >= 1
+    for e in reference_ensembles.values():
+        p = survival_probability(e)
+        mask = dwell_mask(e, short_dwell_cutoff(p, exponential_tail_fit(p)))
+        assert mask.any()
+        assert np.isfinite(e.ftle[mask]).all()
 
 
 def test_mean_dwell_reflection_symmetry(reference_ensembles):
     # map commutes with (q, p) -> (1-q, 1-p); compare leak 0.2 against 0.8
     base = reference_ensembles[0.2]
-    mirrored = escape_ensemble(base.grid, Leak(0.8, 0.2), 1000, PARAMS)
+    mirrored = escape_ensemble(PhaseSpaceGrid(200, 200), Leak(0.8, 0.2), 1000, PARAMS)
     for ens in (base, mirrored):
         assert ens.escape_fraction > 0.99
     stats = []

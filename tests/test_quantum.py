@@ -181,14 +181,15 @@ def test_dwell_stats_basic():
     qp = QuantumParams(16, 10.0)
     u = build_unitary(qp)
     for center in (0.2, 0.5):
-        mean, se, n_zero = dwell_stats(leak_spectrum(u, build_projector(qp, Leak(center, 0.2))))
+        res = leak_spectrum(u, build_projector(qp, Leak(center, 0.2)))
+        mean, se = dwell_stats(res)
         assert math.isfinite(mean) and mean > 0.0
         assert math.isfinite(se)
-        assert n_zero >= 3  # floor(N dq) = 3
+        assert res.n_zero_modes >= 3  # floor(N dq) = 3
 
 
 def test_dwell_stats_closed_is_nan():
     qp = QuantumParams(8, 10.0)
-    mean, se, _ = dwell_stats(leak_spectrum(build_unitary(qp), build_projector(qp, Leak(0.5, 0.0))))
+    mean, se = dwell_stats(leak_spectrum(build_unitary(qp), build_projector(qp, Leak(0.5, 0.0))))
     assert math.isnan(mean)
     assert math.isnan(se)

@@ -15,10 +15,10 @@ import numpy as np
 import pytest
 
 import leakmap
-from leakmap import quantum, runner, tomography
+from leakmap import ensemble, quantum, runner, tomography
 from leakmap.cli import apply_thread_env, main
 from leakmap.config import default_config
-from leakmap.ensemble import PhaseSpaceGrid, escape_ensemble, escape_stats
+from leakmap.ensemble import PhaseSpaceGrid, escape_ensemble, escape_stats, exponential_tail_fit
 from leakmap.formats import read_lcf, sha256_file
 from leakmap.quantum import QuantumParams, build_projector, build_unitary, dwell_stats, leak_spectrum, unitarity_defect
 from leakmap.runner import cmd_ftle_field, cmd_open_classical, cmd_quantum, cmd_scan, leak_scan, worker_count
@@ -151,6 +151,21 @@ def test_cmd_open_classical_artifacts(tmp_path):
     assert np.isfinite(read_lcf(out / "dwell_ftle_field.lcf")[mask]).all()
 
 
+def test_cmd_open_classical_fits_the_survival_tail_once(tmp_path, monkeypatch):
+    # the short-dwell cutoff reuses the fit that the manifest reports
+    fits = []
+
+    def counting(p):
+        fits.append(p)
+        return exponential_tail_fit(p)
+
+    for module in (ensemble, runner):
+        monkeypatch.setattr(module, "exponential_tail_fit", counting)
+    cmd_open_classical(toy_config(tmp_path, grid_q=160, grid_p=160), None)
+    assert len(fits) == 1
+    assert load_manifest(tmp_path)["extra"]["gamma"] == exponential_tail_fit(fits[0]).gamma
+
+
 def test_cmd_quantum_artifacts(tmp_path):
     out = tmp_path / "run"
     cmd_quantum(toy_config(out, leak_center=0.2), None)
@@ -260,7 +275,7 @@ def test_leak_scan_columns_are_the_per_position_statistics(tmp_path):
         cl = escape_stats(escape_ensemble(PhaseSpaceGrid(48, 48), leak, 400, MapParams(cfg.k)))
         res = leak_spectrum(u, build_projector(qp, leak))
         s_w = state_entropies(res.vectors, (40, 40))
-        row = [*cl, *dwell_stats(res)[:2], s_w.mean(), s_w.std(ddof=1) / math.sqrt(16)]
+        row = [*cl, *dwell_stats(res), s_w.mean(), s_w.std(ddof=1) / math.sqrt(16)]
         assert [scan[k][i] for k in runner.SCAN_COLUMNS] == row
     assert len(busy) == 3 and all(len(b) == len(runner.SCAN_STAGES) for b in busy)
     assert set(timings) == {"unitary", "positions", *runner.SCAN_STAGES}

@@ -9,10 +9,12 @@ tree this script belongs to), at one fixed small config: classical 120^2
 grid, t_max 600, 10 FTLE steps, leak at 0.3 of width 0.2, N = 128 with a
 150^2 Husimi grid, and a scan over 6 positions on 60^2 Husimi grids.  Each
 command runs once with LEAKMAP_THREADS unset and once at 2.  The script
-prints the sorted `command path sha256` lines of the manifests and exits 1
-when the two worker settings disagree.  Every output byte is a pure
-function of the config, so two trees compute the same thing exactly when
-their printed lines are equal:
+prints the sorted `command path sha256` lines of the manifests, plus one
+`command manifest.json:extra sha256` line per command that hashes the
+manifest's `extra` results (`json.dumps(extra, sort_keys=True)`), and exits
+1 when the two worker settings disagree.  Every output byte and every
+`extra` value is a pure function of the config, so two trees compute the
+same thing exactly when their printed lines are equal:
 
     python tools/output_digests.py > change.txt
     python tools/output_digests.py path/to/other/checkout > other.txt
@@ -21,6 +23,7 @@ their printed lines are equal:
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -59,7 +62,8 @@ WORKER_SETTINGS = (None, "2")
 
 
 def digests(root: Path, workdir: Path, threads: str | None) -> list:
-    """`command path sha256` lines of every command at one worker setting."""
+    """`command path sha256` lines of every command at one worker setting,
+    the manifest's `extra` included as path `manifest.json:extra`."""
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     env.pop("LEAKMAP_THREADS", None)
     if threads is not None:
@@ -80,6 +84,8 @@ def digests(root: Path, workdir: Path, threads: str | None) -> list:
             sys.exit(f"{command} (LEAKMAP_THREADS={threads}) exited {proc.returncode}:\n{proc.stderr}")
         manifest = json.loads((out / "manifest.json").read_text())
         lines += [f"{command} {e['path']} {e['sha256']}" for e in manifest["outputs"]]
+        extra = json.dumps(manifest["extra"], sort_keys=True).encode()
+        lines.append(f"{command} manifest.json:extra {hashlib.sha256(extra).hexdigest()}")
     return sorted(lines)
 
 
