@@ -6,8 +6,8 @@ Commands: ftle-field, open-classical, quantum, scan.  Exit codes: 0 on
 success, 1 on configuration errors (every violation listed), 2 on
 numerical or I/O failure.
 
-LEAKMAP_THREADS=n runs `scan` positions and blocks of `quantum` states in
-up to n worker processes (unset: 1, in this process).  Every BLAS/OpenMP
+LEAKMAP_THREADS=n runs `scan` positions in up to n worker processes
+(unset: 1, in this process); the other commands run in this process.  Every BLAS/OpenMP
 pool is pinned to one thread through the usual *_NUM_THREADS variables
 before numpy loads, which is why this module must not import numeric code
 at the top level.  With one thread per process and results gathered in

@@ -34,7 +34,6 @@ __all__ = [
     "strip_scan",
     "ftle_histogram",
     "histogram_mean",
-    "escape_stats",
 ]
 
 # ln P window used for tail fits: late enough to clear transients, early
@@ -343,33 +342,11 @@ def ftle_histogram(values: np.ndarray):
 
 
 def histogram_mean(edges: np.ndarray, probs: np.ndarray) -> float:
-    """Mean of a histogram via bin midpoints."""
+    """Mean of a histogram via bin midpoints, which moves each value to its
+    bin's center: off the sample mean by up to half a bin width (a constant
+    c, binned on [c - 0.5, c + 0.5], reads c + 0.5 / HISTOGRAM_BINS)."""
     total = probs.sum()
     if total <= 0.0:
         raise ValueError("histogram carries no mass")
     mid = 0.5 * (edges[:-1] + edges[1:])
     return float((mid * probs).sum() / total)
-
-
-def escape_stats(ens: EscapeEnsemble) -> tuple:
-    """(mean_tau, se_tau, mean_ftle, se_ftle, unescaped_fraction) of one
-    ensemble: the classical statistics of one leak position.
-
-    Averages run over orbits with tau >= 1, survivors of the horizon
-    included with tau = t_max; unescaped_fraction flags a position where
-    the horizon bit."""
-    sel = ens.tau >= 1
-    count = int(sel.sum())
-    if count == 0:
-        # every orbit was absorbed before its first step (leak covers
-        # the full torus): zero dwell, no exponent defined
-        return 0.0, 0.0, math.nan, math.nan, 0.0
-    tau = ens.tau[sel].astype(float)
-    lam = ens.ftle[sel]
-    return (
-        tau.mean(),
-        tau.std(ddof=1) / math.sqrt(count),
-        lam.mean(),
-        lam.std(ddof=1) / math.sqrt(count),
-        1.0 - ens.escape_fraction,
-    )

@@ -40,7 +40,6 @@ __all__ = [
     "open_propagator",
     "resonance_spectrum",
     "leak_spectrum",
-    "dwell_stats",
 ]
 
 # |z| below this counts as a structural zero mode: infinite decay rate,
@@ -205,12 +204,3 @@ def leak_spectrum(u: np.ndarray, keep: np.ndarray) -> ResonanceSet:
     """Resonances of the propagator u opened on the sites keep marks
     (`build_projector`)."""
     return resonance_spectrum(open_propagator(u, keep))
-
-
-def dwell_stats(res: ResonanceSet) -> tuple:
-    """(mean dwell, its standard error) over all states of one resonance
-    set, zero modes entering with dwell 0.  An infinite dwell time (a
-    closed system) makes the mean meaningless (NaN)."""
-    if np.isinf(res.dwell).any():
-        return math.nan, math.nan
-    return res.dwell.mean(), res.dwell.std(ddof=1) / math.sqrt(res.dwell.size)

@@ -1,28 +1,29 @@
 """Experiment commands: compose the library into reproducible output trees.
 
 Every command takes a validated ExperimentConfig and a worker-process
-request (used by `quantum` and `scan`), writes its artifacts into
-the configured output directory, and finishes with a manifest.json listing
-each file that this run wrote (`_Run.add`) with size and sha256; older files
-in a reused directory stay unlisted.  All CSV bytes are pure functions of
-the config, so a rerun into a fresh directory produces identical checksums.
-`leak_scan` is the leak-position scan that `scan` writes, returned as
-columns.
+request (used by `scan` alone), writes its artifacts into the configured
+output directory, and finishes with a manifest.json listing each file that
+this run wrote (`_Run.add`) with size and sha256; older files in a reused
+directory stay unlisted.  All CSV bytes are pure functions of the config,
+so a rerun into a fresh directory produces identical checksums.
+`leak_scan` is the leak-position scan that `scan` writes, as columns; it
+alone computes the statistics of a position.
 
-`scan` positions and blocks of `quantum` states are independent tasks.  A
-command given `workers` > 1 maps them over fork-started worker processes
-(never more than `worker_count` allows); one worker runs them in this
-process.  The parent builds what the tasks share (unitary, projectors,
-Husimi plan) before the pool starts, so the workers inherit it and only
-task indices and results cross processes.  Results are gathered in task
-order and every process runs BLAS on one thread (the CLI pins it), so the
-output bytes do not depend on the worker count.
+`scan` positions are independent tasks.  Given `workers` > 1, `scan` maps
+them over fork-started worker processes (never more than `worker_count`
+allows); one worker runs them in this process, as do the other commands.
+The parent builds what the tasks share (unitary, projectors, Husimi plan)
+before the pool starts, so the workers inherit it and only task indices
+and results cross processes.  Results are gathered in task order and
+every process runs BLAS on one thread (the CLI pins it), so the output
+bytes do not depend on the worker count.
 """
 
 from __future__ import annotations
 
 import contextlib
 import json
+import math
 import multiprocessing
 import os
 import platform
@@ -40,7 +41,6 @@ from .ensemble import (
     PhaseSpaceGrid,
     dwell_mask,
     escape_ensemble,
-    escape_stats,
     exponential_tail_fit,
     ftle_field,
     ftle_histogram,
@@ -55,12 +55,11 @@ from .quantum import (
     QuantumParams,
     build_projector,
     build_unitary,
-    dwell_stats,
     leak_spectrum,
     unitarity_defect,
 )
 from .standard_map import Leak, MapParams
-from .tomography import bin_means, dwell_bins, entropy_grid, husimi_plan, mean_husimi, state_entropies, wehrl_stats
+from .tomography import bin_means, dwell_bins, entropy_grid, husimi_plan, mean_husimi, state_entropies
 
 __all__ = ["cmd_ftle_field", "cmd_open_classical", "cmd_quantum", "cmd_scan", "leak_scan", "worker_count", "COMMANDS"]
 
@@ -70,13 +69,17 @@ UNITARITY_TOL = 1e-12
 # Busy-time keys of one scan position, in the order a position runs them.
 SCAN_STAGES = ("classical", "quantum", "entropy")
 
-# Statistics of one scan position, in the order its task returns them:
-# `escape_stats`, then `dwell_stats` and `wehrl_stats`.
+# Statistics of one scan position, in the order its task returns them.
 SCAN_COLUMNS = ("mean_tau", "se_tau", "mean_lambda", "se_lambda", "unescaped_fraction", "mean_T", "se_T", "mean_SW", "se_SW")
 
 
 def _scan_positions(cfg: ExperimentConfig) -> np.ndarray:
     return np.arange(cfg.scan_positions) / cfg.scan_positions
+
+
+def _mean_se(x: np.ndarray) -> tuple:
+    """Mean of a sample and its standard error."""
+    return x.mean(), x.std(ddof=1) / math.sqrt(x.size)
 
 
 def _pearson(x, y) -> float | None:
@@ -180,11 +183,6 @@ class _Run:
         self._stage = name
         self._stage_t0 = now
         return self
-
-    def use_workers(self, requested: int | None, tasks: int) -> int:
-        """Worker processes for `tasks` tasks; the manifest records the count."""
-        self.workers = worker_count(requested, tasks)
-        return self.workers
 
     def add(self, written):
         """Record paths this run wrote; the manifest lists exactly these."""
@@ -300,10 +298,9 @@ def cmd_quantum(cfg: ExperimentConfig, workers: int | None) -> list:
     """Resonance spectrum, mean Husimi field, and Wehrl scatter for one leak.
 
     The config's Husimi grid images the mean field of the top states; every
-    s_w is integrated on the square `entropy_grid(N)`, in contiguous blocks
-    of states, one per worker.  The top states are taken again at twice
-    that grid, and the manifest records the largest change of their s_w
-    (`entropy_grid_check`)."""
+    s_w is integrated on the square `entropy_grid(N)`, in this process.
+    The top states are taken again at twice that grid, and the manifest
+    records the largest change of their s_w (`entropy_grid_check`)."""
     run = _Run(cfg, "quantum")
     qp = QuantumParams(cfg.dim, cfg.k)
     leak = Leak(cfg.leak_center, cfg.leak_width)
@@ -319,17 +316,7 @@ def cmd_quantum(cfg: ExperimentConfig, workers: int | None) -> list:
     mean_field = mean_husimi(res, cfg.top_states, (cfg.husimi_q, cfg.husimi_p))
     n_grid = entropy_grid(cfg.dim)
     grid = (n_grid, n_grid)
-    # the plan is built and its scale anchored here, then inherited by
-    # forked workers
-    husimi_plan(cfg.dim, grid).coherent_entropy
-    n = run.use_workers(workers, cfg.dim)
-    edges = [b * cfg.dim // n for b in range(n + 1)]
-
-    def block(b):
-        return state_entropies(res.vectors[:, edges[b] : edges[b + 1]], grid)
-
-    with _task_results(block, n, n) as blocks:
-        s_w = np.concatenate(list(blocks))
+    s_w = state_entropies(res.vectors, grid)
     top = slice(0, cfg.top_states)
     grid_check = np.abs(state_entropies(res.vectors[:, top], (2 * n_grid, 2 * n_grid)) - s_w[top]).max()
     run.stage("write")
@@ -380,12 +367,17 @@ def leak_scan(cfg: ExperimentConfig, workers: int | None) -> tuple:
     unitary or Husimi grid fails before any position runs; each position is
     then one task (its escape ensemble and one Schur spectrum) run over at
     most `worker_count(workers, positions)` processes, with one stderr line as
-    each is gathered.  Returns (columns, timings, busy, defect): columns
-    maps q_L and each SCAN_COLUMNS header to its column; busy holds each
-    position's busy seconds per SCAN_STAGES key; timings holds the wall
-    seconds of the setup ("unitary") and of the tasks ("positions"), and
-    the busy seconds summed per stage (more than the wall time when workers
-    run in parallel); defect is the unitary's unitarity defect."""
+    each is gathered.  A position's row is the mean and standard error of
+    tau and lambda over orbits with tau >= 1, survivors counted at t_max
+    (Altmann, Portela & Tel, RMP 85, 869 (2013)), the unescaped fraction,
+    and the mean and standard error of the dwell time and of s_w over all
+    N Schur states, zero modes entering with dwell 0.  Returns (columns,
+    timings, busy, defect): columns maps q_L and each SCAN_COLUMNS header to
+    its column; busy holds each position's busy seconds per SCAN_STAGES key;
+    timings holds the wall seconds of the setup ("unitary") and of the tasks
+    ("positions"), and the busy seconds summed per stage (more than the wall
+    time when workers run in parallel); defect is the unitary's unitarity
+    defect."""
     start = time.perf_counter()
     positions = _scan_positions(cfg)
     params = MapParams(cfg.k)
@@ -399,12 +391,20 @@ def leak_scan(cfg: ExperimentConfig, workers: int | None) -> tuple:
 
     def position(i):
         t0 = time.perf_counter()
-        cl = escape_stats(escape_ensemble(grid, Leak(float(positions[i]), cfg.leak_width), cfg.t_max, params))
+        ens = escape_ensemble(grid, Leak(float(positions[i]), cfg.leak_width), cfg.t_max, params)
+        sel = ens.tau >= 1
+        if sel.any():
+            cl = (*_mean_se(ens.tau[sel].astype(float)), *_mean_se(ens.ftle[sel]), 1.0 - ens.escape_fraction)
+        else:
+            # every orbit was absorbed before its first step (leak covers
+            # the full torus): zero dwell, no exponent defined
+            cl = (0.0, 0.0, math.nan, math.nan, 0.0)
         t1 = time.perf_counter()
         res = leak_spectrum(u, keeps[i])
-        dw = dwell_stats(res)
+        # an infinite dwell time (a closed system) leaves the mean undefined
+        dw = (math.nan, math.nan) if np.isinf(res.dwell).any() else _mean_se(res.dwell)
         t2 = time.perf_counter()
-        sw = wehrl_stats(res, resolution)
+        sw = _mean_se(state_entropies(res.vectors, resolution))
         return (*cl, *dw, *sw), (t1 - t0, t2 - t1, time.perf_counter() - t2)
 
     tasks_start = time.perf_counter()
@@ -427,7 +427,8 @@ def cmd_scan(cfg: ExperimentConfig, workers: int | None) -> list:
     manifest's extra holds their Pearson correlations, and its
     position_timings_s each position's busy seconds."""
     run = _Run(cfg, "scan")
-    columns, timings, busy, defect = leak_scan(cfg, run.use_workers(workers, cfg.scan_positions))
+    run.workers = worker_count(workers, cfg.scan_positions)
+    columns, timings, busy, defect = leak_scan(cfg, run.workers)
     run.timings.update(timings)
     run.stage("write")
     for name, header in (

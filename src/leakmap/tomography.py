@@ -54,7 +54,6 @@ __all__ = [
     "state_entropies",
     "dwell_bins",
     "bin_means",
-    "wehrl_stats",
 ]
 
 # Torus image cutoff for the coherent state.
@@ -355,8 +354,7 @@ def _raw_entropies(plan: HusimiTransform, vectors: np.ndarray) -> np.ndarray:
 
 def state_entropies(vectors: np.ndarray, resolution) -> np.ndarray:
     """s_w of each column of vectors, a 2-D array of length-N states (such
-    as Schur states), in column order.  Each state's value does not depend
-    on the others, so blocks of columns concatenate to the whole."""
+    as Schur states), in column order."""
     plan = husimi_plan(vectors.shape[0], resolution)
     # Anchor the scale (or fail) before the batch workspace exists, so the
     # reference's buffers are freed before these are allocated.
@@ -398,10 +396,3 @@ def bin_means(bins: np.ndarray, s_w: np.ndarray, bin_width: float) -> tuple:
     mean = np.array([s_w[bins == b].mean() for b in index])
     count = np.array([(bins == b).sum() for b in index])
     return index, (index + 0.5) * bin_width, mean, count
-
-
-def wehrl_stats(res: ResonanceSet, resolution) -> tuple:
-    """(mean s_w, its standard error) over all states of one resonance
-    set."""
-    s_w = state_entropies(res.vectors, resolution)
-    return s_w.mean(), s_w.std(ddof=1) / math.sqrt(s_w.size)

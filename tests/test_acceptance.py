@@ -43,7 +43,6 @@ from leakmap.quantum import (
     QuantumParams,
     build_projector,
     build_unitary,
-    dwell_stats,
     leak_spectrum,
     open_propagator,
     resonance_spectrum,
@@ -265,7 +264,7 @@ def test_quantum_dwell_curves_converge_with_dimension():
     def mean_dwell(n):
         qp = QuantumParams(n, 10.0)
         u = build_unitary(qp)
-        return np.array([dwell_stats(leak_spectrum(u, build_projector(qp, Leak(float(c), 0.2))))[0] for c in positions])
+        return np.array([leak_spectrum(u, build_projector(qp, Leak(float(c), 0.2))).dwell.mean() for c in positions])
 
     curves = {n: mean_dwell(n) for n in (128, 256, 512)}
     rms_small = float(np.sqrt(np.mean((curves[128] - curves[256]) ** 2)))

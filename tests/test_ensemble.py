@@ -1,5 +1,6 @@
 """Grid ensembles: FTLE fields, dwell statistics, survival curves, scans."""
 
+import dataclasses
 import math
 import warnings
 
@@ -13,7 +14,6 @@ from leakmap.ensemble import (
     PhaseSpaceGrid,
     dwell_mask,
     escape_ensemble,
-    escape_stats,
     exponential_tail_fit,
     ftle_ensemble,
     ftle_field,
@@ -350,21 +350,24 @@ def test_mean_dwell_reflection_symmetry(reference_ensembles):
 # per-position statistics of the leak-position scan
 
 
-def test_escape_stats_full_torus():
-    mean_tau, _, mean_ftle, _, _ = escape_stats(escape_ensemble(PhaseSpaceGrid(6, 6), Leak(0.3, 1.0), 10, PARAMS))
-    assert mean_tau == 0.0
-    assert math.isnan(mean_ftle)
+def test_leak_scan_full_torus_and_smallest_selection():
+    cfg = ExperimentConfig(
+        grid_q=6, grid_p=6, t_max=10, leak_width=1.0, dim=8, scan_positions=1, scan_husimi_q=20, scan_husimi_p=20
+    )
+    scan = leak_scan(cfg, None)[0]
+    assert scan["mean_tau"][0] == 0.0
+    assert scan["se_tau"][0] == 0.0
+    assert math.isnan(scan["mean_lambda"][0])
     # next to an empty selection, the smallest one: the strip [0, 0.5)
     # swallows one of two columns and leaves the other column's n_p = 2
     # orbits, enough for finite standard errors
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        mean_tau, se_tau, _, se_ftle, _ = escape_stats(
-            escape_ensemble(PhaseSpaceGrid(2, 2), Leak(0.25, 0.5), 10, PARAMS)
-        )
-    assert mean_tau >= 1.0
-    assert np.isfinite(se_tau)
-    assert np.isfinite(se_ftle)
+        scan = leak_scan(dataclasses.replace(cfg, grid_q=2, grid_p=2, leak_width=0.5, scan_positions=4), None)[0]
+    assert scan["q_L"][1] == 0.25
+    assert scan["mean_tau"][1] >= 1.0
+    assert np.isfinite(scan["se_tau"][1])
+    assert np.isfinite(scan["se_lambda"][1])
 
 
 def test_leak_scan_classical_symmetry_and_errors():

@@ -1,5 +1,6 @@
 """Quantized map, projection, and Schur resonance spectra."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -11,12 +12,13 @@ from leakmap.quantum import (
     QuantumParams,
     build_projector,
     build_unitary,
-    dwell_stats,
     leak_spectrum,
     open_propagator,
     resonance_spectrum,
     unitarity_defect,
 )
+from leakmap.config import ExperimentConfig
+from leakmap.runner import leak_scan
 from leakmap.standard_map import Leak
 
 
@@ -154,6 +156,9 @@ def test_rank_bound_zero_modes():
     assert (~keep).sum() == 4
     res = resonance_spectrum(open_propagator(build_unitary(qp), keep))
     assert res.n_zero_modes >= 4
+    for center in (0.2, 0.5):
+        res = leak_spectrum(build_unitary(qp), build_projector(qp, Leak(center, 0.2)))
+        assert res.n_zero_modes >= 3  # floor(N dq) = 3
 
 
 def test_reflection_symmetric_spectra():
@@ -177,19 +182,15 @@ def test_spectrum_rejects_nonsquare():
 # per-position statistics of the leak-position scan
 
 
-def test_dwell_stats_basic():
-    qp = QuantumParams(16, 10.0)
-    u = build_unitary(qp)
-    for center in (0.2, 0.5):
-        res = leak_spectrum(u, build_projector(qp, Leak(center, 0.2)))
-        mean, se = dwell_stats(res)
-        assert math.isfinite(mean) and mean > 0.0
-        assert math.isfinite(se)
-        assert res.n_zero_modes >= 3  # floor(N dq) = 3
-
-
-def test_dwell_stats_closed_is_nan():
-    qp = QuantumParams(8, 10.0)
-    mean, se = dwell_stats(leak_spectrum(build_unitary(qp), build_projector(qp, Leak(0.5, 0.0))))
-    assert math.isnan(mean)
-    assert math.isnan(se)
+def test_leak_scan_dwell_is_finite_when_open_and_nan_when_closed():
+    # positions 0.0, 0.1, ..., 0.9 include the leaks at 0.2 and 0.5
+    cfg = ExperimentConfig(
+        grid_q=6, grid_p=6, t_max=10, leak_width=0.2, dim=16, scan_positions=10, scan_husimi_q=20, scan_husimi_p=20
+    )
+    scan = leak_scan(cfg, None)[0]
+    assert np.all(np.isfinite(scan["mean_T"])) and np.all(scan["mean_T"] > 0.0)
+    assert np.all(np.isfinite(scan["se_T"]))
+    # an infinite dwell time (the closed system) leaves the mean undefined
+    closed = leak_scan(dataclasses.replace(cfg, leak_width=0.0, dim=8, scan_positions=1), None)[0]
+    assert math.isnan(closed["mean_T"][0])
+    assert math.isnan(closed["se_T"][0])

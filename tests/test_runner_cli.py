@@ -18,9 +18,9 @@ import leakmap
 from leakmap import ensemble, quantum, runner, tomography
 from leakmap.cli import apply_thread_env, main
 from leakmap.config import default_config
-from leakmap.ensemble import PhaseSpaceGrid, escape_ensemble, escape_stats, exponential_tail_fit
+from leakmap.ensemble import PhaseSpaceGrid, escape_ensemble, exponential_tail_fit
 from leakmap.formats import read_lcf, sha256_file
-from leakmap.quantum import QuantumParams, build_projector, build_unitary, dwell_stats, leak_spectrum, unitarity_defect
+from leakmap.quantum import QuantumParams, build_projector, build_unitary, leak_spectrum, unitarity_defect
 from leakmap.runner import cmd_ftle_field, cmd_open_classical, cmd_quantum, cmd_scan, leak_scan, worker_count
 from leakmap.standard_map import Leak, MapParams
 from leakmap.tomography import HusimiTransform, state_entropies
@@ -270,12 +270,23 @@ def test_leak_scan_columns_are_the_per_position_statistics(tmp_path):
     qp = QuantumParams(16, cfg.k)
     u = build_unitary(qp)
     assert defect == unitarity_defect(u)
+
+    def mean_se(x):
+        return [x.mean(), x.std(ddof=1) / math.sqrt(x.size)]
+
     for i, center in enumerate(scan["q_L"]):
         leak = Leak(float(center), cfg.leak_width)
-        cl = escape_stats(escape_ensemble(PhaseSpaceGrid(48, 48), leak, 400, MapParams(cfg.k)))
+        ens = escape_ensemble(PhaseSpaceGrid(48, 48), leak, 400, MapParams(cfg.k))
+        sel = ens.tau >= 1
         res = leak_spectrum(u, build_projector(qp, leak))
         s_w = state_entropies(res.vectors, (40, 40))
-        row = [*cl, *dwell_stats(res), s_w.mean(), s_w.std(ddof=1) / math.sqrt(16)]
+        row = [
+            *mean_se(ens.tau[sel].astype(float)),
+            *mean_se(ens.ftle[sel]),
+            1.0 - ens.escape_fraction,
+            *mean_se(res.dwell),
+            *mean_se(s_w),
+        ]
         assert [scan[k][i] for k in runner.SCAN_COLUMNS] == row
     assert len(busy) == 3 and all(len(b) == len(runner.SCAN_STAGES) for b in busy)
     assert set(timings) == {"unitary", "positions", *runner.SCAN_STAGES}
@@ -548,7 +559,7 @@ class RecordingPool:
         pass
 
 
-@pytest.mark.parametrize("cmd,tasks", [(cmd_scan, 4), (cmd_quantum, 16)])
+@pytest.mark.parametrize("cmd,tasks", [(cmd_scan, 4)])
 def test_huge_worker_request_is_capped_and_gathered_in_order(tmp_path, monkeypatch, cmd, tasks):
     # an extreme request starts no process here: the pool is a recorder
     monkeypatch.setattr(runner, "ProcessPoolExecutor", RecordingPool)
@@ -561,6 +572,16 @@ def test_huge_worker_request_is_capped_and_gathered_in_order(tmp_path, monkeypat
     assert many["environment"]["workers"] == expect
     assert one["environment"]["workers"] == 1
     assert many["outputs"] == one["outputs"]
+
+
+def test_cmd_quantum_starts_no_pool(tmp_path, monkeypatch):
+    # quantum runs in this process at any worker request, whatever the CPUs
+    monkeypatch.setattr(runner, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "started", [])
+    monkeypatch.setattr(runner, "_usable_cpus", lambda: 4)
+    cmd_quantum(toy_config(tmp_path, dim=16), workers=10**6)
+    assert RecordingPool.started == []
+    assert load_manifest(tmp_path)["environment"]["workers"] == 1
 
 
 def test_killed_worker_breaks_the_pool_instead_of_hanging():
@@ -611,7 +632,7 @@ def test_output_bytes_do_not_depend_on_worker_count(tmp_path, command):
         assert proc.returncode == 0, proc.stderr
         manifests[threads] = check_manifest(out)
     assert manifests[2]["outputs"] == manifests[1]["outputs"]
-    tasks = {"quantum": 32, "scan": 4}.get(command, 1)
+    tasks = {"scan": 4}.get(command, 1)
     for threads, manifest in manifests.items():
         env = manifest["environment"]
         assert env["workers"] == min(threads, tasks, len(os.sched_getaffinity(0)))
@@ -628,9 +649,9 @@ def test_output_bytes_do_not_depend_on_worker_count(tmp_path, command):
 
 
 def test_numerical_failure_in_a_worker_exits_2(tmp_path):
-    # a block of states that fails inside a worker process: the error
+    # a scan position that fails inside a worker process: the error
     # crosses the pool, the command exits 2 and writes no manifest
-    out = tmp_path / "blocks"
+    out = tmp_path / "positions"
     code = (
         "import os, sys\n"
         "from leakmap.cli import apply_thread_env, main\n"
@@ -638,13 +659,14 @@ def test_numerical_failure_in_a_worker_exits_2(tmp_path):
         "from leakmap import runner\n"
         "parent = os.getpid()\n"
         "def failing(*args):\n"
-        "    raise RuntimeError('block failed in the ' + ('parent' if os.getpid() == parent else 'worker'))\n"
+        "    raise RuntimeError('position failed in the ' + ('parent' if os.getpid() == parent else 'worker'))\n"
         "runner.state_entropies = failing\n"
-        f"sys.exit(main(['quantum', '--output', {str(out)!r}, '--quantum.dim', '16', '--husimi.grid_q', '20',"
-        " '--husimi.grid_p', '20', '--husimi.top_states', '1']))\n"
+        f"sys.exit(main(['scan', '--output', {str(out)!r}, '--quantum.dim', '16', '--classical.grid_q', '20',"
+        " '--classical.grid_p', '20', '--classical.t_max', '50', '--scan.positions', '2',"
+        " '--scan.husimi_grid_q', '20', '--scan.husimi_grid_p', '20']))\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], env=cli_env(2), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 2, proc.stderr
     where = "worker" if len(os.sched_getaffinity(0)) > 1 else "parent"
-    assert f"error: block failed in the {where}" in proc.stderr
+    assert f"error: position failed in the {where}" in proc.stderr
     assert not (out / "manifest.json").exists()
