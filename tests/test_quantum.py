@@ -182,15 +182,22 @@ def test_spectrum_rejects_nonsquare():
 # per-position statistics of the leak-position scan
 
 
-def test_leak_scan_dwell_is_finite_when_open_and_nan_when_closed():
+def _dwell_scan_config():
     # positions 0.0, 0.1, ..., 0.9 include the leaks at 0.2 and 0.5
-    cfg = ExperimentConfig(
+    return ExperimentConfig(
         grid_q=6, grid_p=6, t_max=10, leak_width=0.2, dim=16, scan_positions=10, scan_husimi_q=20, scan_husimi_p=20
     )
-    scan = leak_scan(cfg, None)[0]
+
+
+def test_dwell_stats_basic():
+    scan = leak_scan(_dwell_scan_config(), None)[0]
     assert np.all(np.isfinite(scan["mean_T"])) and np.all(scan["mean_T"] > 0.0)
     assert np.all(np.isfinite(scan["se_T"]))
+
+
+def test_dwell_stats_closed_is_nan():
     # an infinite dwell time (the closed system) leaves the mean undefined
-    closed = leak_scan(dataclasses.replace(cfg, leak_width=0.0, dim=8, scan_positions=1), None)[0]
+    cfg = dataclasses.replace(_dwell_scan_config(), leak_width=0.0, dim=8, scan_positions=1)
+    closed = leak_scan(cfg, None)[0]
     assert math.isnan(closed["mean_T"][0])
     assert math.isnan(closed["se_T"][0])
