@@ -80,8 +80,6 @@ def _collect_overrides(tokens: list) -> list:
                 raise ValueError(f"override {tok!r} is missing a value")
             value = tokens[i + 1]
             i += 2
-        if "." not in key:
-            raise ValueError(f"override {tok!r} must look like --section.key")
         pairs.append((key, value))
     return pairs
 
@@ -101,10 +99,10 @@ def main(argv=None) -> int:
         return 1
 
     # Numeric imports happen only now, after the thread pins above.
-    from .config import ConfigError, apply_overrides, default_config, load_config
+    from .config import ConfigError, ExperimentConfig, apply_overrides, load_config
 
     try:
-        cfg = load_config(args.config) if args.config else default_config()
+        cfg = load_config(args.config) if args.config else ExperimentConfig()
         if args.output:
             overrides = overrides + [("run.output", args.output)]
         if overrides:

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-__all__ = ["ExperimentConfig", "ConfigError", "default_config", "parse_config", "load_config", "serialize_config", "apply_overrides"]
+__all__ = ["ExperimentConfig", "ConfigError", "parse_config", "load_config", "serialize_config", "apply_overrides"]
 
 
 class ConfigError(ValueError):
@@ -69,10 +69,6 @@ _SCHEMA = {
 }
 
 _ATTR_TO_KEY = {attr: sk for sk, (attr, _) in _SCHEMA.items()}
-
-
-def default_config() -> ExperimentConfig:
-    return ExperimentConfig()
 
 
 def _validate(cfg: ExperimentConfig, violations: list):

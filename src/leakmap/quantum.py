@@ -122,7 +122,7 @@ class ResonanceSet:
     z: unit-modulus-or-less eigenvalues, |z| non-increasing.
     theta: phases in (-pi, pi].
     gamma: decay rates -2 ln|z|; +inf for zero modes (|z| < ZERO_MODE_TOL),
-        clamped at 0 against roundoff for unit-modulus modes.
+        0 for unit-modulus modes (|z| >= 1 - UNIT_MODULUS_TOL).
     dwell: dwell times 1/gamma; 0 for zero modes, +inf for unit modulus.
     vectors: unitary matrix whose k-th column is the k-th Schur vector; the
         leading m columns span the invariant subspace of the m longest-lived
@@ -184,12 +184,11 @@ def resonance_spectrum(m: np.ndarray) -> ResonanceSet:
         raise RuntimeError("Schur reordering left |z| non-monotone")
     zero = modz < ZERO_MODE_TOL
     unit = modz >= 1.0 - UNIT_MODULUS_TOL
+    gamma = -2.0 * np.log(np.maximum(modz, ZERO_MODE_TOL))
+    gamma[zero] = np.inf
+    gamma[unit] = 0.0  # |z| can exceed 1 by roundoff when closed
     with np.errstate(divide="ignore"):
-        gamma = np.where(zero, np.inf, -2.0 * np.log(np.maximum(modz, ZERO_MODE_TOL)))
-    gamma = np.maximum(gamma, 0.0)  # |z| can exceed 1 by roundoff when closed
-    gamma[unit & ~zero] = 0.0
-    with np.errstate(divide="ignore"):
-        dwell = np.where(zero, 0.0, np.where(gamma == 0.0, np.inf, 1.0 / np.maximum(gamma, 1e-300)))
+        dwell = 1.0 / gamma
     return ResonanceSet(
         z=z,
         theta=np.angle(z),

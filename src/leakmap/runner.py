@@ -12,11 +12,12 @@ alone computes the statistics of a position.
 `scan` positions are independent tasks.  Given `workers` > 1, `scan` maps
 them over fork-started worker processes (never more than `worker_count`
 allows); one worker runs them in this process, as do the other commands.
-The parent builds what the tasks share (unitary, projectors, Husimi plan)
+The parent builds what the tasks share (the unitary and the Husimi plan)
 before the pool starts, so the workers inherit it and only task indices
-and results cross processes.  Results are gathered in task order and
-every process runs BLAS on one thread (the CLI pins it), so the output
-bytes do not depend on the worker count.
+and results cross processes; each task builds its own leak and projector.
+Results are gathered in task order and every process runs BLAS on one
+thread (the CLI pins it), so the output bytes do not depend on the worker
+count.
 """
 
 from __future__ import annotations
@@ -175,11 +176,10 @@ class _Run:
         self._stage_t0 = 0.0
 
     def stage(self, name: str):
-        """Close the running stage and start `name`; a stage entered more
-        than once accumulates its time."""
+        """Record the running stage's time and start `name`."""
         now = time.perf_counter()
         if self._stage is not None:
-            self.timings[self._stage] = round(self.timings.get(self._stage, 0.0) + now - self._stage_t0, 6)
+            self.timings[self._stage] = round(now - self._stage_t0, 6)
         self._stage = name
         self._stage_t0 = now
         return self
@@ -362,10 +362,10 @@ def cmd_quantum(cfg: ExperimentConfig, workers: int | None) -> list:
 def leak_scan(cfg: ExperimentConfig, workers: int | None) -> tuple:
     """Classical and quantum statistics at `cfg.scan_positions` leak centers.
 
-    The unitary (checked as `quantum` checks it), the projectors and the
-    Husimi plan with its coherent reference are built once, so a bad
-    unitary or Husimi grid fails before any position runs; each position is
-    then one task (its escape ensemble and one Schur spectrum) run over at
+    The unitary (checked as `quantum` checks it) and the Husimi plan with
+    its coherent reference are built once, so a bad unitary or Husimi grid
+    fails before any position runs; each position is then one task (its
+    leak, escape ensemble, projector and one Schur spectrum) run over at
     most `worker_count(workers, positions)` processes, with one stderr line as
     each is gathered.  A position's row is the mean and standard error of
     tau and lambda over orbits with tau >= 1, survivors counted at t_max
@@ -386,12 +386,12 @@ def leak_scan(cfg: ExperimentConfig, workers: int | None) -> tuple:
     resolution = (cfg.scan_husimi_q, cfg.scan_husimi_p)
     # shared by every position: built once, inherited by forked workers
     u, defect = _checked_unitary(qp)
-    keeps = [build_projector(qp, Leak(float(c), cfg.leak_width)) for c in positions]
     husimi_plan(cfg.dim, resolution).coherent_entropy
 
     def position(i):
         t0 = time.perf_counter()
-        ens = escape_ensemble(grid, Leak(float(positions[i]), cfg.leak_width), cfg.t_max, params)
+        leak = Leak(float(positions[i]), cfg.leak_width)
+        ens = escape_ensemble(grid, leak, cfg.t_max, params)
         sel = ens.tau >= 1
         if sel.any():
             cl = (*_mean_se(ens.tau[sel].astype(float)), *_mean_se(ens.ftle[sel]), 1.0 - ens.escape_fraction)
@@ -400,7 +400,7 @@ def leak_scan(cfg: ExperimentConfig, workers: int | None) -> tuple:
             # the full torus): zero dwell, no exponent defined
             cl = (0.0, 0.0, math.nan, math.nan, 0.0)
         t1 = time.perf_counter()
-        res = leak_spectrum(u, keeps[i])
+        res = leak_spectrum(u, build_projector(qp, leak))
         # an infinite dwell time (a closed system) leaves the mean undefined
         dw = (math.nan, math.nan) if np.isinf(res.dwell).any() else _mean_se(res.dwell)
         t2 = time.perf_counter()

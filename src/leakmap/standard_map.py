@@ -31,23 +31,15 @@ TWO_PI = 2.0 * math.pi
 RENORM_INTERVAL = 20
 
 
-def mod1(x):
-    """Reduce to the half-open interval [0, 1).
+def mod1(x: float) -> float:
+    """Reduce a float to the half-open interval [0, 1).
 
-    np.mod can return exactly 1.0 for tiny negative inputs (e.g. -1e-18),
-    which would violate the torus convention, so that case is folded to 0.
-    Works on scalars and arrays; a float is reduced by Python's %, which
-    rounds exactly like np.mod, without building a numpy scalar.
+    Python's % rounds exactly like np.mod and can return exactly 1.0 for
+    tiny negative inputs (e.g. -1e-18), which would violate the torus
+    convention, so that case is folded to 0.
     """
-    if isinstance(x, float):
-        r = float(x) % 1.0
-        return 0.0 if r == 1.0 else r
-    r = np.mod(x, 1.0)
-    if np.ndim(r) == 0:
-        r = float(r)
-        return 0.0 if r == 1.0 else r
-    r[r == 1.0] = 0.0
-    return r
+    r = float(x) % 1.0
+    return 0.0 if r == 1.0 else r
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,6 @@ from leakmap.config import (
     ConfigError,
     ExperimentConfig,
     apply_overrides,
-    default_config,
     load_config,
     parse_config,
     serialize_config,
@@ -16,13 +15,13 @@ from leakmap.config import (
 
 
 def test_default_serialization_round_trip():
-    cfg = default_config()
+    cfg = ExperimentConfig()
     assert parse_config(serialize_config(cfg)) == cfg
 
 
 def test_modified_round_trip():
     cfg = dataclasses.replace(
-        default_config(), k=7.5, dim=128, top_states=7, output="elsewhere"
+        ExperimentConfig(), k=7.5, dim=128, top_states=7, output="elsewhere"
     )
     assert parse_config(serialize_config(cfg)) == cfg
 
@@ -45,7 +44,7 @@ dim = 64
     assert cfg.leak_center == 0.5
     assert cfg.leak_width == 0.1
     assert cfg.dim == 64
-    assert cfg.t_max == default_config().t_max  # untouched keys keep defaults
+    assert cfg.t_max == ExperimentConfig().t_max  # untouched keys keep defaults
 
 
 def test_unknown_keys_are_hard_errors():
@@ -91,7 +90,7 @@ def test_value_validation():
 )
 def test_non_finite_floats_are_violations(key, value):
     with pytest.raises(ConfigError) as exc:
-        apply_overrides(default_config(), [(key, value)])
+        apply_overrides(ExperimentConfig(), [(key, value)])
     assert [v.split(":")[0] for v in exc.value.violations] == [key]
 
 
@@ -106,30 +105,30 @@ def test_load_config_missing_file(tmp_path):
 
 
 def test_load_config_round_trip(tmp_path):
-    cfg = dataclasses.replace(default_config(), dim=64)
+    cfg = dataclasses.replace(ExperimentConfig(), dim=64)
     path = tmp_path / "exp.cfg"
     path.write_text(serialize_config(cfg))
     assert load_config(path) == cfg
 
 
 def test_apply_overrides():
-    cfg = apply_overrides(default_config(), [("quantum.dim", "256"), ("leak.center", "0.8")])
+    cfg = apply_overrides(ExperimentConfig(), [("quantum.dim", "256"), ("leak.center", "0.8")])
     assert cfg.dim == 256
     assert cfg.leak_center == 0.8
-    assert default_config().dim == 512  # original untouched
+    assert ExperimentConfig().dim == 512  # original untouched
 
 
 def test_apply_overrides_errors():
     with pytest.raises(ConfigError):
-        apply_overrides(default_config(), [("quantum.dims", "256")])
+        apply_overrides(ExperimentConfig(), [("quantum.dims", "256")])
     with pytest.raises(ConfigError):
-        apply_overrides(default_config(), [("dim", "256")])
+        apply_overrides(ExperimentConfig(), [("dim", "256")])
     with pytest.raises(ConfigError):
-        apply_overrides(default_config(), [("quantum.dim", "many")])
+        apply_overrides(ExperimentConfig(), [("quantum.dim", "many")])
     with pytest.raises(ConfigError):
-        apply_overrides(default_config(), [("classical.t_max", "0")])
+        apply_overrides(ExperimentConfig(), [("classical.t_max", "0")])
 
 
 def test_config_is_frozen():
     with pytest.raises(dataclasses.FrozenInstanceError):
-        default_config().dim = 7
+        ExperimentConfig().dim = 7

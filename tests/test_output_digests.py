@@ -19,11 +19,13 @@ def test_digests_of_this_tree_agree_across_worker_settings(capsys):
     assert lines == sorted(lines)
     fields = [line.split(" ") for line in lines]
     assert all(len(f) == 3 and len(f[2]) == 64 for f in fields)
-    assert {f[0] for f in fields} == {"ftle-field", "open-classical", "quantum", "scan"}
+    labels = ["ftle-field", "open-classical", "quantum", "scan", "scan-closed"]
+    assert {f[0] for f in fields} == set(labels)
     assert ["scan", "scan.csv"] in [f[:2] for f in fields]
-    # each command's scalar results are covered by one line
+    assert ["scan-closed", "scan.csv"] in [f[:2] for f in fields]
+    # each run's scalar results are covered by one line
     extra = [f[0] for f in fields if f[1] == "manifest.json:extra"]
-    assert extra == ["ftle-field", "open-classical", "quantum", "scan"]
+    assert extra == labels
 
 
 def test_disagreeing_worker_settings_exit_1(monkeypatch, capsys):

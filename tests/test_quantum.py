@@ -126,6 +126,7 @@ def test_diagonal_matrix_spectrum():
     res = resonance_spectrum(np.diag(d))
     assert_allclose(np.abs(res.z), [0.9, 0.5, 0.2, 0.0], rtol=0, atol=1e-15)
     assert_allclose(res.gamma[:3], -2.0 * np.log([0.9, 0.5, 0.2]), rtol=1e-12)
+    assert np.array_equal(res.dwell[:3], 1.0 / res.gamma[:3])
     assert res.n_zero_modes == 1
     assert res.dwell[3] == 0.0
     assert np.isinf(res.gamma[3])

@@ -17,7 +17,7 @@ import pytest
 import leakmap
 from leakmap import ensemble, quantum, runner, tomography
 from leakmap.cli import apply_thread_env, main
-from leakmap.config import default_config
+from leakmap.config import ExperimentConfig
 from leakmap.ensemble import PhaseSpaceGrid, escape_ensemble, exponential_tail_fit
 from leakmap.formats import read_lcf, sha256_file
 from leakmap.quantum import QuantumParams, build_projector, build_unitary, leak_spectrum, unitarity_defect
@@ -45,7 +45,7 @@ def toy_config(outdir, **kw):
         output=str(outdir),
     )
     base.update(kw)
-    return dataclasses.replace(default_config(), **base)
+    return dataclasses.replace(ExperimentConfig(), **base)
 
 
 def load_manifest(outdir):
@@ -321,6 +321,24 @@ def test_leak_scan_checks_the_coherent_reference_before_any_position(tmp_path, m
     assert calls["leak_spectrum"] == 0
 
 
+def test_leak_scan_builds_no_position_input_before_the_first_task(tmp_path, monkeypatch):
+    # each position builds its own projector, inside its task
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return build_projector(*args)
+
+    def failing(*args):
+        raise RuntimeError("first task ran")
+
+    monkeypatch.setattr(runner, "build_projector", counted)
+    monkeypatch.setattr(runner, "escape_ensemble", failing)
+    with pytest.raises(RuntimeError, match="first task ran"):
+        leak_scan(toy_config(tmp_path, dim=16, t_max=400, scan_positions=5), None)
+    assert calls == []
+
+
 def test_manifest_stage_keys_read_by_the_benchmark(tmp_path):
     # perfbench reads these timings_s keys as its runner.stage.* metrics
     cmd_scan(toy_config(tmp_path / "scan", dim=16, t_max=400), None)
@@ -429,7 +447,9 @@ def test_cli_config_errors_exit_1(tmp_path, capsys):
     assert run_cli(["quantum", "--config", str(bad)]) == 1
     assert "quantum.dim" in capsys.readouterr().err
     assert run_cli(["quantum", "--config", str(tmp_path / "missing.cfg")]) == 1
+    capsys.readouterr()
     assert run_cli(["quantum", "--no-dots", "1"]) == 1
+    assert "no-dots: overrides must look like section.key" in capsys.readouterr().err
     assert run_cli(["quantum", "--quantum.dim"]) == 1  # missing value
     assert run_cli(["quantum", "--quantum.dims", "4"]) == 1  # unknown key
     capsys.readouterr()

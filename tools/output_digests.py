@@ -7,10 +7,12 @@ Runs `ftle-field`, `open-classical`, `quantum` and `scan` through
 `python -m leakmap.cli`, with ROOT/src on PYTHONPATH (ROOT defaults to the
 tree this script belongs to), at one fixed small config: classical 120^2
 grid, t_max 600, 10 FTLE steps, leak at 0.3 of width 0.2, N = 128 with a
-150^2 Husimi grid, and a scan over 6 positions on 60^2 Husimi grids.  Each
-command runs once with LEAKMAP_THREADS unset and once at 2.  The script
-prints the sorted `command path sha256` lines of the manifests, plus one
-`command manifest.json:extra sha256` line per command that hashes the
+150^2 Husimi grid, and a scan over 6 positions on 60^2 Husimi grids.  The
+scan runs a second time on the closed system (`--leak.width 0.0`, labelled
+`scan-closed`), where every dwell time is infinite and the mean dwell time
+undefined.  Each run happens once with LEAKMAP_THREADS unset and once at 2.
+The script prints the sorted `label path sha256` lines of the manifests,
+plus one `label manifest.json:extra sha256` line per run that hashes the
 manifest's `extra` results (`json.dumps(extra, sort_keys=True)`), and exits
 1 when the two worker settings disagree.  Every output byte and every
 `extra` value is a pure function of the config, so two trees compute the
@@ -31,7 +33,14 @@ import sys
 import tempfile
 from pathlib import Path
 
-COMMANDS = ("ftle-field", "open-classical", "quantum", "scan")
+# label -> command and its overrides of CONFIG
+RUNS = {
+    "ftle-field": ["ftle-field"],
+    "open-classical": ["open-classical"],
+    "quantum": ["quantum"],
+    "scan": ["scan"],
+    "scan-closed": ["scan", "--leak.width", "0.0"],
+}
 
 CONFIG = """\
 [leak]
@@ -62,8 +71,8 @@ WORKER_SETTINGS = (None, "2")
 
 
 def digests(root: Path, workdir: Path, threads: str | None) -> list:
-    """`command path sha256` lines of every command at one worker setting,
-    the manifest's `extra` included as path `manifest.json:extra`."""
+    """`label path sha256` lines of every run at one worker setting, the
+    manifest's `extra` included as path `manifest.json:extra`."""
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     env.pop("LEAKMAP_THREADS", None)
     if threads is not None:
@@ -71,21 +80,21 @@ def digests(root: Path, workdir: Path, threads: str | None) -> list:
     cfg = workdir / "digests.cfg"
     cfg.write_text(CONFIG)
     lines = []
-    for command in COMMANDS:
-        out = workdir / f"threads-{threads or 'unset'}" / command
+    for label, args in RUNS.items():
+        out = workdir / f"threads-{threads or 'unset'}" / label
         proc = subprocess.run(
-            [sys.executable, "-m", "leakmap.cli", command, "--config", str(cfg), "--output", str(out)],
+            [sys.executable, "-m", "leakmap.cli", *args, "--config", str(cfg), "--output", str(out)],
             cwd=workdir,
             env=env,
             capture_output=True,
             text=True,
         )
         if proc.returncode != 0:
-            sys.exit(f"{command} (LEAKMAP_THREADS={threads}) exited {proc.returncode}:\n{proc.stderr}")
+            sys.exit(f"{label} (LEAKMAP_THREADS={threads}) exited {proc.returncode}:\n{proc.stderr}")
         manifest = json.loads((out / "manifest.json").read_text())
-        lines += [f"{command} {e['path']} {e['sha256']}" for e in manifest["outputs"]]
+        lines += [f"{label} {e['path']} {e['sha256']}" for e in manifest["outputs"]]
         extra = json.dumps(manifest["extra"], sort_keys=True).encode()
-        lines.append(f"{command} manifest.json:extra {hashlib.sha256(extra).hexdigest()}")
+        lines.append(f"{label} manifest.json:extra {hashlib.sha256(extra).hexdigest()}")
     return sorted(lines)
 
 
