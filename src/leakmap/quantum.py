@@ -119,8 +119,8 @@ def open_propagator(u: np.ndarray, keep: np.ndarray) -> np.ndarray:
 class ResonanceSet:
     """Complex-Schur spectrum of an open propagator, ordered by lifetime.
 
-    z: unit-modulus-or-less eigenvalues, |z| non-increasing.
-    theta: phases in (-pi, pi].
+    z: unit-modulus-or-less eigenvalues, |z| non-increasing; their phases
+        are np.angle(z).
     gamma: decay rates -2 ln|z|; +inf for zero modes (|z| < ZERO_MODE_TOL),
         0 for unit-modulus modes (|z| >= 1 - UNIT_MODULUS_TOL).
     dwell: dwell times 1/gamma; 0 for zero modes, +inf for unit modulus.
@@ -128,10 +128,11 @@ class ResonanceSet:
         leading m columns span the invariant subspace of the m longest-lived
         resonances.
     triangular: reordered upper-triangular factor, diag == z.
+    vectors and triangular are LAPACK's Fortran-ordered factors, not copied,
+    so each Schur vector is one contiguous column.
     """
 
     z: np.ndarray
-    theta: np.ndarray
     gamma: np.ndarray
     dwell: np.ndarray
     vectors: np.ndarray
@@ -174,7 +175,8 @@ def _sorted_schur(m: np.ndarray):
 
 
 def resonance_spectrum(m: np.ndarray) -> ResonanceSet:
-    """Lifetime-ordered resonances of an open (sub-unitary) propagator."""
+    """Lifetime-ordered resonances of an open (sub-unitary) propagator; the
+    Schur factors are kept as LAPACK returned them (Fortran order)."""
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"propagator must be square, got {m.shape}")
     t, v = _sorted_schur(m)
@@ -189,14 +191,7 @@ def resonance_spectrum(m: np.ndarray) -> ResonanceSet:
     gamma[unit] = 0.0  # |z| can exceed 1 by roundoff when closed
     with np.errstate(divide="ignore"):
         dwell = 1.0 / gamma
-    return ResonanceSet(
-        z=z,
-        theta=np.angle(z),
-        gamma=gamma,
-        dwell=dwell,
-        vectors=np.ascontiguousarray(v),
-        triangular=np.ascontiguousarray(t),
-    )
+    return ResonanceSet(z=z, gamma=gamma, dwell=dwell, vectors=v, triangular=t)
 
 
 def leak_spectrum(u: np.ndarray, keep: np.ndarray) -> ResonanceSet:

@@ -184,12 +184,9 @@ class _Run:
         self._stage_t0 = now
         return self
 
-    def add(self, written):
-        """Record paths this run wrote; the manifest lists exactly these."""
-        if isinstance(written, (list, tuple)):
-            self.files.extend(Path(p) for p in written)
-        else:
-            self.files.append(Path(written))
+    def add(self, *paths):
+        """Record the paths this run wrote; the manifest lists exactly these."""
+        self.files.extend(Path(p) for p in paths)
 
     def path(self, name: str) -> Path:
         return self.outdir / name
@@ -240,16 +237,9 @@ def cmd_ftle_field(cfg: ExperimentConfig, workers: int | None) -> list:
     means = strip_scan(field, positions, cfg.leak_width)
     run.stage("write")
     run.add(write_lcf(run.path("ftle_field.lcf"), field))
-    run.add(write_pgm(run.path("ftle_field.pgm"), field))
+    run.add(*write_pgm(run.path("ftle_field.pgm"), field))
     run.add(write_csv(run.path("strip_means.csv"), ["q_L", "mean_ftle"], [positions, means]))
-    return run.finish(
-        {
-            "ftle_steps": cfg.ftle_steps,
-            "grid": [cfg.grid_q, cfg.grid_p],
-            "strip_width": cfg.leak_width,
-            "field_mean": float(field.mean()),
-        }
-    )
+    return run.finish({"field_mean": float(field.mean())})
 
 
 def cmd_open_classical(cfg: ExperimentConfig, workers: int | None) -> list:
@@ -272,7 +262,7 @@ def cmd_open_classical(cfg: ExperimentConfig, workers: int | None) -> list:
     run.add(write_csv(run.path("survival.csv"), ["n", "P"], [np.arange(p.size), p]))
     for name, values in (("dwell_time", ens.tau.astype(float)), ("dwell_ftle", ens.ftle)):
         run.add(write_lcf(run.path(f"{name}_field.lcf"), values))
-        run.add(write_pgm(run.path(f"{name}_field.pgm"), values, mask))
+        run.add(*write_pgm(run.path(f"{name}_field.pgm"), values, mask))
     run.add(
         write_csv(
             run.path("ftle_histogram.csv"),
@@ -283,8 +273,6 @@ def cmd_open_classical(cfg: ExperimentConfig, workers: int | None) -> list:
     run.add(write_csv(run.path("ftle_by_dwell.csv"), ["tau", "mean_ftle"], [tau, mean_ftle]))
     return run.finish(
         {
-            "leak": [cfg.leak_center, cfg.leak_width],
-            "t_max": cfg.t_max,
             "n_c": n_c,
             "gamma": fit.gamma,
             "tail_rms_residual": fit.rms_residual,
@@ -325,11 +313,11 @@ def cmd_quantum(cfg: ExperimentConfig, workers: int | None) -> list:
         write_csv(
             run.path("spectrum.csv"),
             ["k", "re_z", "im_z", "theta", "gamma", "dwell_time"],
-            [k_idx, res.z.real, res.z.imag, res.theta, res.gamma, res.dwell],
+            [k_idx, res.z.real, res.z.imag, np.angle(res.z), res.gamma, res.dwell],
         )
     )
     run.add(write_lcf(run.path("mean_husimi.lcf"), mean_field))
-    run.add(write_pgm(run.path("mean_husimi.pgm"), mean_field))
+    run.add(*write_pgm(run.path("mean_husimi.pgm"), mean_field))
     run.add(
         write_csv(
             run.path("wehrl_scatter.csv"),
@@ -346,12 +334,9 @@ def cmd_quantum(cfg: ExperimentConfig, workers: int | None) -> list:
     )
     return run.finish(
         {
-            "N": cfg.dim,
-            "leak": [cfg.leak_center, cfg.leak_width],
             "unitarity_defect": defect,
             "masked_sites": int((~keep).sum()),
             "n_zero_modes": res.n_zero_modes,
-            "top_states": cfg.top_states,
             "entropy_grid": list(grid),
             "entropy_grid_check": float(grid_check),
             "max_s_w": float(s_w.max()),
@@ -374,10 +359,11 @@ def leak_scan(cfg: ExperimentConfig, workers: int | None) -> tuple:
     N Schur states, zero modes entering with dwell 0.  Returns (columns,
     timings, busy, defect): columns maps q_L and each SCAN_COLUMNS header to
     its column; busy holds each position's busy seconds per SCAN_STAGES key;
-    timings holds the wall seconds of the setup ("unitary") and of the tasks
-    ("positions"), and the busy seconds summed per stage (more than the wall
-    time when workers run in parallel); defect is the unitary's unitarity
-    defect."""
+    timings holds the wall seconds of the setup, split into the checked
+    unitary ("unitary") and the Husimi plan with its coherent reference
+    ("husimi"), and of the tasks ("positions"), and the busy seconds summed
+    per stage (more than the wall time when workers run in parallel); defect
+    is the unitary's unitarity defect."""
     start = time.perf_counter()
     positions = _scan_positions(cfg)
     params = MapParams(cfg.k)
@@ -386,6 +372,7 @@ def leak_scan(cfg: ExperimentConfig, workers: int | None) -> tuple:
     resolution = (cfg.scan_husimi_q, cfg.scan_husimi_p)
     # shared by every position: built once, inherited by forked workers
     u, defect = _checked_unitary(qp)
+    plan_start = time.perf_counter()
     husimi_plan(cfg.dim, resolution).coherent_entropy
 
     def position(i):
@@ -416,7 +403,11 @@ def leak_scan(cfg: ExperimentConfig, workers: int | None) -> tuple:
             print(f"scan: position {i + 1}/{positions.size} q_L={positions[i]:g}: {busy}", file=sys.stderr, flush=True)
     stats, busy = zip(*rows)
     columns = {"q_L": positions, **dict(zip(SCAN_COLUMNS, np.array(stats, dtype=float).T))}
-    timings = {"unitary": round(tasks_start - start, 6), "positions": round(time.perf_counter() - tasks_start, 6)}
+    timings = {
+        "unitary": round(plan_start - start, 6),
+        "husimi": round(tasks_start - plan_start, 6),
+        "positions": round(time.perf_counter() - tasks_start, 6),
+    }
     for key, times in zip(SCAN_STAGES, zip(*busy)):
         timings[key] = round(sum(times), 6)
     return columns, timings, busy, defect
@@ -438,9 +429,6 @@ def cmd_scan(cfg: ExperimentConfig, workers: int | None) -> list:
         run.add(write_csv(run.path(name), header, [columns[h] for h in header]))
     return run.finish(
         {
-            "N": cfg.dim,
-            "positions": cfg.scan_positions,
-            "leak_width": cfg.leak_width,
             "unitarity_defect": defect,
             "pearson_tau_T": _pearson(columns["mean_tau"], columns["mean_T"]),
             "pearson_lambda_SW": _pearson(columns["mean_lambda"], columns["mean_SW"]),

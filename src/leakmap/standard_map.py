@@ -76,8 +76,9 @@ class Leak:
         return mod1(self.center - 0.5 * self.width)
 
     def contains(self, q):
-        """Half-open membership test on q (mod 1).  Scalar or array; a
-        float takes a path that builds no numpy object (see mod1)."""
+        """Half-open membership test on q (mod 1), a float or an array: a
+        float (np.float64 included) takes a path that builds no numpy
+        object (see mod1) and gives a bool, an array a bool array."""
         if isinstance(q, float):
             if self.width == 0.0 or self.width == 1.0:
                 return self.width == 1.0
@@ -87,22 +88,15 @@ class Leak:
             if hi <= 1.0:
                 return lo <= qq < hi
             return qq >= lo or qq < hi - 1.0
-        if self.width == 0.0:
-            out = np.zeros(np.shape(q), dtype=bool)
-        elif self.width == 1.0:
-            out = np.ones(np.shape(q), dtype=bool)
-        else:
-            qq = np.mod(np.asarray(q, dtype=float), 1.0)
-            qq = np.where(qq == 1.0, 0.0, qq)
-            lo = self.lower
-            hi = lo + self.width
-            if hi <= 1.0:
-                out = (qq >= lo) & (qq < hi)
-            else:  # strip wraps through q = 0
-                out = (qq >= lo) | (qq < hi - 1.0)
-        if np.ndim(q) == 0:
-            return bool(out)
-        return out
+        if self.width == 0.0 or self.width == 1.0:
+            return np.full(np.shape(q), self.width == 1.0)
+        qq = np.mod(np.asarray(q, dtype=float), 1.0)
+        qq = np.where(qq == 1.0, 0.0, qq)
+        lo = self.lower
+        hi = lo + self.width
+        if hi <= 1.0:
+            return (qq >= lo) & (qq < hi)
+        return (qq >= lo) | (qq < hi - 1.0)  # strip wraps through q = 0
 
 
 def _sigma_max(a, b, c, d):

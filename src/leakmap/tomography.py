@@ -277,15 +277,12 @@ PLAN_CACHE_SIZE = 4
 
 
 @functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
-def _plan(N: int, n_q: int, n_p: int) -> HusimiTransform:
-    return HusimiTransform(N, n_q, n_p)
-
-
-def husimi_plan(N: int, resolution) -> HusimiTransform:
+def husimi_plan(N: int, resolution: tuple) -> HusimiTransform:
     """The cached analyzer of length-N states on an n_q x n_p grid, the one
-    every function here uses; building it ahead of a fork lets worker
+    every function here uses; resolution is the tuple (n_q, n_p), and N and
+    resolution are the cache key.  Building it ahead of a fork lets worker
     processes inherit it."""
-    return _plan(int(N), int(resolution[0]), int(resolution[1]))
+    return HusimiTransform(N, *resolution)
 
 
 def entropy_grid(N: int) -> int:

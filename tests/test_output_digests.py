@@ -1,4 +1,5 @@
-"""tools/output_digests.py: output sha256 lines at two worker settings."""
+"""tools/output_digests.py: output sha256 and `extra` lines at two worker
+settings."""
 
 import importlib.util
 from pathlib import Path
@@ -18,14 +19,17 @@ def test_digests_of_this_tree_agree_across_worker_settings(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines == sorted(lines)
     fields = [line.split(" ") for line in lines]
-    assert all(len(f) == 3 and len(f[2]) == 64 for f in fields)
+    assert all(len(f) == 3 for f in fields)
+    assert all(len(f[2]) == 64 for f in fields if not f[1].startswith("extra:"))
     labels = ["ftle-field", "open-classical", "quantum", "scan", "scan-closed"]
     assert {f[0] for f in fields} == set(labels)
     assert ["scan", "scan.csv"] in [f[:2] for f in fields]
     assert ["scan-closed", "scan.csv"] in [f[:2] for f in fields]
-    # each run's scalar results are covered by one line
-    extra = [f[0] for f in fields if f[1] == "manifest.json:extra"]
-    assert extra == labels
+    # each run's results get one line per key, named by the key
+    extra = {(f[0], f[1]): f[2] for f in fields if f[1].startswith("extra:")}
+    assert {label for label, _ in extra} == set(labels)
+    assert ("ftle-field", "extra:field_mean") in extra
+    assert extra["scan-closed", "extra:pearson_tau_T"] == "null"
 
 
 def test_disagreeing_worker_settings_exit_1(monkeypatch, capsys):

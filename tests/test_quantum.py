@@ -130,7 +130,7 @@ def test_diagonal_matrix_spectrum():
     assert res.n_zero_modes == 1
     assert res.dwell[3] == 0.0
     assert np.isinf(res.gamma[3])
-    assert_allclose(res.theta[1], 0.7, rtol=1e-12)
+    assert_allclose(np.angle(res.z[1]), 0.7, rtol=1e-12)
 
 
 def test_n4_characteristic_polynomial_oracle():

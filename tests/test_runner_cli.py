@@ -17,7 +17,7 @@ import pytest
 import leakmap
 from leakmap import ensemble, quantum, runner, tomography
 from leakmap.cli import apply_thread_env, main
-from leakmap.config import ExperimentConfig
+from leakmap.config import ExperimentConfig, parse_config
 from leakmap.ensemble import PhaseSpaceGrid, escape_ensemble, exponential_tail_fit
 from leakmap.formats import read_lcf, sha256_file
 from leakmap.quantum import QuantumParams, build_projector, build_unitary, leak_spectrum, unitarity_defect
@@ -121,7 +121,8 @@ def test_cmd_open_classical_artifacts(tmp_path):
     cmd_open_classical(toy_config(out, grid_q=160, grid_p=160), None)
     manifest = check_manifest(out)
     extra = manifest["extra"]
-    assert extra["leak"] == [0.5, 0.2]
+    cfg = parse_config(manifest["config"])
+    assert (cfg.leak_center, cfg.leak_width) == (0.5, 0.2)
     assert extra["gamma"] > 0.0
     assert extra["n_c"] >= 0
     assert 0.99 <= extra["escape_fraction"] <= 1.0
@@ -179,7 +180,7 @@ def test_cmd_quantum_artifacts(tmp_path):
         "wehrl_bins.csv",
     }
     extra = manifest["extra"]
-    assert extra["N"] == 32
+    assert parse_config(manifest["config"]).dim == 32
     assert extra["unitarity_defect"] <= 1e-12
     assert extra["masked_sites"] == 6  # floor(32 * 0.2) sites in the strip
     assert extra["n_zero_modes"] >= extra["masked_sites"]
@@ -289,7 +290,7 @@ def test_leak_scan_columns_are_the_per_position_statistics(tmp_path):
         ]
         assert [scan[k][i] for k in runner.SCAN_COLUMNS] == row
     assert len(busy) == 3 and all(len(b) == len(runner.SCAN_STAGES) for b in busy)
-    assert set(timings) == {"unitary", "positions", *runner.SCAN_STAGES}
+    assert set(timings) == {"unitary", "husimi", "positions", *runner.SCAN_STAGES}
 
 
 def test_leak_scan_checks_unitarity_before_any_position(tmp_path, monkeypatch):
@@ -343,12 +344,32 @@ def test_manifest_stage_keys_read_by_the_benchmark(tmp_path):
     # perfbench reads these timings_s keys as its runner.stage.* metrics
     cmd_scan(toy_config(tmp_path / "scan", dim=16, t_max=400), None)
     manifest = load_manifest(tmp_path / "scan")
-    stages = {"unitary", "positions", "classical", "quantum", "entropy", "write", "manifest"}
+    stages = {"unitary", "husimi", "positions", "classical", "quantum", "entropy", "write", "manifest"}
     assert set(manifest["timings_s"]) == stages
     assert len(manifest["position_timings_s"]) == 4
     cmd_quantum(toy_config(tmp_path / "quantum", dim=16), None)
     stages = {"unitary", "spectrum", "husimi", "write", "manifest"}
     assert set(load_manifest(tmp_path / "quantum")["timings_s"]) == stages
+
+
+@pytest.mark.parametrize(
+    "command,keys",
+    [
+        ("ftle-field", {"field_mean"}),
+        ("open-classical", {"n_c", "gamma", "tail_rms_residual", "escape_fraction", "histogram_mean"}),
+        (
+            "quantum",
+            {"unitarity_defect", "masked_sites", "n_zero_modes", "entropy_grid", "entropy_grid_check", "max_s_w"},
+        ),
+        ("scan", {"unitarity_defect", "pearson_tau_T", "pearson_lambda_SW"}),
+    ],
+)
+def test_extra_holds_results_not_config(tmp_path, command, keys):
+    # the config is recorded once, in manifest["config"]; extra holds what
+    # the run computed (a 160^2 grid gives open-classical a survival tail
+    # that its fit accepts)
+    runner.COMMANDS[command](toy_config(tmp_path, dim=16, grid_q=160, grid_p=160), None)
+    assert set(load_manifest(tmp_path)["extra"]) == keys
 
 
 def test_cmd_quantum_checks_top_states_before_any_transform(tmp_path, monkeypatch, capsys):
@@ -381,7 +402,7 @@ def test_cmd_quantum_checks_top_states_before_any_transform(tmp_path, monkeypatc
     # a run that passes its checks transforms the top states on the image
     # grid, every state and the coherent reference on the entropy grid, and
     # the top states and the reference again at twice that grid
-    tomography._plan.cache_clear()
+    tomography.husimi_plan.cache_clear()
     cmd_quantum(dataclasses.replace(cfg, top_states=5, output=str(tmp_path / "ok")), None)
     assert len(calls) == 16 + 2 * 5 + 2
 

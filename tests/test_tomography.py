@@ -25,7 +25,6 @@ from leakmap.tomography import (
     PLAN_CACHE_SIZE,
     WINDOW_LOG_CUT,
     HusimiTransform,
-    _plan,
     _raw_entropy,
     bin_means,
     coherent_state,
@@ -299,7 +298,7 @@ def test_overlap_field_workspace_output_is_not_aliased():
 @pytest.mark.parametrize("n,n_q,n_p,center", [(16, 17, 17, 0.3), (64, 63, 63, 0.7), (32, 100, 100, 0.2)])
 def test_batch_loops_equal_per_state_path(n, n_q, n_p, center):
     res = open_resonances(n, center)
-    plan = _plan(n, n_q, n_p)
+    plan = husimi_plan(n, (n_q, n_p))
     s_coh = plan.coherent_entropy
     fields = [plan.field(res.vectors[:, j]) for j in range(n)]
     raw = np.array([reference_entropy(f) for f in fields])
@@ -337,10 +336,10 @@ def test_entropy_reduction_with_zero_cells(seed):
 def test_plan_cache_is_bounded_and_holds_no_workspace():
     for n in range(8, 8 + PLAN_CACHE_SIZE + 2):
         state_entropies(open_resonances(n, 0.5).vectors, (12, 14))
-    info = _plan.cache_info()
+    info = husimi_plan.cache_info()
     assert info.maxsize == PLAN_CACHE_SIZE
     assert info.currsize <= PLAN_CACHE_SIZE
-    arrays = [a for a in vars(_plan(8 + PLAN_CACHE_SIZE + 1, 12, 14)).values() if isinstance(a, np.ndarray)]
+    arrays = [a for a in vars(husimi_plan(8 + PLAN_CACHE_SIZE + 1, (12, 14))).values() if isinstance(a, np.ndarray)]
     assert not any(a.shape == (12, 14) and a.dtype == complex for a in arrays)
 
 

@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Print the sha256 of every file the four leakmap commands write.
+"""Print the sha256 of every file the four leakmap commands write, and
+every result each manifest records.
 
     python tools/output_digests.py [ROOT]
 
@@ -12,11 +13,12 @@ scan runs a second time on the closed system (`--leak.width 0.0`, labelled
 `scan-closed`), where every dwell time is infinite and the mean dwell time
 undefined.  Each run happens once with LEAKMAP_THREADS unset and once at 2.
 The script prints the sorted `label path sha256` lines of the manifests,
-plus one `label manifest.json:extra sha256` line per run that hashes the
-manifest's `extra` results (`json.dumps(extra, sort_keys=True)`), and exits
-1 when the two worker settings disagree.  Every output byte and every
-`extra` value is a pure function of the config, so two trees compute the
-same thing exactly when their printed lines are equal:
+plus one `label extra:KEY VALUE` line per key of each manifest's `extra`
+results, VALUE being `json.dumps(value, separators=(",", ":"))` (it holds
+no space), and exits 1 when the two worker settings disagree.  Every output
+byte and every `extra` value is a pure function of the config, so two trees
+compute the same thing exactly when their printed lines are equal, and a
+`diff` names each file and each result that moved:
 
     python tools/output_digests.py > change.txt
     python tools/output_digests.py path/to/other/checkout > other.txt
@@ -25,7 +27,6 @@ same thing exactly when their printed lines are equal:
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import subprocess
@@ -71,8 +72,8 @@ WORKER_SETTINGS = (None, "2")
 
 
 def digests(root: Path, workdir: Path, threads: str | None) -> list:
-    """`label path sha256` lines of every run at one worker setting, the
-    manifest's `extra` included as path `manifest.json:extra`."""
+    """`label path sha256` lines of every run at one worker setting, and a
+    `label extra:KEY VALUE` line per key of its manifest's `extra`."""
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     env.pop("LEAKMAP_THREADS", None)
     if threads is not None:
@@ -93,8 +94,7 @@ def digests(root: Path, workdir: Path, threads: str | None) -> list:
             sys.exit(f"{label} (LEAKMAP_THREADS={threads}) exited {proc.returncode}:\n{proc.stderr}")
         manifest = json.loads((out / "manifest.json").read_text())
         lines += [f"{label} {e['path']} {e['sha256']}" for e in manifest["outputs"]]
-        extra = json.dumps(manifest["extra"], sort_keys=True).encode()
-        lines.append(f"{label} manifest.json:extra {hashlib.sha256(extra).hexdigest()}")
+        lines += [f"{label} extra:{k} {json.dumps(v, separators=(',', ':'))}" for k, v in manifest["extra"].items()]
     return sorted(lines)
 
 
