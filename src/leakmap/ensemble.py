@@ -4,8 +4,12 @@ Initial conditions sit at cell centers of a uniform n_q x n_p grid, and
 every field is a plain (n_q, n_p) array whose entry [i, j] belongs to
 cell center (q_i, p_j); `dwell_mask` marks the cells a dwell statistic
 keeps.  One vectorized map-and-tangent loop, `_orbits`, evolves every
-ensemble: an active set that shrinks as trajectories get absorbed, and the
-closed-map FTLE is the same loop with the empty leak.  The scalar
+ensemble: it follows a set of absorbing strips in a single pass, because
+the orbits of the closed map do not depend on where a strip sits, and runs
+the grid in fixed chunks of cells, each an active set that shrinks as its
+points have met every strip.  `escape_ensemble` is the one-strip case, the
+closed-map FTLE the case of the empty strip, and `leak_scan` (runner)
+passes a group of scan positions at once.  The scalar
 `standard_map.evolve_open` is its independent reference.
 """
 
@@ -80,21 +84,101 @@ class PhaseSpaceGrid:
         return qq.ravel(), pp.ravel()
 
 
-def _orbits(q0, p0, leak: Leak, t_max: int, params: MapParams):
-    """Evolve flat arrays of initial points under the leaked map.
+# Grid cells the orbit loop runs at a time: its working set stays near this
+# many points whatever the grid size.
+_CHUNK = 1 << 15
 
-    Returns (tau, ftle, escaped) per point, with the conventions of
-    EscapeEnsemble.  Each step applies the map and the tangent update, then
-    the leak test, then the renormalization of the surviving frames.
+
+# Buckets of the strip lookup.  Scaling by a power of two is exact, so
+# bucket int(q * _BUCKETS) holds exactly the q in [b, b + 1) / _BUCKETS.
+_BUCKETS = 1 << 12
+
+
+def _strip_table(leaks):
+    """Strip edges and bitmasks of a set of leaks, for `_strip_bits`.
+
+    Returns (edges, table, bucket_bits, split): edges holds 0.0 and every
+    strip edge in (0, 1), sorted, and bit k of table[np.searchsorted(edges,
+    q, side="right")] is set when strip k holds q, for every q in [0, 1).
+    Membership cannot change between two adjacent edges, so each cell's
+    bits are `Leak.contains` at the cell's left edge: the same half-open
+    float comparisons as the strip's own test.  table[0] belongs to no
+    cell.  bucket_bits holds each bucket's bits, valid where split is
+    False: no edge lies strictly inside the bucket.
     """
-    total = q0.size
-    tau = np.zeros(total, dtype=np.int64)
-    lam = np.full(total, np.nan)
-    escaped = np.zeros(total, dtype=bool)
+    cuts = [0.0]
+    for leak in leaks:
+        if 0.0 < leak.width < 1.0:
+            lo = leak.lower
+            hi = lo + leak.width  # the upper edge exactly as `contains` forms it
+            cuts += [lo, hi if hi <= 1.0 else hi - 1.0]
+    edges = np.unique(cuts)
+    edges = edges[edges < 1.0]
+    table = np.zeros(edges.size + 1, dtype=np.uint64)
+    for k, leak in enumerate(leaks):
+        table[1:] |= leak.contains(edges).astype(np.uint64) << np.uint64(k)
+    left = np.arange(_BUCKETS) / _BUCKETS
+    cell = np.searchsorted(edges, left, side="right")
+    split = np.searchsorted(edges, left + 1.0 / _BUCKETS, side="left") > cell
+    return edges, table, table[cell], split
 
-    inside = leak.contains(q0)
-    escaped[inside] = True  # absorbed before the first step, tau stays 0
-    idx = np.nonzero(~inside)[0]
+
+def _strip_bits(q, strips):
+    """Bitmask of the strips holding each q in [0, 1), from the tables
+    `_strip_table` built: a bucket's bits, or one np.searchsorted on the
+    edges where an edge splits the bucket."""
+    edges, table, bucket_bits, split = strips
+    b = (q * _BUCKETS).astype(np.intp)
+    bits = bucket_bits[b]
+    mixed = np.flatnonzero(split[b])
+    if mixed.size:
+        bits[mixed] = table[np.searchsorted(edges, q[mixed], side="right")]
+    return bits
+
+
+def _orbits(q0, p0, leaks, t_max: int, params: MapParams):
+    """Evolve flat arrays of initial points under the map with each of up
+    to 64 absorbing strips, in one pass.
+
+    Returns (tau, ftle, escaped), each of shape (len(leaks), q0.size) and
+    tau as int32: row k holds the conventions of EscapeEnsemble for strip k
+    alone.  The orbits of the map do not depend on the strips, so a point
+    keeps moving until every strip has caught it; on a strip's first hit
+    it records tau = t and its exponent, from the same arithmetic on the
+    same frame as a pass with that strip alone.  The points run in chunks
+    of _CHUNK cells.
+    """
+    if len(leaks) > 64:
+        raise ValueError(f"at most 64 strips per pass, got {len(leaks)}")
+    strips = _strip_table(leaks)
+    shape = (len(leaks), q0.size)
+    tau = np.zeros(shape, dtype=np.int32)
+    lam = np.full(shape, np.nan)
+    escaped = np.zeros(shape, dtype=bool)
+    for start in range(0, q0.size, _CHUNK):
+        cells = slice(start, start + _CHUNK)
+        _orbit_chunk(q0[cells], p0[cells], strips, t_max, params, tau[:, cells], lam[:, cells], escaped[:, cells])
+    return tau, lam, escaped
+
+
+def _orbit_chunk(q0, p0, strips, t_max, params, tau, lam, escaped):
+    """The orbit loop of `_orbits` over one chunk of points, writing into the
+    chunk's columns of tau, lam and escaped.
+
+    Each step applies the map and the tangent update, then the strip test,
+    then the renormalization of the frames still moving.
+    """
+    bits = np.uint64(1) << np.arange(tau.shape[0], dtype=np.uint64)
+    every = np.uint64(2 ** tau.shape[0] - 1)
+    # with no edge inside (0, 1) every q lies in the same strips
+    lookup = strips[0].size > 1
+
+    qq = np.mod(q0, 1.0)
+    qq[qq == 1.0] = 0.0
+    caught = _strip_bits(qq, strips)
+    escaped |= (caught[None, :] & bits[:, None]) != 0  # absorbed before the first step, tau stays 0
+    idx = np.nonzero(caught != every)[0]
+    caught = caught[idx]
 
     q = q0[idx]  # index arrays copy, so the in-place updates below
     p = p0[idx]  # never reach the caller's arrays
@@ -108,29 +192,39 @@ def _orbits(q0, p0, leak: Leak, t_max: int, params: MapParams):
     for t in range(1, t_max + 1):
         if idx.size == 0:
             break
+        # x - floor(x) is np.mod(x, 1.0) bit for bit (both are the one
+        # rounding of the exact x - floor(x)), at a tenth of its cost
         q += p
-        np.mod(q, 1.0, out=q)
+        q -= np.floor(q)
         q[q == 1.0] = 0.0
-        p -= K / TWO_PI * np.sin(TWO_PI * q)
-        np.mod(p, 1.0, out=p)
+        x = TWO_PI * q
+        p -= K / TWO_PI * np.sin(x)
+        p -= np.floor(p)
         p[p == 1.0] = 0.0
-        kc = K * np.cos(TWO_PI * q)
+        kc = K * np.cos(x)
         a2 = a + c
         b2 = b + d
         c = c - kc * a2
         d = d - kc * b2
         a, b = a2, b2
 
-        hit = leak.contains(q)
-        if hit.any():
-            done = idx[hit]
-            tau[done] = t
-            escaped[done] = True
-            lam[done] = (s[hit] + np.log(_sigma_max(a[hit], b[hit], c[hit], d[hit]))) / t
-            keep = ~hit
-            idx = idx[keep]
-            q, p = q[keep], p[keep]
-            a, b, c, d, s = a[keep], b[keep], c[keep], d[keep], s[keep]
+        if lookup:
+            new = _strip_bits(q, strips) & ~caught
+            hit = np.flatnonzero(new)
+            if hit.size:
+                values = (s[hit] + np.log(_sigma_max(a[hit], b[hit], c[hit], d[hit]))) / t
+                # (point, strip) pairs of this step's first hits
+                j, k = np.nonzero((new[hit, None] & bits) != 0)
+                cells = idx[hit[j]]
+                tau[k, cells] = t
+                escaped[k, cells] = True
+                lam[k, cells] = values[j]
+                caught |= new
+                keep = np.flatnonzero(caught != every)
+                idx = idx[keep]
+                q, p = q[keep], p[keep]
+                a, b, c, d, s = a[keep], b[keep], c[keep], d[keep], s[keep]
+                caught = caught[keep]
 
         if t % RENORM_INTERVAL == 0 and idx.size:
             m = np.maximum.reduce([np.abs(a), np.abs(b), np.abs(c), np.abs(d)])
@@ -140,10 +234,11 @@ def _orbits(q0, p0, leak: Leak, t_max: int, params: MapParams):
             d /= m
             s += np.log(m)
 
-    if idx.size:  # survivors of the full horizon
-        tau[idx] = t_max
-        lam[idx] = (s + np.log(_sigma_max(a, b, c, d))) / t_max
-    return tau, lam, escaped
+    if idx.size:  # survivors of the full horizon, for each strip they never met
+        values = (s + np.log(_sigma_max(a, b, c, d))) / t_max
+        j, k = np.nonzero((caught[:, None] & bits) == 0)
+        tau[k, idx[j]] = t_max
+        lam[k, idx[j]] = values[j]
 
 
 def ftle_ensemble(q0, p0, n: int, params: MapParams) -> np.ndarray:
@@ -152,7 +247,7 @@ def ftle_ensemble(q0, p0, n: int, params: MapParams) -> np.ndarray:
         raise ValueError(f"need at least one step, got n={n}")
     q0 = np.asarray(q0, float).ravel()
     p0 = np.asarray(p0, float).ravel()
-    return _orbits(q0, p0, Leak(0.0, 0.0), n, params)[1]
+    return _orbits(q0, p0, [Leak(0.0, 0.0)], n, params)[1][0]
 
 
 def ftle_field(grid: PhaseSpaceGrid, n: int, params: MapParams) -> np.ndarray:
@@ -188,7 +283,7 @@ def escape_ensemble(grid: PhaseSpaceGrid, leak: Leak, t_max: int, params: MapPar
     """
     if t_max < 1:
         raise ValueError(f"t_max must be >= 1, got {t_max}")
-    tau, lam, escaped = _orbits(*grid.points(), leak, t_max, params)
+    tau, lam, escaped = _orbits(*grid.points(), [leak], t_max, params)
     shape = (grid.n_q, grid.n_p)
     return EscapeEnsemble(
         t_max=t_max,

@@ -9,12 +9,15 @@ so a rerun into a fresh directory produces identical checksums.
 `leak_scan` is the leak-position scan that `scan` writes, as columns; it
 alone computes the statistics of a position.
 
-`scan` positions are independent tasks.  Given `workers` > 1, `scan` maps
-them over fork-started worker processes (never more than `worker_count`
-allows); one worker runs them in this process, as do the other commands.
-The parent builds what the tasks share (the unitary and the Husimi plan)
-before the pool starts, so the workers inherit it and only task indices
-and results cross processes; each task builds its own leak and projector.
+`scan` runs independent tasks: one orbit pass per group of adjacent
+positions, which gives the group's classical columns (the orbits do not
+depend on the leak), and one Schur spectrum with its entropies per
+position.  Given `workers` > 1, `scan` maps them over fork-started worker
+processes (never more than `worker_count` allows); one worker runs them in
+this process, as do the other commands.  The parent builds what the tasks
+share (the unitary and the Husimi plan) before the pool starts, so the
+workers inherit it and only task indices and results cross processes; each
+task builds its own leaks and projector.
 Results are gathered in task order and every process runs BLAS on one
 thread (the CLI pins it), so the output bytes do not depend on the worker
 count.
@@ -40,6 +43,7 @@ from . import __version__
 from .config import ExperimentConfig, serialize_config
 from .ensemble import (
     PhaseSpaceGrid,
+    _orbits,
     dwell_mask,
     escape_ensemble,
     exponential_tail_fit,
@@ -69,6 +73,11 @@ UNITARITY_TOL = 1e-12
 
 # Busy-time keys of one scan position, in the order a position runs them.
 SCAN_STAGES = ("classical", "quantum", "entropy")
+
+# Most scan positions in one classical task: a group's per-cell results
+# (int32 tau, float64 lambda, bool escaped; 13 B a cell and position) then
+# take about what one position's escape ensemble took in its pass.
+_GROUP_MAX = 8
 
 # Statistics of one scan position, in the order its task returns them.
 SCAN_COLUMNS = ("mean_tau", "se_tau", "mean_lambda", "se_lambda", "unescaped_fraction", "mean_T", "se_T", "mean_SW", "se_SW")
@@ -349,59 +358,84 @@ def leak_scan(cfg: ExperimentConfig, workers: int | None) -> tuple:
 
     The unitary (checked as `quantum` checks it) and the Husimi plan with
     its coherent reference are built once, so a bad unitary or Husimi grid
-    fails before any position runs; each position is then one task (its
-    leak, escape ensemble, projector and one Schur spectrum) run over at
-    most `worker_count(workers, positions)` processes, with one stderr line as
-    each is gathered.  A position's row is the mean and standard error of
-    tau and lambda over orbits with tau >= 1, survivors counted at t_max
-    (Altmann, Portela & Tel, RMP 85, 869 (2013)), the unescaped fraction,
-    and the mean and standard error of the dwell time and of s_w over all
-    N Schur states, zero modes entering with dwell 0.  Returns (columns,
-    timings, busy, defect): columns maps q_L and each SCAN_COLUMNS header to
-    its column; busy holds each position's busy seconds per SCAN_STAGES key;
-    timings holds the wall seconds of the setup, split into the checked
-    unitary ("unitary") and the Husimi plan with its coherent reference
-    ("husimi"), and of the tasks ("positions"), and the busy seconds summed
-    per stage (more than the wall time when workers run in parallel); defect
-    is the unitary's unitarity defect."""
+    fails before any task runs.  The classical columns come from one orbit
+    pass per group of adjacent positions (at least one group per worker, at
+    most _GROUP_MAX positions each), since the orbits
+    do not depend on the leak; each position's projector and Schur spectrum
+    are a task of their own.  The tasks run over at most
+    `worker_count(workers, positions)` processes, groups first, with one
+    stderr line as each is gathered.  A position's row is the mean and
+    standard error of tau and lambda over orbits with tau >= 1, survivors
+    counted at t_max (Altmann, Portela & Tel, RMP 85, 869 (2013)), the
+    unescaped fraction, and the mean and standard error of the dwell time
+    and of s_w over all N Schur states, zero modes entering with dwell 0.
+    Returns (columns, timings, busy, defect, groups): columns maps q_L and
+    each SCAN_COLUMNS header to its column; busy holds each position's busy
+    seconds per SCAN_STAGES key, "classical" being its group's seconds
+    divided by the group's size; timings holds the wall seconds of the
+    setup, split into the checked unitary ("unitary") and the Husimi plan
+    with its coherent reference ("husimi"), and of the tasks
+    ("positions"), and the busy seconds summed per stage (more than the
+    wall time when workers run in parallel); defect is the unitary's
+    unitarity defect; groups lists each classical group's q_L, seconds and
+    point-steps (the steps of the pass summed over its points)."""
     start = time.perf_counter()
     positions = _scan_positions(cfg)
     params = MapParams(cfg.k)
     qp = QuantumParams(cfg.dim, cfg.k)
     grid = PhaseSpaceGrid(cfg.grid_q, cfg.grid_p)
     resolution = (cfg.scan_husimi_q, cfg.scan_husimi_p)
-    # shared by every position: built once, inherited by forked workers
+    n_workers = worker_count(workers, positions.size)
+    # contiguous groups of position indices, one classical task each
+    groups = np.array_split(np.arange(positions.size), max(n_workers, -(-positions.size // _GROUP_MAX)))
+    # shared by every task: built once, inherited by forked workers
     u, defect = _checked_unitary(qp)
     plan_start = time.perf_counter()
     husimi_plan(cfg.dim, resolution).coherent_entropy
 
-    def position(i):
+    def classical(group):
         t0 = time.perf_counter()
-        leak = Leak(float(positions[i]), cfg.leak_width)
-        ens = escape_ensemble(grid, leak, cfg.t_max, params)
-        sel = ens.tau >= 1
-        if sel.any():
-            cl = (*_mean_se(ens.tau[sel].astype(float)), *_mean_se(ens.ftle[sel]), 1.0 - ens.escape_fraction)
-        else:
-            # every orbit was absorbed before its first step (leak covers
-            # the full torus): zero dwell, no exponent defined
-            cl = (0.0, 0.0, math.nan, math.nan, 0.0)
-        t1 = time.perf_counter()
-        res = leak_spectrum(u, build_projector(qp, leak))
+        leaks = [Leak(float(positions[i]), cfg.leak_width) for i in group]
+        tau, lam, escaped = _orbits(*grid.points(), leaks, cfg.t_max, params)
+        rows = []
+        for k in range(len(leaks)):
+            sel = tau[k] >= 1
+            if sel.any():
+                rows.append((*_mean_se(tau[k][sel].astype(float)), *_mean_se(lam[k][sel]), 1.0 - escaped[k].mean()))
+            else:
+                # every orbit was absorbed before its first step (leak covers
+                # the full torus): zero dwell, no exponent defined
+                rows.append((0.0, 0.0, math.nan, math.nan, 0.0))
+        # a point moves until its last strip catches it
+        return rows, time.perf_counter() - t0, int(tau.max(axis=0).sum())
+
+    def quantum(i):
+        t0 = time.perf_counter()
+        res = leak_spectrum(u, build_projector(qp, Leak(float(positions[i]), cfg.leak_width)))
         # an infinite dwell time (a closed system) leaves the mean undefined
         dw = (math.nan, math.nan) if np.isinf(res.dwell).any() else _mean_se(res.dwell)
-        t2 = time.perf_counter()
+        t1 = time.perf_counter()
         sw = _mean_se(state_entropies(res.vectors, resolution))
-        return (*cl, *dw, *sw), (t1 - t0, t2 - t1, time.perf_counter() - t2)
+        return (*dw, *sw), (t1 - t0, time.perf_counter() - t1)
+
+    def task(j):
+        return classical(groups[j]) if j < len(groups) else quantum(j - len(groups))
 
     tasks_start = time.perf_counter()
-    rows = []
-    with _task_results(position, positions.size, worker_count(workers, positions.size)) as results:
-        for i, row in enumerate(results):
-            rows.append(row)
-            busy = ", ".join(f"{k} {t:.2f} s" for k, t in zip(SCAN_STAGES, row[1]))
-            print(f"scan: position {i + 1}/{positions.size} q_L={positions[i]:g}: {busy}", file=sys.stderr, flush=True)
-    stats, busy = zip(*rows)
+    cl, cl_busy, group_records, stats, busy = [], [], [], [], []
+    with _task_results(task, len(groups) + positions.size, n_workers) as results:
+        # zip stops at the last group, before it takes a position's result
+        for group, (rows, seconds, steps) in zip(groups, results):
+            cl += rows
+            cl_busy += [seconds / group.size] * group.size
+            q_L = [float(positions[i]) for i in group]
+            group_records.append({"q_L": q_L, "seconds": round(seconds, 6), "point_steps": steps})
+            print(f"scan: classical q_L={q_L[0]:g}..{q_L[-1]:g}: {seconds:.2f} s", file=sys.stderr, flush=True)
+        for i, (row, times) in enumerate(results):
+            stats.append((*cl[i], *row))
+            busy.append((cl_busy[i], *times))
+            line = ", ".join(f"{k} {t:.2f} s" for k, t in zip(SCAN_STAGES, busy[i]))
+            print(f"scan: position {i + 1}/{positions.size} q_L={positions[i]:g}: {line}", file=sys.stderr, flush=True)
     columns = {"q_L": positions, **dict(zip(SCAN_COLUMNS, np.array(stats, dtype=float).T))}
     timings = {
         "unitary": round(plan_start - start, 6),
@@ -410,16 +444,18 @@ def leak_scan(cfg: ExperimentConfig, workers: int | None) -> tuple:
     }
     for key, times in zip(SCAN_STAGES, zip(*busy)):
         timings[key] = round(sum(times), 6)
-    return columns, timings, busy, defect
+    return columns, timings, busy, defect, group_records
 
 
 def cmd_scan(cfg: ExperimentConfig, workers: int | None) -> list:
     """Classical and quantum leak-position scans (`leak_scan`); the
-    manifest's extra holds their Pearson correlations, and its
-    position_timings_s each position's busy seconds."""
+    manifest's extra holds their Pearson correlations, its
+    position_timings_s each position's busy seconds (its "classical" entry
+    is the position's share of its group's pass) and its classical_groups
+    each orbit pass's positions, seconds and point-steps."""
     run = _Run(cfg, "scan")
     run.workers = worker_count(workers, cfg.scan_positions)
-    columns, timings, busy, defect = leak_scan(cfg, run.workers)
+    columns, timings, busy, defect, groups = leak_scan(cfg, run.workers)
     run.timings.update(timings)
     run.stage("write")
     for name, header in (
@@ -437,6 +473,7 @@ def cmd_scan(cfg: ExperimentConfig, workers: int | None) -> list:
             {"q_L": float(q), **{key: round(t, 6) for key, t in zip(SCAN_STAGES, times)}}
             for q, times in zip(columns["q_L"], busy)
         ],
+        classical_groups=groups,
     )
 
 

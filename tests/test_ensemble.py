@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from leakmap import ensemble
 from leakmap.ensemble import (
     HISTOGRAM_BINS,
     EscapeEnsemble,
@@ -23,6 +24,8 @@ from leakmap.ensemble import (
     short_dwell_cutoff,
     strip_scan,
     survival_probability,
+    _orbits,
+    _strip_table,
 )
 from leakmap.config import ExperimentConfig
 from leakmap.runner import leak_scan
@@ -115,6 +118,69 @@ def test_escape_ensemble_inside_leak_cells():
 def test_escape_ensemble_validation():
     with pytest.raises(ValueError):
         escape_ensemble(PhaseSpaceGrid(4, 4), Leak(0.5, 0.2), 0, PARAMS)
+
+
+# Strips of one pass: wrapping (centers 0.0 and 0.95), overlapping,
+# duplicated, empty and full, and one whose lower edge is 0.0 (alone, its
+# only edge inside the torus is the upper one).
+PASS_STRIPS = [
+    Leak(0.1, 0.2),
+    Leak(0.0, 0.2),
+    Leak(0.95, 0.2),
+    Leak(0.3, 0.2),
+    Leak(0.35, 0.1),
+    Leak(0.3, 0.2),
+    Leak(0.6, 0.0),
+    Leak(0.7, 1.0),
+    Leak(0.5, 0.25),
+]
+
+
+def test_one_pass_over_many_strips_equals_one_pass_per_strip(monkeypatch):
+    # 23 x 31 = 713 cells run in 12 chunks of 64, the last one partial; the
+    # single-strip ensembles run in one chunk
+    grid = PhaseSpaceGrid(23, 31)
+    single = [escape_ensemble(grid, leak, 300, PARAMS) for leak in PASS_STRIPS]
+    monkeypatch.setattr(ensemble, "_CHUNK", 64)
+    tau, lam, escaped = _orbits(*grid.points(), PASS_STRIPS, 300, PARAMS)
+    assert tau.shape == lam.shape == escaped.shape == (len(PASS_STRIPS), grid.n_q * grid.n_p)
+    for k, ens in enumerate(single):
+        assert np.array_equal(tau[k], ens.tau.ravel()), PASS_STRIPS[k]
+        assert np.array_equal(lam[k], ens.ftle.ravel(), equal_nan=True), PASS_STRIPS[k]
+        assert np.array_equal(escaped[k], ens.escaped.ravel()), PASS_STRIPS[k]
+    # the empty strip keeps every orbit to the horizon, the full one none
+    assert (tau[6] == 300).all() and not escaped[6].any()
+    assert (tau[7] == 0).all() and escaped[7].all()
+    with pytest.raises(ValueError, match="at most 64 strips"):
+        _orbits(*grid.points(), PASS_STRIPS * 9, 300, PARAMS)
+
+
+def test_floor_reduction_is_np_mod_bit_for_bit():
+    # the orbit loop reduces q and p to [0, 1) as x - floor(x)
+    rng = np.random.default_rng(7)
+    x = np.concatenate([
+        rng.uniform(-3.0, 3.0, 10000),
+        rng.uniform(-1e-15, 1e-15, 100),
+        [-0.0, 0.0, -1.0, 2.0, -1e-18, -5e-324, np.nextafter(1.0, 0.0), -np.nextafter(1.0, 0.0)],
+    ])
+    assert np.array_equal((x - np.floor(x)).view(np.int64), np.mod(x, 1.0).view(np.int64))
+
+
+def test_strip_bits_are_the_strips_own_membership():
+    # probes at every strip edge, at the bucket edges and their float
+    # neighbours, and at random; Leak(0.5, 0.25) has its edges on bucket
+    # edges, the others split buckets
+    strips = [*PASS_STRIPS, Leak(0.9, 0.2), Leak(1.0 / 3.0, 0.7)]
+    edges = [*np.arange(ensemble._BUCKETS) / ensemble._BUCKETS]
+    for leak in strips:
+        lo = leak.lower
+        hi = lo + leak.width
+        edges += [lo, hi, hi - 1.0]
+    probes = np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)])
+    q = np.concatenate([probes[(probes >= 0.0) & (probes < 1.0)], np.random.default_rng(3).random(20000)])
+    masks = ensemble._strip_bits(q, _strip_table(strips))
+    for k, leak in enumerate(strips):
+        assert np.array_equal((masks >> np.uint64(k)) & np.uint64(1) == 1, leak.contains(q)), leak
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ def test_digests_of_this_tree_agree_across_worker_settings(capsys):
     fields = [line.split(" ") for line in lines]
     assert all(len(f) == 3 for f in fields)
     assert all(len(f[2]) == 64 for f in fields if not f[1].startswith("extra:"))
-    labels = ["ftle-field", "open-classical", "quantum", "scan", "scan-closed"]
+    labels = ["ftle-field", "open-classical", "quantum", "scan", "scan-closed", "scan-many"]
     assert {f[0] for f in fields} == set(labels)
     assert ["scan", "scan.csv"] in [f[:2] for f in fields]
     assert ["scan-closed", "scan.csv"] in [f[:2] for f in fields]

@@ -265,7 +265,7 @@ def test_cmd_scan_one_spectrum_per_position(tmp_path, monkeypatch):
 
 def test_leak_scan_columns_are_the_per_position_statistics(tmp_path):
     cfg = toy_config(tmp_path, dim=16, t_max=400, scan_positions=3)
-    scan, timings, busy, defect = leak_scan(cfg, None)
+    scan, timings, busy, defect, groups = leak_scan(cfg, None)
     assert list(scan) == ["q_L", *runner.SCAN_COLUMNS]
     assert np.array_equal(scan["q_L"], np.arange(3) / 3)
     qp = QuantumParams(16, cfg.k)
@@ -293,10 +293,29 @@ def test_leak_scan_columns_are_the_per_position_statistics(tmp_path):
     assert set(timings) == {"unitary", "husimi", "positions", *runner.SCAN_STAGES}
 
 
+def test_leak_scan_columns_do_not_depend_on_the_position_groups(tmp_path, monkeypatch):
+    # 20 positions: groups of 1, of 3, one group of all, and at most 8 over
+    # two workers, more groups than workers
+    cfg = toy_config(tmp_path, dim=16, t_max=400, scan_positions=20)
+    runs = {}
+    for group_max, workers in ((1, None), (3, None), (20, None), (8, 2)):
+        monkeypatch.setattr(runner, "_GROUP_MAX", group_max)
+        scan, timings, busy, defect, groups = leak_scan(cfg, workers)
+        runs[group_max] = scan
+        assert [q for g in groups for q in g["q_L"]] == list(scan["q_L"])
+        assert all(g["point_steps"] > 0 and g["seconds"] >= 0.0 for g in groups)
+        sizes = [len(g["q_L"]) for g in groups]
+        assert max(sizes) <= group_max and len(groups) >= runner.worker_count(workers, 20)
+    assert [len(g["q_L"]) for g in groups] == [7, 7, 6]
+    for scan in runs.values():
+        for key in scan:
+            assert np.array_equal(scan[key], runs[1][key], equal_nan=True), key
+
+
 def test_leak_scan_checks_unitarity_before_any_position(tmp_path, monkeypatch):
     calls = []
     monkeypatch.setattr(runner, "build_unitary", lambda qp: 1.001 * build_unitary(qp))
-    monkeypatch.setattr(runner, "escape_ensemble", lambda *args: calls.append(args))
+    monkeypatch.setattr(runner, "_orbits", lambda *args: calls.append(args))
     with pytest.raises(RuntimeError, match="propagator failed unitarity"):
         leak_scan(toy_config(tmp_path, dim=16, t_max=400), None)
     assert calls == []
@@ -313,7 +332,7 @@ def test_leak_scan_checks_the_coherent_reference_before_any_position(tmp_path, m
 
         return wrapper
 
-    monkeypatch.setattr(runner, "escape_ensemble", counted("escape_ensemble", escape_ensemble))
+    monkeypatch.setattr(runner, "_orbits", counted("escape_ensemble", runner._orbits))
     monkeypatch.setattr(runner, "leak_spectrum", counted("leak_spectrum", leak_spectrum))
     cfg = toy_config(tmp_path, dim=4, t_max=400, scan_husimi_q=2, scan_husimi_p=2)
     with pytest.raises(RuntimeError, match="degenerate coherent reference entropy"):
@@ -334,7 +353,7 @@ def test_leak_scan_builds_no_position_input_before_the_first_task(tmp_path, monk
         raise RuntimeError("first task ran")
 
     monkeypatch.setattr(runner, "build_projector", counted)
-    monkeypatch.setattr(runner, "escape_ensemble", failing)
+    monkeypatch.setattr(runner, "_orbits", failing)
     with pytest.raises(RuntimeError, match="first task ran"):
         leak_scan(toy_config(tmp_path, dim=16, t_max=400, scan_positions=5), None)
     assert calls == []
@@ -347,6 +366,7 @@ def test_manifest_stage_keys_read_by_the_benchmark(tmp_path):
     stages = {"unitary", "husimi", "positions", "classical", "quantum", "entropy", "write", "manifest"}
     assert set(manifest["timings_s"]) == stages
     assert len(manifest["position_timings_s"]) == 4
+    assert [set(g) for g in manifest["classical_groups"]] == [{"q_L", "seconds", "point_steps"}]
     cmd_quantum(toy_config(tmp_path / "quantum", dim=16), None)
     stages = {"unitary", "spectrum", "husimi", "write", "manifest"}
     assert set(load_manifest(tmp_path / "quantum")["timings_s"]) == stages
@@ -687,6 +707,15 @@ def test_output_bytes_do_not_depend_on_worker_count(tmp_path, command):
         for key in ("classical", "quantum", "entropy"):
             total = sum(p[key] for p in per_position)
             assert manifests[2]["timings_s"][key] == pytest.approx(total, abs=1e-5)
+        # one line and one record per classical group; each position's
+        # classical seconds are its share of its group's
+        groups = manifests[2]["classical_groups"]
+        workers = manifests[2]["environment"]["workers"]
+        assert [g["q_L"] for g in groups] == ([[0.0, 0.25], [0.5, 0.75]] if workers == 2 else [[0.0, 0.25, 0.5, 0.75]])
+        lines = [ln for ln in proc.stderr.splitlines() if ln.startswith("scan: classical")]
+        assert [ln.split()[2] for ln in lines] == [f"q_L={g['q_L'][0]:g}..{g['q_L'][-1]:g}:" for g in groups]
+        share = [g["seconds"] / len(g["q_L"]) for g in groups for _ in g["q_L"]]
+        assert [p["classical"] for p in per_position] == pytest.approx(share, abs=1e-6)
 
 
 def test_numerical_failure_in_a_worker_exits_2(tmp_path):

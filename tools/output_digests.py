@@ -11,8 +11,9 @@ grid, t_max 600, 10 FTLE steps, leak at 0.3 of width 0.2, N = 128 with a
 150^2 Husimi grid, and a scan over 6 positions on 60^2 Husimi grids.  The
 scan runs a second time on the closed system (`--leak.width 0.0`, labelled
 `scan-closed`), where every dwell time is infinite and the mean dwell time
-undefined.  Each run happens once with LEAKMAP_THREADS unset and once at 2.
-The script prints the sorted `label path sha256` lines of the manifests,
+undefined, and a third time over 20 positions (`scan-many`), more than
+one classical group of positions per worker can hold.  Each run happens
+once with LEAKMAP_THREADS unset and once at 2.  The script prints the sorted `label path sha256` lines of the manifests,
 plus one `label extra:KEY VALUE` line per key of each manifest's `extra`
 results, VALUE being `json.dumps(value, separators=(",", ":"))` (it holds
 no space), and exits 1 when the two worker settings disagree.  Every output
@@ -41,6 +42,7 @@ RUNS = {
     "quantum": ["quantum"],
     "scan": ["scan"],
     "scan-closed": ["scan", "--leak.width", "0.0"],
+    "scan-many": ["scan", "--scan.positions", "20"],
 }
 
 CONFIG = """\
