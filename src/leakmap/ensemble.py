@@ -37,7 +37,6 @@ __all__ = [
     "mean_ftle_by_dwell",
     "strip_scan",
     "ftle_histogram",
-    "histogram_mean",
 ]
 
 # ln P window used for tail fits: late enough to clear transients, early
@@ -435,13 +434,3 @@ def ftle_histogram(values: np.ndarray):
     counts, edges = np.histogram(values, bins=HISTOGRAM_BINS)
     return edges, counts / values.size
 
-
-def histogram_mean(edges: np.ndarray, probs: np.ndarray) -> float:
-    """Mean of a histogram via bin midpoints, which moves each value to its
-    bin's center: off the sample mean by up to half a bin width (a constant
-    c, binned on [c - 0.5, c + 0.5], reads c + 0.5 / HISTOGRAM_BINS)."""
-    total = probs.sum()
-    if total <= 0.0:
-        raise ValueError("histogram carries no mass")
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    return float((mid * probs).sum() / total)

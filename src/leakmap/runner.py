@@ -49,7 +49,6 @@ from .ensemble import (
     exponential_tail_fit,
     ftle_field,
     ftle_histogram,
-    histogram_mean,
     mean_ftle_by_dwell,
     short_dwell_cutoff,
     strip_scan,
@@ -265,7 +264,8 @@ def cmd_open_classical(cfg: ExperimentConfig, workers: int | None) -> list:
     n_c = short_dwell_cutoff(p, fit)
     run.stage("fields")
     mask = dwell_mask(ens, n_c)
-    edges, probs = ftle_histogram(ens.ftle[mask])
+    dwell_ftle = ens.ftle[mask]
+    edges, probs = ftle_histogram(dwell_ftle)
     tau, mean_ftle = mean_ftle_by_dwell(ens)
     run.stage("write")
     run.add(write_csv(run.path("survival.csv"), ["n", "P"], [np.arange(p.size), p]))
@@ -286,7 +286,7 @@ def cmd_open_classical(cfg: ExperimentConfig, workers: int | None) -> list:
             "gamma": fit.gamma,
             "tail_rms_residual": fit.rms_residual,
             "escape_fraction": ens.escape_fraction,
-            "histogram_mean": histogram_mean(edges, probs),
+            "mean_dwell_ftle": float(dwell_ftle.mean()),
         }
     )
 

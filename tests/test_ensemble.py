@@ -19,7 +19,6 @@ from leakmap.ensemble import (
     ftle_ensemble,
     ftle_field,
     ftle_histogram,
-    histogram_mean,
     mean_ftle_by_dwell,
     short_dwell_cutoff,
     strip_scan,
@@ -321,17 +320,6 @@ def test_ftle_histogram_normalization():
     edges, probs = ftle_histogram(rng.normal(size=100))
     assert edges.shape == (HISTOGRAM_BINS + 1,)
     assert_allclose(probs.sum(), 1.0, rtol=1e-12)
-
-
-def test_histogram_mean_recovers_constant():
-    # the constant fills the one bin of [2, 3] that holds it, and the mean
-    # is that bin's midpoint: 2.5 itself only for an odd bin count
-    edges, probs = ftle_histogram(np.full(16, 2.5))
-    (k,) = np.flatnonzero(probs)
-    assert edges[k] <= 2.5 < edges[k + 1]
-    assert_allclose(histogram_mean(edges, probs), 0.5 * (edges[k] + edges[k + 1]), rtol=1e-12)
-    with pytest.raises(ValueError):
-        histogram_mean(edges, np.zeros_like(probs))
 
 
 def test_strip_mean_ftle_column_selection():

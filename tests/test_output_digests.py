@@ -29,6 +29,7 @@ def test_digests_of_this_tree_agree_across_worker_settings(capsys):
     extra = {(f[0], f[1]): f[2] for f in fields if f[1].startswith("extra:")}
     assert {label for label, _ in extra} == set(labels)
     assert ("ftle-field", "extra:field_mean") in extra
+    assert ("open-classical", "extra:mean_dwell_ftle") in extra
     assert extra["scan-closed", "extra:pearson_tau_T"] == "null"
 
 

@@ -18,7 +18,7 @@ import leakmap
 from leakmap import ensemble, quantum, runner, tomography
 from leakmap.cli import apply_thread_env, main
 from leakmap.config import ExperimentConfig, parse_config
-from leakmap.ensemble import PhaseSpaceGrid, escape_ensemble, exponential_tail_fit
+from leakmap.ensemble import PhaseSpaceGrid, dwell_mask, escape_ensemble, exponential_tail_fit
 from leakmap.formats import read_lcf, sha256_file
 from leakmap.quantum import QuantumParams, build_projector, build_unitary, leak_spectrum, unitarity_defect
 from leakmap.runner import cmd_ftle_field, cmd_open_classical, cmd_quantum, cmd_scan, leak_scan, worker_count
@@ -165,6 +165,17 @@ def test_cmd_open_classical_fits_the_survival_tail_once(tmp_path, monkeypatch):
     cmd_open_classical(toy_config(tmp_path, grid_q=160, grid_p=160), None)
     assert len(fits) == 1
     assert load_manifest(tmp_path)["extra"]["gamma"] == exponential_tail_fit(fits[0]).gamma
+
+
+def test_cmd_open_classical_mean_dwell_ftle_is_the_sample_mean(tmp_path):
+    # the plain mean of the dwell-FTLE samples that the histogram bins,
+    # not a mean of bin midpoints
+    cfg = toy_config(tmp_path, grid_q=160, grid_p=160)
+    cmd_open_classical(cfg, None)
+    extra = load_manifest(tmp_path)["extra"]
+    grid = PhaseSpaceGrid(cfg.grid_q, cfg.grid_p)
+    ens = escape_ensemble(grid, Leak(cfg.leak_center, cfg.leak_width), cfg.t_max, MapParams(cfg.k))
+    assert extra["mean_dwell_ftle"] == float(ens.ftle[dwell_mask(ens, extra["n_c"])].mean())
 
 
 def test_cmd_quantum_artifacts(tmp_path):
@@ -376,7 +387,7 @@ def test_manifest_stage_keys_read_by_the_benchmark(tmp_path):
     "command,keys",
     [
         ("ftle-field", {"field_mean"}),
-        ("open-classical", {"n_c", "gamma", "tail_rms_residual", "escape_fraction", "histogram_mean"}),
+        ("open-classical", {"n_c", "gamma", "tail_rms_residual", "escape_fraction", "mean_dwell_ftle"}),
         (
             "quantum",
             {"unitarity_defect", "masked_sites", "n_zero_modes", "entropy_grid", "entropy_grid_check", "max_s_w"},
