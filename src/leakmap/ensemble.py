@@ -145,7 +145,10 @@ def _orbits(q0, p0, leaks, t_max: int, params: MapParams):
     keeps moving until every strip has caught it; on a strip's first hit
     it records tau = t and its exponent, from the same arithmetic on the
     same frame as a pass with that strip alone.  The points run in chunks
-    of _CHUNK cells.
+    of _CHUNK cells.  A kick so large that the tangent frame overflows
+    between renormalizations leaves a non-finite exponent, which raises
+    RuntimeError naming map.k (numpy's overflow warnings are silenced, as
+    this check replaces them).
     """
     if len(leaks) > 64:
         raise ValueError(f"at most 64 strips per pass, got {len(leaks)}")
@@ -154,9 +157,16 @@ def _orbits(q0, p0, leaks, t_max: int, params: MapParams):
     tau = np.zeros(shape, dtype=np.int32)
     lam = np.full(shape, np.nan)
     escaped = np.zeros(shape, dtype=bool)
-    for start in range(0, q0.size, _CHUNK):
-        cells = slice(start, start + _CHUNK)
-        _orbit_chunk(q0[cells], p0[cells], strips, t_max, params, tau[:, cells], lam[:, cells], escaped[:, cells])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, q0.size, _CHUNK):
+            cells = slice(start, start + _CHUNK)
+            _orbit_chunk(q0[cells], p0[cells], strips, t_max, params, tau[:, cells], lam[:, cells], escaped[:, cells])
+            # checked a chunk at a time, so the check adds no array of the full size
+            if not np.isfinite(lam[:, cells][tau[:, cells] > 0]).all():
+                raise RuntimeError(
+                    f"tangent frame overflowed at map.k = {params.K:g}: the kick is too large for "
+                    f"renormalization every RENORM_INTERVAL = {RENORM_INTERVAL} steps"
+                )
     return tau, lam, escaped
 
 
@@ -412,14 +422,13 @@ def mean_ftle_by_dwell(ensemble: EscapeEnsemble) -> tuple:
 
 def strip_scan(field: np.ndarray, centers, width: float) -> np.ndarray:
     """Mean of an (n_q, n_p) field over the cells whose q center lies in a
-    strip of the given width, at each of the strip centers."""
+    strip of the given width, at each of the strip centers; NaN where the
+    strip holds no grid column (width 0, or narrower than a column)."""
     q = PhaseSpaceGrid(*field.shape).q_centers
     means = []
     for c in centers:
         sel_q = Leak(float(c), width).contains(q)
-        if not sel_q.any():
-            raise ValueError(f"no grid columns inside strip at {float(c)} width {width}")
-        means.append(field[sel_q, :].mean())
+        means.append(field[sel_q, :].mean() if sel_q.any() else math.nan)
     return np.array(means)
 
 

@@ -1,11 +1,14 @@
 """Experiment commands: compose the library into reproducible output trees.
 
 Every command takes a validated ExperimentConfig and a worker-process
-request (used by `scan` alone), writes its artifacts into the configured
-output directory, and finishes with a manifest.json listing each file that
-this run wrote (`_Run.add`) with size and sha256; older files in a reused
-directory stay unlisted.  All CSV bytes are pure functions of the config,
-so a rerun into a fresh directory produces identical checksums.
+request (used by `scan` alone), computes all of its results, and hands them
+to `_Run.finish`, the one place that writes files.  `finish` checks that
+the manifest's results are strict JSON before it writes anything, then
+writes the artifacts into the configured output directory and a
+manifest.json listing each file this run wrote with size and sha256; older
+files in a reused directory stay unlisted.  So a command that fails leaves
+no file of its own, and all CSV bytes are pure functions of the config: a
+rerun into a fresh directory produces identical checksums.
 `leak_scan` is the leak-position scan that `scan` writes, as columns; it
 alone computes the statistics of a position.
 
@@ -169,7 +172,7 @@ def _task_results(fn, n_tasks: int, workers: int):
 
 
 class _Run:
-    """Output directory plus timing bookkeeping for one command."""
+    """Output directory, stage timings and the one write path of a command."""
 
     def __init__(self, cfg: ExperimentConfig, command: str):
         self.cfg = cfg
@@ -178,7 +181,6 @@ class _Run:
         self.outdir.mkdir(parents=True, exist_ok=True)
         self.timings: dict = {}
         self.workers = 1
-        self.files: list = []
         self._t0 = time.perf_counter()
         self._stage = None
         self._stage_t0 = 0.0
@@ -192,20 +194,29 @@ class _Run:
         self._stage_t0 = now
         return self
 
-    def add(self, *paths):
-        """Record the paths this run wrote; the manifest lists exactly these."""
-        self.files.extend(Path(p) for p in paths)
+    def finish(self, fields: dict, tables: dict, extra: dict, **record) -> list:
+        """Write this run's artifacts and manifest.json; return their paths.
 
-    def path(self, name: str) -> Path:
-        return self.outdir / name
-
-    def finish(self, extra: dict, **record) -> list:
-        """Write manifest.json: this run's outputs, timings, environment,
-        the command's `extra` results and any further `record` keys."""
+        fields maps a name to (values, mask), written as NAME.lcf and NAME.pgm
+        with its sidecar (mask None images every cell); tables maps a CSV file
+        name to (header, columns).  The manifest holds the outputs, timings,
+        environment, the `extra` results and any further `record` keys; a
+        result strict JSON cannot hold raises before any file is written."""
+        for key, value in [*extra.items(), *record.items()]:
+            try:
+                json.dumps(value, allow_nan=False)
+            except ValueError as exc:
+                raise ValueError(f"result {key!r}: {exc}") from None
+        self.stage("write")
+        files = []
+        for name, (values, mask) in fields.items():
+            files.append(write_lcf(self.outdir / f"{name}.lcf", values))
+            files += write_pgm(self.outdir / f"{name}.pgm", values, mask)
+        files += [write_csv(self.outdir / name, header, columns) for name, (header, columns) in tables.items()]
         self.stage("manifest")
         outputs = [
             {"path": str(p.relative_to(self.outdir)), "bytes": p.stat().st_size, "sha256": sha256_file(p)}
-            for p in sorted(self.files)
+            for p in sorted(files)
         ]
         self.timings[self._stage] = round(time.perf_counter() - self._stage_t0, 6)
         manifest = {
@@ -227,10 +238,9 @@ class _Run:
             "extra": extra,
             **record,
         }
-        mpath = self.path("manifest.json")
+        mpath = self.outdir / "manifest.json"
         mpath.write_text(json.dumps(manifest, indent=1, sort_keys=True, allow_nan=False) + "\n")
-        self.files.append(mpath)
-        return self.files
+        return files + [mpath]
 
 
 def cmd_ftle_field(cfg: ExperimentConfig, workers: int | None) -> list:
@@ -243,11 +253,11 @@ def cmd_ftle_field(cfg: ExperimentConfig, workers: int | None) -> list:
     run.stage("strip_scan")
     positions = _scan_positions(cfg)
     means = strip_scan(field, positions, cfg.leak_width)
-    run.stage("write")
-    run.add(write_lcf(run.path("ftle_field.lcf"), field))
-    run.add(*write_pgm(run.path("ftle_field.pgm"), field))
-    run.add(write_csv(run.path("strip_means.csv"), ["q_L", "mean_ftle"], [positions, means]))
-    return run.finish({"field_mean": float(field.mean())})
+    return run.finish(
+        {"ftle_field": (field, None)},
+        {"strip_means.csv": (["q_L", "mean_ftle"], [positions, means])},
+        {"field_mean": float(field.mean())},
+    )
 
 
 def cmd_open_classical(cfg: ExperimentConfig, workers: int | None) -> list:
@@ -267,27 +277,20 @@ def cmd_open_classical(cfg: ExperimentConfig, workers: int | None) -> list:
     dwell_ftle = ens.ftle[mask]
     edges, probs = ftle_histogram(dwell_ftle)
     tau, mean_ftle = mean_ftle_by_dwell(ens)
-    run.stage("write")
-    run.add(write_csv(run.path("survival.csv"), ["n", "P"], [np.arange(p.size), p]))
-    for name, values in (("dwell_time", ens.tau.astype(float)), ("dwell_ftle", ens.ftle)):
-        run.add(write_lcf(run.path(f"{name}_field.lcf"), values))
-        run.add(*write_pgm(run.path(f"{name}_field.pgm"), values, mask))
-    run.add(
-        write_csv(
-            run.path("ftle_histogram.csv"),
-            ["bin_lo", "bin_hi", "prob"],
-            [edges[:-1], edges[1:], probs],
-        )
-    )
-    run.add(write_csv(run.path("ftle_by_dwell.csv"), ["tau", "mean_ftle"], [tau, mean_ftle]))
     return run.finish(
+        {"dwell_time_field": (ens.tau.astype(float), mask), "dwell_ftle_field": (ens.ftle, mask)},
+        {
+            "survival.csv": (["n", "P"], [np.arange(p.size), p]),
+            "ftle_histogram.csv": (["bin_lo", "bin_hi", "prob"], [edges[:-1], edges[1:], probs]),
+            "ftle_by_dwell.csv": (["tau", "mean_ftle"], [tau, mean_ftle]),
+        },
         {
             "n_c": n_c,
             "gamma": fit.gamma,
             "tail_rms_residual": fit.rms_residual,
             "escape_fraction": ens.escape_fraction,
             "mean_dwell_ftle": float(dwell_ftle.mean()),
-        }
+        },
     )
 
 
@@ -316,32 +319,16 @@ def cmd_quantum(cfg: ExperimentConfig, workers: int | None) -> list:
     s_w = state_entropies(res.vectors, grid)
     top = slice(0, cfg.top_states)
     grid_check = np.abs(state_entropies(res.vectors[:, top], (2 * n_grid, 2 * n_grid)) - s_w[top]).max()
-    run.stage("write")
-    k_idx = np.arange(1, cfg.dim + 1)
-    run.add(
-        write_csv(
-            run.path("spectrum.csv"),
-            ["k", "re_z", "im_z", "theta", "gamma", "dwell_time"],
-            [k_idx, res.z.real, res.z.imag, np.angle(res.z), res.gamma, res.dwell],
-        )
-    )
-    run.add(write_lcf(run.path("mean_husimi.lcf"), mean_field))
-    run.add(*write_pgm(run.path("mean_husimi.pgm"), mean_field))
-    run.add(
-        write_csv(
-            run.path("wehrl_scatter.csv"),
-            ["dwell_time", "s_w", "bin_index"],
-            [res.dwell, s_w, bins],
-        )
-    )
-    run.add(
-        write_csv(
-            run.path("wehrl_bins.csv"),
-            ["bin_index", "dwell_center", "mean_s_w", "count"],
-            bin_means(bins, s_w, cfg.dwell_bin),
-        )
-    )
     return run.finish(
+        {"mean_husimi": (mean_field, None)},
+        {
+            "spectrum.csv": (
+                ["k", "re_z", "im_z", "theta", "gamma", "dwell_time"],
+                [np.arange(1, cfg.dim + 1), res.z.real, res.z.imag, np.angle(res.z), res.gamma, res.dwell],
+            ),
+            "wehrl_scatter.csv": (["dwell_time", "s_w", "bin_index"], [res.dwell, s_w, bins]),
+            "wehrl_bins.csv": (["bin_index", "dwell_center", "mean_s_w", "count"], bin_means(bins, s_w, cfg.dwell_bin)),
+        },
         {
             "unitarity_defect": defect,
             "masked_sites": int((~keep).sum()),
@@ -349,7 +336,7 @@ def cmd_quantum(cfg: ExperimentConfig, workers: int | None) -> list:
             "entropy_grid": list(grid),
             "entropy_grid_check": float(grid_check),
             "max_s_w": float(s_w.max()),
-        }
+        },
     )
 
 
@@ -457,13 +444,11 @@ def cmd_scan(cfg: ExperimentConfig, workers: int | None) -> list:
     run.workers = worker_count(workers, cfg.scan_positions)
     columns, timings, busy, defect, groups = leak_scan(cfg, run.workers)
     run.timings.update(timings)
-    run.stage("write")
-    for name, header in (
-        ("scan.csv", ["q_L", "mean_tau", "mean_lambda", "mean_T", "mean_SW"]),
-        ("scan_errors.csv", ["q_L", "se_tau", "se_lambda", "se_T", "se_SW", "unescaped_fraction"]),
-    ):
-        run.add(write_csv(run.path(name), header, [columns[h] for h in header]))
+    scan = ["q_L", "mean_tau", "mean_lambda", "mean_T", "mean_SW"]
+    errors = ["q_L", "se_tau", "se_lambda", "se_T", "se_SW", "unescaped_fraction"]
     return run.finish(
+        {},
+        {"scan.csv": (scan, [columns[h] for h in scan]), "scan_errors.csv": (errors, [columns[h] for h in errors])},
         {
             "unitarity_defect": defect,
             "pearson_tau_T": _pearson(columns["mean_tau"], columns["mean_T"]),

@@ -77,6 +77,15 @@ def test_ftle_ensemble_validation():
         ftle_field(PhaseSpaceGrid(3, 3), 0, PARAMS)
 
 
+def test_tangent_frame_overflow_names_the_kick():
+    # at |K| = 1e16 the frame overflows between renormalizations; the pass
+    # raises with the kick named instead of returning non-finite exponents
+    with pytest.raises(RuntimeError, match=r"map\.k = 1e\+16.*RENORM_INTERVAL"):
+        ftle_field(PhaseSpaceGrid(4, 4), 40, MapParams(1e16))
+    with pytest.raises(RuntimeError, match="map.k"):
+        escape_ensemble(PhaseSpaceGrid(4, 4), Leak(0.5, 0.1), 40, MapParams(-1e300))
+
+
 # ---------------------------------------------------------------------------
 # escape ensembles: vectorized evolution against the scalar routine
 
@@ -328,9 +337,13 @@ def test_strip_mean_ftle_column_selection():
     assert strip_scan(vals, [0.3], 0.2)[0] == 2.5
 
 
-def test_strip_mean_ftle_errors():
-    with pytest.raises(ValueError):
-        strip_scan(np.zeros((10, 4)), [0.2], 0.001)  # falls between centers
+def test_strip_mean_ftle_of_an_empty_strip_is_nan():
+    # a strip between two column centers, or of width 0, holds no column
+    vals = np.tile(np.arange(10.0)[:, None], (1, 4))
+    assert np.isnan(strip_scan(vals, [0.2, 0.5], 0.0)).all()
+    # only the empty strip is undefined: [0.1495, 0.1505) holds the
+    # center 0.15 of column 1, [0.1995, 0.2005) no center
+    assert_array_equal(strip_scan(vals, [0.15, 0.2], 0.001), [1.0, np.nan])
 
 
 def test_strip_scan_matches_pointwise_calls():

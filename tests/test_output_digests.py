@@ -21,7 +21,7 @@ def test_digests_of_this_tree_agree_across_worker_settings(capsys):
     fields = [line.split(" ") for line in lines]
     assert all(len(f) == 3 for f in fields)
     assert all(len(f[2]) == 64 for f in fields if not f[1].startswith("extra:"))
-    labels = ["ftle-field", "open-classical", "quantum", "scan", "scan-closed", "scan-many"]
+    labels = ["ftle-field", "ftle-field-closed", "open-classical", "quantum", "scan", "scan-closed", "scan-many"]
     assert {f[0] for f in fields} == set(labels)
     assert ["scan", "scan.csv"] in [f[:2] for f in fields]
     assert ["scan-closed", "scan.csv"] in [f[:2] for f in fields]
@@ -31,6 +31,11 @@ def test_digests_of_this_tree_agree_across_worker_settings(capsys):
     assert ("ftle-field", "extra:field_mean") in extra
     assert ("open-classical", "extra:mean_dwell_ftle") in extra
     assert extra["scan-closed", "extra:pearson_tau_T"] == "null"
+    # the closed-map FTLE field does not depend on the leak width
+    digest = {(f[0], f[1]): f[2] for f in fields}
+    for path in ("ftle_field.lcf", "ftle_field.pgm"):
+        assert digest["ftle-field-closed", path] == digest["ftle-field", path]
+    assert digest["ftle-field-closed", "strip_means.csv"] != digest["ftle-field", "strip_means.csv"]
 
 
 def test_disagreeing_worker_settings_exit_1(monkeypatch, capsys):

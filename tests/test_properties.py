@@ -8,16 +8,21 @@ example database, so every run checks the same cases.
 The library properties draw the kick from |K| <= 1e3 (the paper's K = 10
 and a hundred times more).  Far beyond that, double precision gives out
 before any property could be asked: the tangent frame overflows between
-renormalizations at |K| = 1e15, and `build_unitary` fails the commands'
-unitarity check once N |K| reaches a few times 1e5 (K = 1e4 at N = 40,
-3e3 at N = 128).  The CLI property draws K and the leak center from
-every finite double as often as from that range, so the commands'
-handling of such values is checked too.
+renormalizations from about |K| = 1e16, where the orbit pass raises, and
+`build_unitary` fails the commands' unitarity check once N |K| reaches a
+few times 1e5 (K = 1e4 at N = 40, 3e3 at N = 128).  The CLI property
+draws K and the leak center from every finite double as often as from
+that range, so the commands' handling of such values is checked too, as
+is the record a run leaves: its whole manifest, or on exit 2 no file at
+all.
 """
 
 import contextlib
 import io
+import json
 import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -147,10 +152,19 @@ def test_cli_on_a_valid_config_succeeds_or_reports_the_error(command, overrides)
     with tempfile.TemporaryDirectory() as tmp:
         config = {**SMALL, **overrides}
         argv = [command, "--output", tmp] + [f"--{key}={value!r}" for key, value in config.items()]
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        # numpy's warnings do not stop the command, as on a command line, so
+        # it meets a non-finite value where it would outside the suite
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
             code = main(argv)
+        written = {str(p.relative_to(tmp)) for p in Path(tmp).rglob("*") if p.is_file()}
+        manifest = Path(tmp, "manifest.json")
+        listed = {e["path"] for e in json.loads(manifest.read_text())["outputs"]} if manifest.is_file() else set()
     if code == 0:
         assert f"{command}: wrote" in out.getvalue()
     else:
         assert code == 2, err.getvalue()
         assert any(line.startswith("error:") for line in err.getvalue().splitlines())
+    # a run leaves its whole record, a manifest listing every file, or on
+    # exit 2 no file at all
+    assert written == listed | {"manifest.json"} or (code == 2 and not written)

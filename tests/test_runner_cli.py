@@ -114,6 +114,33 @@ def check_manifest_after(cmd, cfg, outdir):
     return check_manifest(outdir)
 
 
+def test_non_finite_result_fails_before_any_file_is_written(tmp_path, monkeypatch):
+    # a field of inf gives a field_mean that strict JSON cannot hold; the
+    # run must fail with the key named and leave its directory empty
+    monkeypatch.setattr(runner, "ftle_field", lambda grid, n, params: np.full((grid.n_q, grid.n_p), np.inf))
+    out = tmp_path / "run"
+    with pytest.raises(ValueError, match="result 'field_mean'"):
+        cmd_ftle_field(toy_config(out), None)
+    assert out.is_dir()
+    assert list(out.iterdir()) == []
+
+
+def test_cli_ftle_field_on_the_closed_system_writes_its_field(tmp_path):
+    # the closed-map field does not depend on the leak; a strip of width 0
+    # holds no grid column, so every strip mean is undefined
+    outs = {}
+    for width in ("0.2", "0.0"):
+        outs[width] = tmp_path / width
+        argv = ["ftle-field", "--output", str(outs[width]), "--leak.width", width,
+                "--classical.grid_q", "30", "--classical.grid_p", "30"]
+        assert run_cli(argv) == 0
+    assert sha256_file(outs["0.0"] / "ftle_field.lcf") == sha256_file(outs["0.2"] / "ftle_field.lcf")
+    means = read_columns(outs["0.0"] / "strip_means.csv")["mean_ftle"]
+    assert len(means) == ExperimentConfig().scan_positions
+    assert means == ["nan"] * len(means)
+    check_manifest(outs["0.0"])
+
+
 def test_cmd_open_classical_artifacts(tmp_path):
     out = tmp_path / "run"
     # survival reaches P = 1e-3 with tolerable counting noise only on a

@@ -8,18 +8,21 @@ Runs `ftle-field`, `open-classical`, `quantum` and `scan` through
 `python -m leakmap.cli`, with ROOT/src on PYTHONPATH (ROOT defaults to the
 tree this script belongs to), at one fixed small config: classical 120^2
 grid, t_max 600, 10 FTLE steps, leak at 0.3 of width 0.2, N = 128 with a
-150^2 Husimi grid, and a scan over 6 positions on 60^2 Husimi grids.  The
-scan runs a second time on the closed system (`--leak.width 0.0`, labelled
-`scan-closed`), where every dwell time is infinite and the mean dwell time
-undefined, and a third time over 20 positions (`scan-many`), more than
-one classical group of positions per worker can hold.  Each run happens
-once with LEAKMAP_THREADS unset and once at 2.  The script prints the sorted `label path sha256` lines of the manifests,
-plus one `label extra:KEY VALUE` line per key of each manifest's `extra`
-results, VALUE being `json.dumps(value, separators=(",", ":"))` (it holds
-no space), and exits 1 when the two worker settings disagree.  Every output
-byte and every `extra` value is a pure function of the config, so two trees
-compute the same thing exactly when their printed lines are equal, and a
-`diff` names each file and each result that moved:
+150^2 Husimi grid, and a scan over 6 positions on 60^2 Husimi grids.
+`ftle-field` runs a second time on the closed system (`--leak.width 0.0`,
+labelled `ftle-field-closed`), whose strip means are undefined but whose
+field is the first run's.  The scan runs a second time on the closed
+system (`scan-closed`), where every dwell time is infinite and the mean
+dwell time undefined, and a third time over 20 positions (`scan-many`),
+more than one classical group of positions per worker can hold.  Each run
+happens once with LEAKMAP_THREADS unset and once at 2.  The script prints
+the sorted `label path sha256` lines of the manifests, plus one
+`label extra:KEY VALUE` line per key of each manifest's `extra` results,
+VALUE being `json.dumps(value, separators=(",", ":"))` (it holds no
+space), and exits 1 when the two worker settings disagree.  Every output
+byte and every `extra` value is a pure function of the config, so two
+trees compute the same thing exactly when their printed lines are equal,
+and a `diff` names each file and each result that moved:
 
     python tools/output_digests.py > change.txt
     python tools/output_digests.py path/to/other/checkout > other.txt
@@ -38,6 +41,7 @@ from pathlib import Path
 # label -> command and its overrides of CONFIG
 RUNS = {
     "ftle-field": ["ftle-field"],
+    "ftle-field-closed": ["ftle-field", "--leak.width", "0.0"],
     "open-classical": ["open-classical"],
     "quantum": ["quantum"],
     "scan": ["scan"],
