@@ -4,16 +4,23 @@ Defaults reproduce the reference setup: K = 10 strong chaos, leak width
 0.2, 10-step FTLE fields, a 10^6-cell mean-Husimi image, 500^2-cell scan
 entropy grids (`quantum` chooses its entropy grid from N), dwell bin
 0.08, and a desk-scale Hilbert dimension of 512 (dimensions of 10^4 are
-accepted but mean a very large dense Schur job).  Unknown sections or
-keys are hard errors; all violations in a file are reported at once.
+accepted but mean a very large dense Schur job).
+
+Each option is declared once, as an `ExperimentConfig` field: its
+metadata holds the INI "section.key" and the rule a value must satisfy,
+and the type of its default parses the text.  Parsing, validation and
+`serialize_config` all walk the fields in order.  Unknown sections or
+keys and unparsable values are hard errors, reported together; then
+every failed rule is reported at once, in key order.  `run.output` must
+be one line without surrounding whitespace, the only text that reads
+back unchanged.
 """
 
 from __future__ import annotations
 
 import configparser
-import dataclasses
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 __all__ = ["ExperimentConfig", "ConfigError", "parse_config", "load_config", "serialize_config", "apply_overrides"]
@@ -27,105 +34,78 @@ class ConfigError(ValueError):
         super().__init__("invalid configuration:\n" + "\n".join(f"  - {v}" for v in self.violations))
 
 
+def _at_least(n: int) -> tuple:
+    return (lambda x: x >= n, f"must be >= {n}")
+
+
+_FINITE = (math.isfinite, "must be finite")
+_UNIT_INTERVAL = (lambda x: 0.0 <= x <= 1.0, "must lie in [0, 1]")
+_FINITE_POSITIVE = (lambda x: math.isfinite(x) and x > 0.0, "must be finite and positive")
+# configparser strips a value and ends it at a line break, so any other
+# text would read back as a different value
+_ONE_STRIPPED_LINE = (
+    lambda s: len(s.splitlines()) == 1 and s == s.strip(),
+    "must be one line without surrounding whitespace",
+)
+
+
+def _option(key: str, default, rule: tuple):
+    """A field read from INI `key` ("section.key") by the type of its
+    default and valid where rule = (predicate, requirement) holds."""
+    return field(default=default, metadata={"key": key, "rule": rule})
+
+
+# Field order is the serialization layout.
 @dataclass(frozen=True)
 class ExperimentConfig:
-    k: float = 10.0
-    leak_center: float = 0.2
-    leak_width: float = 0.2
-    grid_q: int = 500
-    grid_p: int = 500
-    ftle_steps: int = 10
-    t_max: int = 1000
-    dim: int = 512
-    husimi_q: int = 1000
-    husimi_p: int = 1000
-    top_states: int = 20
-    dwell_bin: float = 0.08
-    scan_positions: int = 50
-    scan_husimi_q: int = 500
-    scan_husimi_p: int = 500
-    output: str = "out"
-
-
-# (section, key) -> (attribute, parser).  Order defines the canonical
-# serialization layout.
-_SCHEMA = {
-    ("map", "k"): ("k", float),
-    ("leak", "center"): ("leak_center", float),
-    ("leak", "width"): ("leak_width", float),
-    ("classical", "grid_q"): ("grid_q", int),
-    ("classical", "grid_p"): ("grid_p", int),
-    ("classical", "ftle_steps"): ("ftle_steps", int),
-    ("classical", "t_max"): ("t_max", int),
-    ("quantum", "dim"): ("dim", int),
-    ("husimi", "grid_q"): ("husimi_q", int),
-    ("husimi", "grid_p"): ("husimi_p", int),
-    ("husimi", "top_states"): ("top_states", int),
-    ("husimi", "dwell_bin"): ("dwell_bin", float),
-    ("scan", "positions"): ("scan_positions", int),
-    ("scan", "husimi_grid_q"): ("scan_husimi_q", int),
-    ("scan", "husimi_grid_p"): ("scan_husimi_p", int),
-    ("run", "output"): ("output", str),
-}
-
-_ATTR_TO_KEY = {attr: sk for sk, (attr, _) in _SCHEMA.items()}
-
-
-def _validate(cfg: ExperimentConfig, violations: list):
-    def bad(attr, msg):
-        sec, key = _ATTR_TO_KEY[attr]
-        violations.append(f"{sec}.{key}: {msg}")
-
-    if not math.isfinite(cfg.k):
-        bad("k", "must be finite")
-    if not math.isfinite(cfg.leak_center):
-        bad("leak_center", f"must be finite, got {cfg.leak_center}")
-    if not (0.0 <= cfg.leak_width <= 1.0):
-        bad("leak_width", f"must lie in [0, 1], got {cfg.leak_width}")
-    for attr in ("grid_q", "grid_p", "husimi_q", "husimi_p", "scan_husimi_q", "scan_husimi_p"):
-        if getattr(cfg, attr) < 2:
-            bad(attr, f"must be >= 2, got {getattr(cfg, attr)}")
-    if cfg.ftle_steps < 1:
-        bad("ftle_steps", f"must be >= 1, got {cfg.ftle_steps}")
-    if cfg.t_max < 1:
-        bad("t_max", f"must be >= 1, got {cfg.t_max}")
-    if cfg.dim < 2:
-        bad("dim", f"must be >= 2, got {cfg.dim}")
-    if cfg.top_states < 1:
-        bad("top_states", f"must be >= 1, got {cfg.top_states}")
-    if not (math.isfinite(cfg.dwell_bin) and cfg.dwell_bin > 0.0):
-        bad("dwell_bin", f"must be finite and positive, got {cfg.dwell_bin}")
-    if cfg.scan_positions < 1:
-        bad("scan_positions", f"must be >= 1, got {cfg.scan_positions}")
-    if not cfg.output:
-        bad("output", "must not be empty")
+    k: float = _option("map.k", 10.0, _FINITE)
+    leak_center: float = _option("leak.center", 0.2, _FINITE)
+    leak_width: float = _option("leak.width", 0.2, _UNIT_INTERVAL)
+    grid_q: int = _option("classical.grid_q", 500, _at_least(2))
+    grid_p: int = _option("classical.grid_p", 500, _at_least(2))
+    ftle_steps: int = _option("classical.ftle_steps", 10, _at_least(1))
+    t_max: int = _option("classical.t_max", 1000, _at_least(1))
+    dim: int = _option("quantum.dim", 512, _at_least(2))
+    husimi_q: int = _option("husimi.grid_q", 1000, _at_least(2))
+    husimi_p: int = _option("husimi.grid_p", 1000, _at_least(2))
+    top_states: int = _option("husimi.top_states", 20, _at_least(1))
+    dwell_bin: float = _option("husimi.dwell_bin", 0.08, _FINITE_POSITIVE)
+    scan_positions: int = _option("scan.positions", 50, _at_least(1))
+    scan_husimi_q: int = _option("scan.husimi_grid_q", 500, _at_least(2))
+    scan_husimi_p: int = _option("scan.husimi_grid_p", 500, _at_least(2))
+    output: str = _option("run.output", "out", _ONE_STRIPPED_LINE)
 
 
 def _with_entries(base: ExperimentConfig, entries) -> ExperimentConfig:
     """base with every ((section, key), raw) entry parsed in.
 
-    Unknown keys, unparsable values and then failed validation each raise
-    one ConfigError that lists every violation, labelled "section.key".
-    A name that is not a (section, key) pair is a malformed override.
+    Unknown keys and unparsable values, then failed rules, each raise one
+    ConfigError that lists every violation, labelled "section.key"; the
+    rules are checked in key order.  A name that is not a (section, key)
+    pair is a malformed override.
     """
+    options = {f.metadata["key"]: f for f in fields(ExperimentConfig)}
     violations: list = []
-    fields: dict = {}
+    values: dict = {}
     for name, raw in entries:
         label = ".".join(name)
-        spec = _SCHEMA.get(name)
-        if spec is None:
+        option = options.get(label)
+        if option is None:
             problem = "unknown key" if len(name) == 2 else "overrides must look like section.key"
             violations.append(f"{label}: {problem}")
             continue
-        attr, parser = spec
         try:
-            fields[attr] = parser(raw)
+            values[option.name] = type(option.default)(raw)
         except ValueError as exc:
             violations.append(f"{label}: {exc}")
     if violations:
         raise ConfigError(violations)
-    cfg = dataclasses.replace(base, **fields)
-    _validate(cfg, violations)
+    cfg = replace(base, **values)
+    for key, option in options.items():
+        holds, requirement = option.metadata["rule"]
+        value = getattr(cfg, option.name)
+        if not holds(value):
+            violations.append(f"{key}: {requirement}, got {value!r}")
     if violations:
         raise ConfigError(violations)
     return cfg
@@ -150,21 +130,15 @@ def load_config(path) -> ExperimentConfig:
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
-    """Canonical text form; parse(serialize(cfg)) == cfg."""
+    """Canonical text form, floats as their repr; parse(serialize(cfg)) == cfg."""
     lines = []
     current = None
-    for (section, key), (attr, parser) in _SCHEMA.items():
+    for option in fields(ExperimentConfig):
+        section, key = option.metadata["key"].split(".")
         if section != current:
-            if current is not None:
-                lines.append("")
-            lines.append(f"[{section}]")
+            lines += [""] * (current is not None) + [f"[{section}]"]
             current = section
-        val = getattr(cfg, attr)
-        if parser is float:
-            text = repr(float(val))
-        else:
-            text = str(val)
-        lines.append(f"{key} = {text}")
+        lines.append(f"{key} = {type(option.default)(getattr(cfg, option.name))}")
     return "\n".join(lines) + "\n"
 
 

@@ -78,13 +78,13 @@ def write_csv(path, header, columns) -> Path:
     return path
 
 
-def write_pgm(path, values: np.ndarray, mask: np.ndarray | None = None) -> list[Path]:
+def write_pgm(path, values: np.ndarray, mask: np.ndarray | None) -> list[Path]:
     """8-bit grayscale PGM heatmap plus a JSON sidecar with the scale.
 
-    Valid cells are scaled linearly from [min, max] to pixel [1, 255];
-    masked-out cells get pixel 0.  The sidecar records the mapping so the
-    image can be recolored or inverted downstream.  Rows run along q,
-    columns along p.
+    Valid cells (all of them for mask None) are scaled linearly from
+    [min, max] to pixel [1, 255]; masked-out cells get pixel 0.  The
+    sidecar records the mapping so the image can be recolored or inverted
+    downstream.  Rows run along q, columns along p.
     """
     path = Path(path)
     a = np.asarray(values, dtype=float)

@@ -376,7 +376,8 @@ def dwell_bins(res: ResonanceSet, bin_width: float) -> np.ndarray:
         raise ValueError(f"bin width must be finite and positive, got {bin_width}")
     if np.isinf(res.dwell).any():
         raise ValueError("dwell times are infinite (closed system); open the propagator first")
-    bins = np.floor(res.dwell / bin_width)
+    with np.errstate(over="ignore"):  # an index that overflows to inf fails the check below
+        bins = np.floor(res.dwell / bin_width)
     if not bins.max() < BIN_INDEX_LIMIT:
         raise ValueError(
             f"bin width {bin_width} is too small for the largest dwell time {res.dwell.max()}: "

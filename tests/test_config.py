@@ -1,6 +1,9 @@
 """Configuration parsing, validation, serialization, and overrides."""
 
+import configparser
 import dataclasses
+import re
+from pathlib import Path
 
 import pytest
 
@@ -92,6 +95,49 @@ def test_non_finite_floats_are_violations(key, value):
     with pytest.raises(ConfigError) as exc:
         apply_overrides(ExperimentConfig(), [(key, value)])
     assert [v.split(":")[0] for v in exc.value.violations] == [key]
+
+
+# one value out of range for every key
+OUT_OF_RANGE = [
+    ("map.k", "inf"),
+    ("leak.center", "nan"),
+    ("leak.width", "1.5"),
+    ("classical.grid_q", "1"),
+    ("classical.grid_p", "1"),
+    ("classical.ftle_steps", "0"),
+    ("classical.t_max", "0"),
+    ("quantum.dim", "1"),
+    ("husimi.grid_q", "1"),
+    ("husimi.grid_p", "1"),
+    ("husimi.top_states", "0"),
+    ("husimi.dwell_bin", "-0.08"),
+    ("scan.positions", "0"),
+    ("scan.husimi_grid_q", "1"),
+    ("scan.husimi_grid_p", "1"),
+    ("run.output", ""),
+    ("run.output", "out "),
+    ("run.output", "a\nb"),
+]
+
+
+def test_out_of_range_cases_cover_every_key():
+    cp = configparser.ConfigParser()
+    cp.read_string(serialize_config(ExperimentConfig()))
+    assert {key for key, _ in OUT_OF_RANGE} == {f"{s}.{k}" for s in cp.sections() for k in cp[s]}
+
+
+@pytest.mark.parametrize("key,value", OUT_OF_RANGE)
+def test_out_of_range_value_is_one_violation_of_its_key(key, value):
+    with pytest.raises(ConfigError) as exc:
+        apply_overrides(ExperimentConfig(), [(key, value)])
+    assert [v.split(":")[0] for v in exc.value.violations] == [key]
+
+
+def test_readme_defaults_block_parses_to_the_defaults():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"Defaults shown:\n\n```ini\n(.*?)```", readme, re.DOTALL)
+    assert block is not None
+    assert parse_config(block.group(1)) == ExperimentConfig()
 
 
 def test_parse_error_is_config_error():

@@ -107,7 +107,7 @@ def test_csv_rejects_ragged_columns(tmp_path):
 
 def test_pgm_scaling_and_sidecar(tmp_path):
     vals = np.array([[0.0, 5.0], [10.0, 2.5]])
-    img, sidecar = write_pgm(tmp_path / "h.pgm", vals)
+    img, sidecar = write_pgm(tmp_path / "h.pgm", vals, None)
     raw = img.read_bytes()
     assert raw.startswith(b"P5\n2 2\n255\n")
     pix = np.frombuffer(raw[len(b"P5\n2 2\n255\n"):], dtype=np.uint8).reshape(2, 2)
@@ -131,7 +131,7 @@ def test_pgm_masked_cells_are_zero(tmp_path):
 
 
 def test_pgm_constant_field(tmp_path):
-    img, sidecar = write_pgm(tmp_path / "h.pgm", np.full((3, 3), 7.0))
+    img, sidecar = write_pgm(tmp_path / "h.pgm", np.full((3, 3), 7.0), None)
     pix = np.frombuffer(img.read_bytes()[-9:], dtype=np.uint8)
     assert_array_equal(pix, 255)
     meta = json.loads(sidecar.read_text())
@@ -148,7 +148,7 @@ def test_pgm_all_masked(tmp_path):
 
 def test_pgm_rejects_non_matrix(tmp_path):
     with pytest.raises(ValueError):
-        write_pgm(tmp_path / "h.pgm", np.ones(4))
+        write_pgm(tmp_path / "h.pgm", np.ones(4), None)
 
 
 # ---------------------------------------------------------------------------

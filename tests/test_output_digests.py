@@ -1,5 +1,5 @@
-"""tools/output_digests.py: output sha256 and `extra` lines at two worker
-settings."""
+"""tools/output_digests.py: output sha256, `extra` and `config` lines at
+two worker settings."""
 
 import importlib.util
 from pathlib import Path
@@ -20,7 +20,7 @@ def test_digests_of_this_tree_agree_across_worker_settings(capsys):
     assert lines == sorted(lines)
     fields = [line.split(" ") for line in lines]
     assert all(len(f) == 3 for f in fields)
-    assert all(len(f[2]) == 64 for f in fields if not f[1].startswith("extra:"))
+    assert all(len(f[2]) == 64 for f in fields if not f[1].startswith(("extra:", "config:")))
     labels = ["ftle-field", "ftle-field-closed", "open-classical", "quantum", "scan", "scan-closed", "scan-many"]
     assert {f[0] for f in fields} == set(labels)
     assert ["scan", "scan.csv"] in [f[:2] for f in fields]
@@ -36,6 +36,16 @@ def test_digests_of_this_tree_agree_across_worker_settings(capsys):
     for path in ("ftle_field.lcf", "ftle_field.pgm"):
         assert digest["ftle-field-closed", path] == digest["ftle-field", path]
     assert digest["ftle-field-closed", "strip_means.csv"] != digest["ftle-field", "strip_means.csv"]
+    # each run's config gets one line per key but run.output, which names a
+    # temporary directory
+    config = {(f[0], f[1]): f[2] for f in fields if f[1].startswith("config:")}
+    for label in labels:
+        keys = {key for run, key in config if run == label}
+        assert len(keys) == 15 and "config:run.output" not in keys, label
+    assert config["quantum", "config:quantum.dim"] == "128"
+    assert config["quantum", "config:map.k"] == "10.0"
+    assert config["scan-closed", "config:leak.width"] == "0.0"
+    assert config["scan-many", "config:scan.positions"] == "20"
 
 
 def test_disagreeing_worker_settings_exit_1(monkeypatch, capsys):

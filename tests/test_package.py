@@ -33,7 +33,7 @@ def test_top_level_import_loads_no_numpy():
 
 # Settable options: ExperimentConfig fields plus every defaulted parameter
 # or dataclass field default under src/leakmap.
-MAX_OPTIONS = 18
+MAX_OPTIONS = 17
 
 
 def count_options(source: str) -> int:

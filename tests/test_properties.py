@@ -1,5 +1,6 @@
 """Properties of small configs: survival curves, resonance moduli, Husimi
-fields, Wehrl entropies and the CLI's exit codes.
+fields, Wehrl entropies and the CLI's exit codes; and of configs of any
+size, that they read back from their serialized text.
 
 Configs stay small (N <= 40, grids <= 30^2, t_max <= 200) so the suite
 runs in seconds.  Hypothesis draws them from a fixed seed and keeps no
@@ -30,6 +31,7 @@ from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from leakmap.cli import main
+from leakmap.config import ConfigError, ExperimentConfig, apply_overrides, parse_config, serialize_config
 from leakmap.ensemble import PhaseSpaceGrid, escape_ensemble, survival_probability
 from leakmap.quantum import QuantumParams, build_projector, build_unitary, leak_spectrum
 from leakmap.standard_map import Leak, MapParams
@@ -107,6 +109,42 @@ def test_wehrl_entropies_lie_in_the_unit_interval(n, k, center, width, n_q, n_p)
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
+counts = st.integers(2, 10**9).map(str)
+
+# text for every key: valid numbers of any size, and any output text
+config_text = st.fixed_dictionaries(
+    {
+        "map.k": finite.map(repr),
+        "leak.center": finite.map(repr),
+        "leak.width": st.floats(0.0, 1.0).map(repr),
+        "classical.grid_q": counts,
+        "classical.grid_p": counts,
+        "classical.ftle_steps": counts,
+        "classical.t_max": counts,
+        "quantum.dim": counts,
+        "husimi.grid_q": counts,
+        "husimi.grid_p": counts,
+        "husimi.top_states": counts,
+        "husimi.dwell_bin": st.floats(min_value=0.0, exclude_min=True, allow_infinity=False).map(repr),
+        "scan.positions": counts,
+        "scan.husimi_grid_q": counts,
+        "scan.husimi_grid_p": counts,
+        "run.output": st.text(),
+    }
+)
+
+
+@PROPERTY
+@given(overrides=config_text)
+@example(overrides={"run.output": "x "})
+@example(overrides={"run.output": "a\nb"})
+def test_every_accepted_config_reads_back_from_its_text(overrides):
+    try:
+        cfg = apply_overrides(ExperimentConfig(), list(overrides.items()))
+    except ConfigError:
+        return
+    assert parse_config(serialize_config(cfg)) == cfg
+
 
 # every key a valid config may set, within the small-config limits
 cli_overrides = st.fixed_dictionaries(

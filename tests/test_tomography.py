@@ -517,6 +517,14 @@ def test_entropy_vs_dwell_rejects_bin_index_past_int64():
         dwell_bins(res, 1e-300)
 
 
+def test_bin_index_overflowing_a_double_gets_only_the_range_message():
+    # dwell / 5e-324 overflows; the suite turns numpy's overflow warning into
+    # an error, so only the precise message may surface
+    res = open_resonances(8, 0.2)
+    with pytest.raises(ValueError, match="bin width 5e-324 is too small"):
+        dwell_bins(res, 5e-324)
+
+
 def test_leak_scan_entropy_symmetry():
     # q -> 1 - q maps the leaked map onto itself, so the quantum dwell time
     # and the Wehrl entropy are mirror symmetric within three standard errors

@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Print the sha256 of every file the four leakmap commands write, and
-every result each manifest records.
+"""Print the sha256 of every file the four leakmap commands write, every
+result each manifest records and every config value it ran with.
 
     python tools/output_digests.py [ROOT]
 
@@ -19,10 +19,13 @@ happens once with LEAKMAP_THREADS unset and once at 2.  The script prints
 the sorted `label path sha256` lines of the manifests, plus one
 `label extra:KEY VALUE` line per key of each manifest's `extra` results,
 VALUE being `json.dumps(value, separators=(",", ":"))` (it holds no
-space), and exits 1 when the two worker settings disagree.  Every output
-byte and every `extra` value is a pure function of the config, so two
-trees compute the same thing exactly when their printed lines are equal,
-and a `diff` names each file and each result that moved:
+space), and one `label config:SECTION.KEY VALUE` line per key of each
+manifest's serialized `config` (all but `run.output`, which names a
+temporary directory), and exits 1 when the two worker settings disagree.
+Every output byte and every `extra` value is a pure function of the
+config, so two trees compute the same thing from the same config exactly
+when their printed lines are equal, and a `diff` names each file, each
+result and each config value that moved:
 
     python tools/output_digests.py > change.txt
     python tools/output_digests.py path/to/other/checkout > other.txt
@@ -31,6 +34,7 @@ and a `diff` names each file and each result that moved:
 
 from __future__ import annotations
 
+import configparser
 import json
 import os
 import subprocess
@@ -78,8 +82,10 @@ WORKER_SETTINGS = (None, "2")
 
 
 def digests(root: Path, workdir: Path, threads: str | None) -> list:
-    """`label path sha256` lines of every run at one worker setting, and a
-    `label extra:KEY VALUE` line per key of its manifest's `extra`."""
+    """`label path sha256` lines of every run at one worker setting, a
+    `label extra:KEY VALUE` line per key of its manifest's `extra` and a
+    `label config:SECTION.KEY VALUE` line per key of its `config` but
+    `run.output`."""
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     env.pop("LEAKMAP_THREADS", None)
     if threads is not None:
@@ -101,6 +107,14 @@ def digests(root: Path, workdir: Path, threads: str | None) -> list:
         manifest = json.loads((out / "manifest.json").read_text())
         lines += [f"{label} {e['path']} {e['sha256']}" for e in manifest["outputs"]]
         lines += [f"{label} extra:{k} {json.dumps(v, separators=(',', ':'))}" for k, v in manifest["extra"].items()]
+        config = configparser.ConfigParser(interpolation=None)
+        config.read_string(manifest["config"])
+        lines += [
+            f"{label} config:{section}.{key} {value}"
+            for section in config.sections()
+            for key, value in config.items(section)
+            if (section, key) != ("run", "output")
+        ]
     return sorted(lines)
 
 
