@@ -6,12 +6,14 @@ Commands: ftle-field, open-classical, quantum, scan.  Exit codes: 0 on
 success, 1 on configuration errors (every violation listed), 2 on
 numerical or I/O failure.
 
-LEAKMAP_THREADS=n runs `scan` positions in up to n worker processes
-(unset: 1, in this process); the other commands run in this process.  Every BLAS/OpenMP
-pool is pinned to one thread through the usual *_NUM_THREADS variables
-before numpy loads, which is why this module must not import numeric code
-at the top level.  With one thread per process and results gathered in
-task order, every output byte is the same at any worker count.
+LEAKMAP_THREADS=n runs `scan` positions in up to n worker processes, and
+at n >= 2 runs `quantum`'s Husimi jobs on one helper thread beside the
+main one (unset: 1, everything in the main thread); `ftle-field` and
+`open-classical` always run in the main thread.  Every BLAS/OpenMP pool is
+pinned to one thread through the usual *_NUM_THREADS variables before
+numpy loads, which is why this module must not import numeric code at the
+top level.  With one BLAS thread per process and results gathered in task
+order, every output byte is the same at any worker count.
 """
 
 from __future__ import annotations
@@ -30,8 +32,8 @@ _THREAD_VARS = (
 
 
 def apply_thread_env() -> int | None:
-    """Pin the BLAS/OpenMP pools to one thread and return the worker
-    processes LEAKMAP_THREADS asks for (None when it is unset)."""
+    """Pin the BLAS/OpenMP pools to one thread and return the workers
+    LEAKMAP_THREADS asks for (None when it is unset)."""
     raw = os.environ.get(THREAD_ENV)
     n = None
     if raw is not None and raw != "":

@@ -1,7 +1,7 @@
 """Experiment commands: compose the library into reproducible output trees.
 
-Every command takes a validated ExperimentConfig and a worker-process
-request (used by `scan` alone), computes all of its results, and hands them
+Every command takes a validated ExperimentConfig and a worker request
+(used by `scan` and `quantum`), computes all of its results, and hands them
 to `_Run.finish`, the one place that writes files.  `finish` checks that
 the manifest's results are strict JSON before it writes anything, then
 writes the artifacts into the configured output directory and a
@@ -17,10 +17,15 @@ positions, which gives the group's classical columns (the orbits do not
 depend on the leak), and one Schur spectrum with its entropies per
 position.  Given `workers` > 1, `scan` maps them over fork-started worker
 processes (never more than `worker_count` allows); one worker runs them in
-this process, as do the other commands.  The parent builds what the tasks
-share (the unitary and the Husimi plan) before the pool starts, so the
-workers inherit it and only task indices and results cross processes; each
-task builds its own leaks and projector.
+this process.  The parent builds what the tasks share (the unitary and the
+Husimi plan) before the pool starts, so the workers inherit it and only
+task indices and results cross processes; each task builds its own leaks
+and projector.
+Given two workers, `quantum` runs its Husimi jobs on one helper thread
+beside the main thread (`_helper`); the helper is joined before the
+command returns, also on error, so a later `scan` in the same process
+still forks from a process that runs no other thread.  `ftle-field` and
+`open-classical` run in the calling thread.
 Results are gathered in task order and every process runs BLAS on one
 thread (the CLI pins it), so the output bytes do not depend on the worker
 count.
@@ -29,6 +34,7 @@ count.
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
 import math
 import multiprocessing
@@ -36,7 +42,8 @@ import os
 import platform
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
+import types
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -63,10 +70,20 @@ from .quantum import (
     build_projector,
     build_unitary,
     leak_spectrum,
+    open_propagator,
+    resonance_spectrum,
     unitarity_defect,
 )
 from .standard_map import Leak, MapParams
-from .tomography import bin_means, dwell_bins, entropy_grid, husimi_plan, mean_husimi, state_entropies
+from .tomography import (
+    _check_top_states,
+    bin_means,
+    dwell_bins,
+    entropy_grid,
+    husimi_plan,
+    mean_husimi,
+    state_entropies,
+)
 
 __all__ = ["cmd_ftle_field", "cmd_open_classical", "cmd_quantum", "cmd_scan", "leak_scan", "worker_count", "COMMANDS"]
 
@@ -127,8 +144,9 @@ def _usable_cpus() -> int:
 
 
 def worker_count(requested: int | None, tasks: int) -> int:
-    """Worker processes for `tasks` independent tasks: min(requested, tasks,
-    CPUs this process may run on), at least 1.  requested None means 1."""
+    """Workers (`scan`'s processes, `quantum`'s threads) for `tasks`
+    independent tasks: min(requested, tasks, CPUs this process may run on),
+    at least 1.  requested None means 1."""
     return max(1, min(requested or 1, tasks, _usable_cpus()))
 
 
@@ -171,6 +189,27 @@ def _task_results(fn, n_tasks: int, workers: int):
         pool.shutdown(wait=True, cancel_futures=True)
 
 
+@contextlib.contextmanager
+def _helper(workers: int):
+    """Yield submit(fn, *args), which returns a job whose result() returns
+    fn(*args) or raises what it raised.
+
+    Given more than one worker, the jobs run in submission order on one
+    helper thread, started at the first submit and joined on exit, also on
+    error (jobs not yet started are cancelled).  One worker runs each job
+    in the calling thread when its result is read, so a job whose result
+    is never read never runs.
+    """
+    if workers <= 1:
+        yield lambda fn, *args: types.SimpleNamespace(result=functools.partial(fn, *args))
+        return
+    pool = ThreadPoolExecutor(1, thread_name_prefix="leakmap-helper")
+    try:
+        yield pool.submit
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
 class _Run:
     """Output directory, stage timings and the one write path of a command."""
 
@@ -193,6 +232,15 @@ class _Run:
         self._stage = name
         self._stage_t0 = now
         return self
+
+    def busy(self, key: str, fn, *args):
+        """fn(*args), with its seconds from start to end (its busy time,
+        waits for the GIL included) recorded as timings[key].  Safe on the
+        helper thread: each key is written by one job only."""
+        t0 = time.perf_counter()
+        out = fn(*args)
+        self.timings[key] = round(time.perf_counter() - t0, 6)
+        return out
 
     def finish(self, fields: dict, tables: dict, extra: dict, **record) -> list:
         """Write this run's artifacts and manifest.json; return their paths.
@@ -298,27 +346,56 @@ def cmd_quantum(cfg: ExperimentConfig, workers: int | None) -> list:
     """Resonance spectrum, mean Husimi field, and Wehrl scatter for one leak.
 
     The config's Husimi grid images the mean field of the top states; every
-    s_w is integrated on the square `entropy_grid(N)`, in this process.
-    The top states are taken again at twice that grid, and the manifest
-    records the largest change of their s_w (`entropy_grid_check`)."""
+    s_w is integrated on the square `entropy_grid(N)`.  The top states are
+    taken again at twice that grid, and the manifest records the largest
+    change of their s_w (`entropy_grid_check`).
+
+    Given `worker_count(workers, 2)` = 2, a helper thread (`_helper`) builds
+    the two entropy grids' plans while this thread builds the unitary, and
+    takes every s_w on the entropy grid while this thread makes the mean
+    field (building the image grid's plan) and the 2n check; numpy's exp,
+    matmul and FFT release the GIL, the Schur does not, so nothing runs
+    beside the spectrum.  One worker runs the same jobs in this thread, one
+    after another.  A plan or reference that fails raises after the
+    top-states check, as it would without the helper, and no transform runs
+    before that check.  timings_s adds each Husimi job's seconds from start
+    to end (plans_busy, mean_field_busy, entropies_busy, grid_check_busy)."""
     run = _Run(cfg, "quantum")
+    run.workers = worker_count(workers, 2)
     qp = QuantumParams(cfg.dim, cfg.k)
     leak = Leak(cfg.leak_center, cfg.leak_width)
-    run.stage("unitary")
-    u, defect = _checked_unitary(qp)
-    run.stage("spectrum")
-    keep = build_projector(qp, leak)
-    res = leak_spectrum(u, keep)
-    # a bad dwell bin fails before any transform
-    bins = dwell_bins(res, cfg.dwell_bin)
-    run.stage("husimi")
-    # too few nonzero-dwell states fail before any transform
-    mean_field = mean_husimi(res, cfg.top_states, (cfg.husimi_q, cfg.husimi_p))
     n_grid = entropy_grid(cfg.dim)
-    grid = (n_grid, n_grid)
-    s_w = state_entropies(res.vectors, grid)
-    top = slice(0, cfg.top_states)
-    grid_check = np.abs(state_entropies(res.vectors[:, top], (2 * n_grid, 2 * n_grid)) - s_w[top]).max()
+    grid, fine = (n_grid, n_grid), (2 * n_grid, 2 * n_grid)
+    with _helper(run.workers) as submit:
+        run.stage("unitary")
+        # building a plan runs no transform
+        plans = submit(run.busy, "plans_busy", lambda: [husimi_plan(cfg.dim, r) for r in (grid, fine)])
+        u, defect = _checked_unitary(qp)
+        run.stage("spectrum")
+        keep = build_projector(qp, leak)
+        # Each large array is freed once nothing reads it, so that the
+        # Husimi stage's buffers reuse its memory: the closed propagator
+        # once its open copy exists (rebinding u), the open one and the
+        # triangular factor after the spectrum.
+        u = open_propagator(u, keep)
+        res = resonance_spectrum(u)
+        del u
+        res.triangular = None
+        # a bad dwell bin fails before any transform
+        bins = dwell_bins(res, cfg.dwell_bin)
+        run.stage("husimi")
+        # too few nonzero-dwell states fail before any transform
+        _check_top_states(res, cfg.top_states)
+        # The plans are built, and their references anchored, before the
+        # helper starts on them (`husimi_plan`).
+        for plan in plans.result():
+            plan.coherent_entropy
+        entropies = submit(run.busy, "entropies_busy", state_entropies, res.vectors, grid)
+        mean_field = run.busy("mean_field_busy", mean_husimi, res, cfg.top_states, (cfg.husimi_q, cfg.husimi_p))
+        top = slice(0, cfg.top_states)
+        s_w_fine = run.busy("grid_check_busy", state_entropies, res.vectors[:, top], fine)
+        s_w = entropies.result()
+    grid_check = np.abs(s_w_fine - s_w[top]).max()
     return run.finish(
         {"mean_husimi": (mean_field, None)},
         {

@@ -254,6 +254,9 @@ class HusimiTransform:
 
         Raises RuntimeError when it is not clearly negative: on a grid too
         coarse to resolve the coherent state the scale has no length.
+        Computed on first use and not guarded by a lock: a plan that more
+        than one thread uses must have it anchored (read once) before they
+        start.
         """
         if self._s_coh is None:
             s_coh = float(_raw_entropies(self, coherent_state((0.5, 0.5), self.N)[:, None])[0])
@@ -281,7 +284,10 @@ def husimi_plan(N: int, resolution: tuple) -> HusimiTransform:
     """The cached analyzer of length-N states on an n_q x n_p grid, the one
     every function here uses; resolution is the tuple (n_q, n_p), and N and
     resolution are the cache key.  Building it ahead of a fork lets worker
-    processes inherit it."""
+    processes inherit it.  The cache takes no lock, and two threads that
+    miss on one key at once each build a plan: a plan shared between
+    threads must be built, and its reference (`coherent_entropy`) anchored,
+    before the threads use it."""
     return HusimiTransform(N, *resolution)
 
 
@@ -319,6 +325,15 @@ def _five_smooth(n: int) -> bool:
     return n == 1
 
 
+def _check_top_states(res: ResonanceSet, m: int) -> None:
+    """Raise unless m >= 1 states with nonzero dwell time are available."""
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
+    n_alive = int((res.dwell > 0.0).sum())
+    if n_alive < m:
+        raise RuntimeError(f"only {n_alive} nonzero-dwell states available, need m={m}")
+
+
 def mean_husimi(res: ResonanceSet, m: int, resolution) -> np.ndarray:
     """Mean Husimi field of the m longest-lived Schur states, renormalized,
     one transform per state.
@@ -326,11 +341,7 @@ def mean_husimi(res: ResonanceSet, m: int, resolution) -> np.ndarray:
     Requires at least m states with nonzero dwell time; zero modes carry no
     lifetime and are never averaged in.
     """
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    n_alive = int((res.dwell > 0.0).sum())
-    if n_alive < m:
-        raise RuntimeError(f"only {n_alive} nonzero-dwell states available, need m={m}")
+    _check_top_states(res, m)
     plan = husimi_plan(res.vectors.shape[0], resolution)
     work = plan.workspace()
     acc = np.zeros((plan.n_q, plan.n_p))

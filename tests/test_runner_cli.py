@@ -8,6 +8,8 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -405,9 +407,14 @@ def test_manifest_stage_keys_read_by_the_benchmark(tmp_path):
     assert set(manifest["timings_s"]) == stages
     assert len(manifest["position_timings_s"]) == 4
     assert [set(g) for g in manifest["classical_groups"]] == [{"q_L", "seconds", "point_steps"}]
-    cmd_quantum(toy_config(tmp_path / "quantum", dim=16), None)
-    stages = {"unitary", "spectrum", "husimi", "write", "manifest"}
-    assert set(load_manifest(tmp_path / "quantum")["timings_s"]) == stages
+    # quantum adds each Husimi job's busy seconds, flat floats like the
+    # stages (layer_metrics adds every timings_s value as a float)
+    busy = {"plans_busy", "mean_field_busy", "entropies_busy", "grid_check_busy"}
+    for workers in (None, 2):
+        cmd_quantum(toy_config(tmp_path / f"quantum{workers}", dim=16), workers)
+        timings = load_manifest(tmp_path / f"quantum{workers}")["timings_s"]
+        assert set(timings) == {"unitary", "spectrum", "husimi", "write", "manifest"} | busy
+        assert all(type(t) is float for t in timings.values())
 
 
 @pytest.mark.parametrize(
@@ -431,7 +438,8 @@ def test_extra_holds_results_not_config(tmp_path, command, keys):
 
 
 def test_cmd_quantum_checks_top_states_before_any_transform(tmp_path, monkeypatch, capsys):
-    # N = 16 with the leak at 0.2 has 13 nonzero-dwell states
+    # N = 16 with the leak at 0.2 has 13 nonzero-dwell states; at two
+    # workers the helper thread builds the plans during the unitary stage
     calls = []
     real = HusimiTransform.overlap_field
 
@@ -440,12 +448,13 @@ def test_cmd_quantum_checks_top_states_before_any_transform(tmp_path, monkeypatc
         return real(self, *args)
 
     monkeypatch.setattr(HusimiTransform, "overlap_field", counting)
-    out = tmp_path / "run"
-    cfg = toy_config(out, dim=16, leak_center=0.2, top_states=16, husimi_q=30, husimi_p=30)
-    with pytest.raises(RuntimeError, match="only 13 nonzero-dwell states available, need m=16"):
-        cmd_quantum(cfg, None)
-    assert calls == []
-    assert not any(out.iterdir())
+    cfg = toy_config(tmp_path, dim=16, leak_center=0.2, top_states=16, husimi_q=30, husimi_p=30)
+    for workers in (None, 2):
+        out = tmp_path / f"run{workers}"
+        with pytest.raises(RuntimeError, match="only 13 nonzero-dwell states available, need m=16"):
+            cmd_quantum(dataclasses.replace(cfg, output=str(out)), workers)
+        assert calls == []
+        assert not any(out.iterdir())
     # a dwell bin so narrow that the bin indices overflow int64 fails
     # before the top-states check (8 states, 20 asked for)
     out = tmp_path / "narrow"
@@ -460,9 +469,11 @@ def test_cmd_quantum_checks_top_states_before_any_transform(tmp_path, monkeypatc
     # a run that passes its checks transforms the top states on the image
     # grid, every state and the coherent reference on the entropy grid, and
     # the top states and the reference again at twice that grid
-    tomography.husimi_plan.cache_clear()
-    cmd_quantum(dataclasses.replace(cfg, top_states=5, output=str(tmp_path / "ok")), None)
-    assert len(calls) == 16 + 2 * 5 + 2
+    for workers in (None, 2):
+        calls.clear()
+        tomography.husimi_plan.cache_clear()
+        cmd_quantum(dataclasses.replace(cfg, top_states=5, output=str(tmp_path / f"ok{workers}")), workers)
+        assert len(calls) == 16 + 2 * 5 + 2
 
 
 def test_manifest_lists_only_this_runs_files(tmp_path):
@@ -674,13 +685,110 @@ def test_huge_worker_request_is_capped_and_gathered_in_order(tmp_path, monkeypat
 
 
 def test_cmd_quantum_starts_no_pool(tmp_path, monkeypatch):
-    # quantum runs in this process at any worker request, whatever the CPUs
+    # quantum runs in this process at any worker request, whatever the CPUs:
+    # at most one helper thread beside this one, joined before it returns
     monkeypatch.setattr(runner, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(RecordingPool, "started", [])
     monkeypatch.setattr(runner, "_usable_cpus", lambda: 4)
+    threads = threading.active_count()
     cmd_quantum(toy_config(tmp_path, dim=16), workers=10**6)
     assert RecordingPool.started == []
-    assert load_manifest(tmp_path)["environment"]["workers"] == 1
+    assert threading.active_count() == threads
+    assert load_manifest(tmp_path)["environment"]["workers"] == 2
+
+
+def test_cmd_quantum_joins_its_helper_on_error(tmp_path, monkeypatch):
+    # an error on the helper thread reaches the caller with its message; an
+    # error on this thread waits for the helper's running job to end; neither
+    # writes a file or leaves a thread behind
+    threads = threading.active_count()
+
+    def failing(*args):
+        raise RuntimeError("entropies failed")
+
+    monkeypatch.setattr(runner, "state_entropies", failing)
+    with pytest.raises(RuntimeError, match="entropies failed"):
+        cmd_quantum(toy_config(tmp_path / "helper", dim=16, leak_center=0.2), 2)
+    assert not any((tmp_path / "helper").iterdir())
+    assert threading.active_count() == threads
+
+    started, finished = threading.Event(), []
+
+    def slow(*args):
+        started.set()
+        time.sleep(0.2)
+        finished.append(1)
+
+    def mean_failing(*args):
+        started.wait(timeout=1.0)  # until the helper's job runs (two workers)
+        raise RuntimeError("mean field failed")
+
+    monkeypatch.setattr(runner, "state_entropies", slow)
+    monkeypatch.setattr(runner, "mean_husimi", mean_failing)
+    with pytest.raises(RuntimeError, match="mean field failed"):
+        cmd_quantum(toy_config(tmp_path / "main", dim=16, leak_center=0.2), 2)
+    # one worker never runs a job whose result is not read
+    assert len(finished) == worker_count(2, 2) - 1
+    assert not any((tmp_path / "main").iterdir())
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize(
+    "n_grid,overrides,error",
+    [
+        # N |K| far past where build_unitary stays unitary; the helper is
+        # building the plans meanwhile
+        (None, {"k": 3000.0, "dim": 128}, "propagator failed unitarity"),
+        # an entropy grid too coarse for the coherent reference
+        (2, {}, "degenerate coherent reference entropy"),
+        # one that fails its plan build on the helper, and the top-states
+        # check that comes before it (13 nonzero-dwell states at N = 16)
+        (1, {}, "grid needs >= 2 cells per axis"),
+        (1, {"top_states": 16}, "only 13 nonzero-dwell states available"),
+    ],
+)
+def test_cmd_quantum_first_error_does_not_depend_on_worker_count(tmp_path, monkeypatch, n_grid, overrides, error):
+    if n_grid is not None:
+        monkeypatch.setattr(runner, "entropy_grid", lambda N: n_grid)
+    errors = {}
+    for workers in (None, 2):
+        out = tmp_path / f"w{workers}"
+        cfg = toy_config(out, **{"dim": 16, "leak_center": 0.2, **overrides})
+        with pytest.raises((RuntimeError, ValueError), match=error) as exc:
+            cmd_quantum(cfg, workers)
+        errors[workers] = (type(exc.value), str(exc.value))
+        assert not any(out.iterdir())
+    assert errors[None] == errors[2]
+
+
+def test_cmd_quantum_output_holds_under_fast_thread_switching(tmp_path):
+    # both threads write timings and look plans up in the shared cache;
+    # switching threads every microsecond must lose no key and move no byte
+    cfg = toy_config(tmp_path, dim=16, leak_center=0.2)
+    cmd_quantum(dataclasses.replace(cfg, output=str(tmp_path / "one")), None)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for k in range(3):
+            cmd_quantum(dataclasses.replace(cfg, output=str(tmp_path / f"two{k}")), 2)
+    finally:
+        sys.setswitchinterval(interval)
+    one = load_manifest(tmp_path / "one")
+    for k in range(3):
+        two = load_manifest(tmp_path / f"two{k}")
+        assert two["outputs"] == one["outputs"] and two["extra"] == one["extra"]
+        assert set(two["timings_s"]) == set(one["timings_s"])
+
+
+def test_scan_after_quantum_in_one_process_writes_the_same_bytes(tmp_path):
+    # quantum's helper thread is gone before scan forks its workers
+    cfg = toy_config(tmp_path, dim=16, t_max=400)
+    threads = threading.active_count()
+    cmd_quantum(dataclasses.replace(cfg, output=str(tmp_path / "quantum")), 2)
+    assert threading.active_count() == threads
+    for workers in (2, None):
+        cmd_scan(dataclasses.replace(cfg, output=str(tmp_path / f"scan{workers}")), workers)
+    assert load_manifest(tmp_path / "scan2")["outputs"] == load_manifest(tmp_path / "scanNone")["outputs"]
 
 
 def test_killed_worker_breaks_the_pool_instead_of_hanging():
@@ -731,7 +839,7 @@ def test_output_bytes_do_not_depend_on_worker_count(tmp_path, command):
         assert proc.returncode == 0, proc.stderr
         manifests[threads] = check_manifest(out)
     assert manifests[2]["outputs"] == manifests[1]["outputs"]
-    tasks = {"scan": 4}.get(command, 1)
+    tasks = {"scan": 4, "quantum": 2}.get(command, 1)
     for threads, manifest in manifests.items():
         env = manifest["environment"]
         assert env["workers"] == min(threads, tasks, len(os.sched_getaffinity(0)))
