@@ -39,7 +39,6 @@ __all__ = [
     "build_projector",
     "open_propagator",
     "resonance_spectrum",
-    "leak_spectrum",
 ]
 
 # |z| below this counts as a structural zero mode: infinite decay rate,
@@ -124,31 +123,26 @@ class ResonanceSet:
     gamma: decay rates -2 ln|z|; +inf for zero modes (|z| < ZERO_MODE_TOL),
         0 for unit-modulus modes (|z| >= 1 - UNIT_MODULUS_TOL).
     dwell: dwell times 1/gamma; 0 for zero modes, +inf for unit modulus.
-    vectors: unitary matrix whose k-th column is the k-th Schur vector; the
-        leading m columns span the invariant subspace of the m longest-lived
-        resonances.
-    triangular: reordered upper-triangular factor, diag == z.
-    vectors and triangular are LAPACK's Fortran-ordered factors, not copied,
-    so each Schur vector is one contiguous column.
+    vectors: unitary matrix V whose k-th column is the k-th Schur vector;
+        the leading m columns span the invariant subspace of the m
+        longest-lived resonances.  V^H M V of the propagator M is upper
+        triangular with diagonal z.  V is LAPACK's Fortran-ordered factor,
+        not copied, so each Schur vector is one contiguous column.
     """
 
     z: np.ndarray
     gamma: np.ndarray
     dwell: np.ndarray
     vectors: np.ndarray
-    triangular: np.ndarray
 
     @property
     def n_zero_modes(self) -> int:
         return int((np.abs(self.z) < ZERO_MODE_TOL).sum())
 
-    def residual(self, m: np.ndarray) -> float:
-        """max |m V - V T|, the factorization defect."""
-        return float(np.abs(m @ self.vectors - self.vectors @ self.triangular).max())
-
 
 def _sorted_schur(m: np.ndarray):
-    """Complex Schur factorization reordered to non-increasing |diag|.
+    """Diagonal and Schur vectors of a complex Schur factorization
+    reordered to non-increasing |diag|.
 
     Reordering is a selection sort of unitary similarity swaps (LAPACK
     ztrexc), which moves one diagonal entry to the front at a time while
@@ -171,16 +165,16 @@ def _sorted_schur(m: np.ndarray):
             t, v, info = lapack.ztrexc(t, v, j + 1, i + 1, overwrite_a=1, overwrite_q=1)
             if info != 0:
                 raise RuntimeError(f"ztrexc failed with info={info} moving {j} -> {i}")
-    return t, v
+    return np.diag(t).copy(), v
 
 
 def resonance_spectrum(m: np.ndarray) -> ResonanceSet:
-    """Lifetime-ordered resonances of an open (sub-unitary) propagator; the
-    Schur factors are kept as LAPACK returned them (Fortran order)."""
+    """Lifetime-ordered resonances of an open (sub-unitary) propagator m,
+    such as `open_propagator(u, keep)`; the Schur vectors are kept as
+    LAPACK returned them (Fortran order)."""
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"propagator must be square, got {m.shape}")
-    t, v = _sorted_schur(m)
-    z = np.diag(t).copy()
+    z, v = _sorted_schur(m)
     modz = np.abs(z)
     if np.any(np.diff(modz) > 1e-12):
         raise RuntimeError("Schur reordering left |z| non-monotone")
@@ -191,10 +185,4 @@ def resonance_spectrum(m: np.ndarray) -> ResonanceSet:
     gamma[unit] = 0.0  # |z| can exceed 1 by roundoff when closed
     with np.errstate(divide="ignore"):
         dwell = 1.0 / gamma
-    return ResonanceSet(z=z, gamma=gamma, dwell=dwell, vectors=v, triangular=t)
-
-
-def leak_spectrum(u: np.ndarray, keep: np.ndarray) -> ResonanceSet:
-    """Resonances of the propagator u opened on the sites keep marks
-    (`build_projector`)."""
-    return resonance_spectrum(open_propagator(u, keep))
+    return ResonanceSet(z=z, gamma=gamma, dwell=dwell, vectors=v)

@@ -9,8 +9,9 @@ manifest.json listing each file this run wrote with size and sha256; older
 files in a reused directory stay unlisted.  So a command that fails leaves
 no file of its own, and all CSV bytes are pure functions of the config: a
 rerun into a fresh directory produces identical checksums.
-`leak_scan` is the leak-position scan that `scan` writes, as columns; it
-alone computes the statistics of a position.
+`leak_scan` is the leak-position scan that `scan` writes as columns, with
+their correlations and reliabilities; it alone computes the statistics of
+a position.
 
 `scan` runs independent tasks: one orbit pass per group of adjacent
 positions, which gives the group's classical columns (the orbits do not
@@ -22,7 +23,8 @@ Husimi plan) before the pool starts, so the workers inherit it and only
 task indices and results cross processes; each task builds its own leaks
 and projector.
 Given two workers, `quantum` runs its Husimi jobs on one helper thread
-beside the main thread (`_helper`); the helper is joined before the
+beside the main thread (`_helper`); each plan's reference is first read
+on one thread only (`husimi_plan`), and the helper is joined before the
 command returns, also on error, so a later `scan` in the same process
 still forks from a process that runs no other thread.  `ftle-field` and
 `open-classical` run in the calling thread.
@@ -69,7 +71,6 @@ from .quantum import (
     QuantumParams,
     build_projector,
     build_unitary,
-    leak_spectrum,
     open_propagator,
     resonance_spectrum,
     unitarity_defect,
@@ -119,6 +120,16 @@ def _pearson(x, y) -> float | None:
     if xy.shape[1] < 2 or not np.isfinite(xy).all() or (np.ptp(xy, axis=1) == 0.0).any():
         return None
     return float(np.corrcoef(xy)[0, 1])
+
+
+def _reliability(mean: np.ndarray, se: np.ndarray) -> float | None:
+    """A scan column's reliability, 1 - mean(se^2) / var(mean, ddof=1) over
+    the positions where mean and se are finite; None (JSON null) for fewer
+    than two such positions or a mean constant on them."""
+    finite = np.isfinite(mean) & np.isfinite(se)
+    if finite.sum() < 2 or np.ptp(mean[finite]) == 0.0:
+        return None
+    return float(1.0 - np.mean(se[finite] ** 2) / mean[finite].var(ddof=1))
 
 
 def _checked_unitary(qp: QuantumParams) -> tuple:
@@ -356,10 +367,11 @@ def cmd_quantum(cfg: ExperimentConfig, workers: int | None) -> list:
     field (building the image grid's plan) and the 2n check; numpy's exp,
     matmul and FFT release the GIL, the Schur does not, so nothing runs
     beside the spectrum.  One worker runs the same jobs in this thread, one
-    after another.  A plan or reference that fails raises after the
-    top-states check, as it would without the helper, and no transform runs
-    before that check.  timings_s adds each Husimi job's seconds from start
-    to end (plans_busy, mean_field_busy, entropies_busy, grid_check_busy)."""
+    after another.  A plan that fails to build raises after the top-states
+    check, before any transform, and a failing reference raises in the one
+    job that first reads it, alike at one worker and at two.  timings_s
+    adds each Husimi job's seconds from start to end (plans_busy,
+    mean_field_busy, entropies_busy, grid_check_busy)."""
     run = _Run(cfg, "quantum")
     run.workers = worker_count(workers, 2)
     qp = QuantumParams(cfg.dim, cfg.k)
@@ -373,23 +385,19 @@ def cmd_quantum(cfg: ExperimentConfig, workers: int | None) -> list:
         u, defect = _checked_unitary(qp)
         run.stage("spectrum")
         keep = build_projector(qp, leak)
-        # Each large array is freed once nothing reads it, so that the
-        # Husimi stage's buffers reuse its memory: the closed propagator
-        # once its open copy exists (rebinding u), the open one and the
-        # triangular factor after the spectrum.
+        # Each propagator is freed once nothing reads it, so that the
+        # Husimi stage's buffers reuse its memory: the closed one once its
+        # open copy exists (rebinding u), the open one after the spectrum.
         u = open_propagator(u, keep)
         res = resonance_spectrum(u)
         del u
-        res.triangular = None
         # a bad dwell bin fails before any transform
         bins = dwell_bins(res, cfg.dwell_bin)
         run.stage("husimi")
         # too few nonzero-dwell states fail before any transform
         _check_top_states(res, cfg.top_states)
-        # The plans are built, and their references anchored, before the
-        # helper starts on them (`husimi_plan`).
-        for plan in plans.result():
-            plan.coherent_entropy
+        # a plan that failed to build raises here, after that check
+        plans.result()
         entropies = submit(run.busy, "entropies_busy", state_entropies, res.vectors, grid)
         mean_field = run.busy("mean_field_busy", mean_husimi, res, cfg.top_states, (cfg.husimi_q, cfg.husimi_p))
         top = slice(0, cfg.top_states)
@@ -475,7 +483,8 @@ def leak_scan(cfg: ExperimentConfig, workers: int | None) -> tuple:
 
     def quantum(i):
         t0 = time.perf_counter()
-        res = leak_spectrum(u, build_projector(qp, Leak(float(positions[i]), cfg.leak_width)))
+        keep = build_projector(qp, Leak(float(positions[i]), cfg.leak_width))
+        res = resonance_spectrum(open_propagator(u, keep))
         # an infinite dwell time (a closed system) leaves the mean undefined
         dw = (math.nan, math.nan) if np.isinf(res.dwell).any() else _mean_se(res.dwell)
         t1 = time.perf_counter()
@@ -513,7 +522,8 @@ def leak_scan(cfg: ExperimentConfig, workers: int | None) -> tuple:
 
 def cmd_scan(cfg: ExperimentConfig, workers: int | None) -> list:
     """Classical and quantum leak-position scans (`leak_scan`); the
-    manifest's extra holds their Pearson correlations, its
+    manifest's extra holds their Pearson correlations and each column's
+    `_reliability` (reliability_tau, _lambda, _T and _SW), its
     position_timings_s each position's busy seconds (its "classical" entry
     is the position's share of its group's pass) and its classical_groups
     each orbit pass's positions, seconds and point-steps."""
@@ -521,6 +531,7 @@ def cmd_scan(cfg: ExperimentConfig, workers: int | None) -> list:
     run.workers = worker_count(workers, cfg.scan_positions)
     columns, timings, busy, defect, groups = leak_scan(cfg, run.workers)
     run.timings.update(timings)
+    rel = {f"reliability_{k}": _reliability(columns[f"mean_{k}"], columns[f"se_{k}"]) for k in ("tau", "lambda", "T", "SW")}
     scan = ["q_L", "mean_tau", "mean_lambda", "mean_T", "mean_SW"]
     errors = ["q_L", "se_tau", "se_lambda", "se_T", "se_SW", "unescaped_fraction"]
     return run.finish(
@@ -530,6 +541,7 @@ def cmd_scan(cfg: ExperimentConfig, workers: int | None) -> list:
             "unitarity_defect": defect,
             "pearson_tau_T": _pearson(columns["mean_tau"], columns["mean_T"]),
             "pearson_lambda_SW": _pearson(columns["mean_lambda"], columns["mean_SW"]),
+            **rel,
         },
         position_timings_s=[
             {"q_L": float(q), **{key: round(t, 6) for key, t in zip(SCAN_STAGES, times)}}

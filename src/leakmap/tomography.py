@@ -254,9 +254,8 @@ class HusimiTransform:
 
         Raises RuntimeError when it is not clearly negative: on a grid too
         coarse to resolve the coherent state the scale has no length.
-        Computed on first use and not guarded by a lock: a plan that more
-        than one thread uses must have it anchored (read once) before they
-        start.
+        Computed on first use, by whichever call first reads it, and no lock
+        guards it: no two threads may first read it at once.
         """
         if self._s_coh is None:
             s_coh = float(_raw_entropies(self, coherent_state((0.5, 0.5), self.N)[:, None])[0])
@@ -285,9 +284,9 @@ def husimi_plan(N: int, resolution: tuple) -> HusimiTransform:
     every function here uses; resolution is the tuple (n_q, n_p), and N and
     resolution are the cache key.  Building it ahead of a fork lets worker
     processes inherit it.  The cache takes no lock, and two threads that
-    miss on one key at once each build a plan: a plan shared between
-    threads must be built, and its reference (`coherent_entropy`) anchored,
-    before the threads use it."""
+    miss on one key at once each build a plan.  A plan's only state set
+    after it is built is its reference (`coherent_entropy`): no two threads
+    may first read one plan's reference at once."""
     return HusimiTransform(N, *resolution)
 
 

@@ -41,13 +41,12 @@ from leakmap.quantum import (
     QuantumParams,
     build_projector,
     build_unitary,
-    leak_spectrum,
     open_propagator,
     resonance_spectrum,
     unitarity_defect,
 )
 from leakmap.config import ExperimentConfig
-from leakmap.runner import leak_scan
+from leakmap.runner import _reliability, leak_scan
 from leakmap.standard_map import Leak, MapParams, ftle
 from leakmap.tomography import _raw_entropy, coherent_state, husimi_plan, state_entropies
 
@@ -141,7 +140,9 @@ def test_spectrum_containment_and_zero_modes():
     mods = np.abs(res.z)
     gram = res.vectors.conj().T @ res.vectors
     ortho = float(np.abs(gram - np.eye(256)).max())
-    resid = res.residual(ut)
+    # the Schur form's defect: V^H M V off its upper triangle
+    t = res.vectors.conj().T @ ut @ res.vectors
+    resid = float(np.abs(np.tril(t, -1)).max())
     n_zero = int((mods < 1e-8).sum())
     report(
         "spectrum",
@@ -239,6 +240,10 @@ def test_leak_position_scan_correspondence():
         dev = np.abs(mean[i] - mean[j])
         bound = 3.0 * np.hypot(se[i], se[j])
         sym_ok = sym_ok and bool(np.all(dev <= bound))
+    # each column's spread across positions against its own standard errors
+    reliability = {
+        f"rel_{k}": f"{_reliability(scan[f'mean_{k}'], scan[f'se_{k}']):.4f}" for k in ("tau", "lambda", "T", "SW")
+    }
 
     report(
         "scan-correspondence",
@@ -247,6 +252,7 @@ def test_leak_position_scan_correspondence():
         corr_tau_T=f"{corr_tau_t:.4f}",
         corr_lam_SW=f"{corr_lam_sw:.4f}",
         symmetric=sym_ok,
+        **reliability,
     )
     assert near_sticky(argmin_tau)
     assert near_sticky(argmin_t)
@@ -261,7 +267,8 @@ def test_quantum_dwell_curves_converge_with_dimension():
     def mean_dwell(n):
         qp = QuantumParams(n, 10.0)
         u = build_unitary(qp)
-        return np.array([leak_spectrum(u, build_projector(qp, Leak(float(c), 0.2))).dwell.mean() for c in positions])
+        keeps = [build_projector(qp, Leak(float(c), 0.2)) for c in positions]
+        return np.array([resonance_spectrum(open_propagator(u, keep)).dwell.mean() for keep in keeps])
 
     curves = {n: mean_dwell(n) for n in (128, 256, 512)}
     rms_small = float(np.sqrt(np.mean((curves[128] - curves[256]) ** 2)))

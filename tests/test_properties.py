@@ -1,6 +1,6 @@
-"""Properties of small configs: survival curves, resonance moduli, Husimi
-fields, Wehrl entropies and the CLI's exit codes; and of configs of any
-size, that they read back from their serialized text.
+"""Properties of small configs: survival curves, resonance moduli, Schur
+forms, Husimi fields, Wehrl entropies and the CLI's exit codes; and of
+configs of any size, that they read back from their serialized text.
 
 Configs stay small (N <= 40, grids <= 30^2, t_max <= 200) so the suite
 runs in seconds.  Hypothesis draws them from a fixed seed and keeps no
@@ -33,7 +33,7 @@ from hypothesis.configuration import set_hypothesis_home_dir
 from leakmap.cli import main
 from leakmap.config import ConfigError, ExperimentConfig, apply_overrides, parse_config, serialize_config
 from leakmap.ensemble import PhaseSpaceGrid, escape_ensemble, survival_probability
-from leakmap.quantum import QuantumParams, build_projector, build_unitary, leak_spectrum
+from leakmap.quantum import QuantumParams, build_projector, build_unitary, open_propagator, resonance_spectrum
 from leakmap.standard_map import Leak, MapParams
 from leakmap.tomography import husimi_plan, mean_husimi, state_entropies
 
@@ -54,9 +54,13 @@ cells = st.integers(2, 30)
 dims = st.integers(2, 40)
 
 
-def spectrum(n, k, center, width):
+def open_map(n, k, center, width):
     qp = QuantumParams(n, k)
-    return leak_spectrum(build_unitary(qp), build_projector(qp, Leak(center, width)))
+    return open_propagator(build_unitary(qp), build_projector(qp, Leak(center, width)))
+
+
+def spectrum(n, k, center, width):
+    return resonance_spectrum(open_map(n, k, center, width))
 
 
 @PROPERTY
@@ -76,6 +80,21 @@ def test_resonance_moduli_are_bounded_and_ordered(n, k, center, width):
     modz = np.abs(spectrum(n, k, center, width).z)
     assert np.all(modz <= 1.0 + 1e-10)
     assert np.all(np.diff(modz) <= 0.0)
+
+
+@PROPERTY
+@given(n=dims, k=kicks, center=centers, width=widths)
+@example(n=40, k=10.0, center=0.2, width=0.2)
+def test_schur_vectors_triangularize_the_open_propagator(n, k, center, width):
+    # the Schur form read back from V alone: V^H M V is upper triangular
+    # with the spectrum on its diagonal
+    m = open_map(n, k, center, width)
+    res = resonance_spectrum(m)
+    v = res.vectors
+    assert np.abs(v.conj().T @ v - np.eye(n)).max() <= 1e-10
+    t = v.conj().T @ m @ v
+    assert np.abs(np.tril(t, -1)).max() <= 1e-10
+    assert np.abs(np.diag(t) - res.z).max() <= 1e-10
 
 
 @PROPERTY

@@ -17,12 +17,19 @@ import numpy as np
 import pytest
 
 import leakmap
-from leakmap import ensemble, quantum, runner, tomography
+from leakmap import ensemble, runner, tomography
 from leakmap.cli import apply_thread_env, main
 from leakmap.config import ExperimentConfig, parse_config
 from leakmap.ensemble import PhaseSpaceGrid, dwell_mask, escape_ensemble, exponential_tail_fit
 from leakmap.formats import read_lcf, sha256_file
-from leakmap.quantum import QuantumParams, build_projector, build_unitary, leak_spectrum, unitarity_defect
+from leakmap.quantum import (
+    QuantumParams,
+    build_projector,
+    build_unitary,
+    open_propagator,
+    resonance_spectrum,
+    unitarity_defect,
+)
 from leakmap.runner import cmd_ftle_field, cmd_open_classical, cmd_quantum, cmd_scan, leak_scan, worker_count
 from leakmap.standard_map import Leak, MapParams
 from leakmap.tomography import HusimiTransform, state_entropies
@@ -237,7 +244,7 @@ def test_cmd_quantum_integrates_s_w_on_the_entropy_grid(tmp_path, dim, n):
     extra = load_manifest(tmp_path)["extra"]
     assert extra["entropy_grid"] == [n, n]
     qp = QuantumParams(dim, 10.0)
-    res = leak_spectrum(build_unitary(qp), build_projector(qp, Leak(0.2, 0.2)))
+    res = resonance_spectrum(open_propagator(build_unitary(qp), build_projector(qp, Leak(0.2, 0.2))))
     s_w = state_entropies(res.vectors, (n, n))
     assert np.array_equal([float(x) for x in read_columns(tmp_path / "wehrl_scatter.csv")["s_w"]], s_w)
     check = np.abs(state_entropies(res.vectors[:, :5], (2 * n, 2 * n)) - s_w[:5]).max()
@@ -266,6 +273,30 @@ def test_cmd_scan_artifacts(tmp_path):
     extra = manifest["extra"]
     assert all(-1.0 <= extra[k] <= 1.0 for k in ("pearson_tau_T", "pearson_lambda_SW"))
     assert extra["unitarity_defect"] <= 1e-12
+    # each reliability is that of the written columns
+    columns = {**read_columns(out / "scan.csv"), **read_columns(out / "scan_errors.csv")}
+    for k in ("tau", "lambda", "T", "SW"):
+        mean, se = (np.array(columns[f"{c}_{k}"], dtype=float) for c in ("mean", "se"))
+        assert extra[f"reliability_{k}"] == runner._reliability(mean, se)
+
+
+def test_reliability_of_hand_built_columns():
+    nan = math.nan
+    se = np.full(4, 0.1)
+    # var(1, 2, 3, 4; ddof=1) = 5/3
+    assert runner._reliability(np.array([1.0, 2.0, 3.0, 4.0]), se) == pytest.approx(1.0 - 0.01 / (5.0 / 3.0))
+    # a column whose spread its standard errors exceed reads negative
+    assert runner._reliability(np.array([0.0, 1.0]), np.ones(2)) == pytest.approx(-1.0)
+    # positions where the mean or its error is not finite are left out:
+    # var(1, 5; ddof=1) = 8
+    col = np.array([1.0, nan, 3.0, 5.0])
+    assert runner._reliability(col, np.array([0.5, 0.5, nan, 0.5])) == pytest.approx(1.0 - 0.25 / 8.0)
+    # the closed system's dwell column is NaN at every position
+    assert runner._reliability(np.full(4, nan), np.full(4, nan)) is None
+    # one finite position, or a column constant on the finite ones
+    assert runner._reliability(np.array([nan, 2.0, nan]), np.zeros(3)) is None
+    assert runner._reliability(np.array([0.3, 0.3, nan]), se[:3]) is None
+    assert runner._reliability(np.array([2.0]), np.array([0.1])) is None
 
 
 def strict_json(path):
@@ -279,23 +310,23 @@ def strict_json(path):
 def test_cmd_scan_writes_null_for_undefined_correlations(tmp_path, overrides):
     # one position, or the empty leak: every position then runs the same
     # closed system, whose dwell column is NaN and whose other columns are
-    # constant, so Pearson's r is undefined
+    # constant, so Pearson's r and every column's reliability are undefined
     out = tmp_path / "run"
     cmd_scan(toy_config(out, dim=16, t_max=400, **overrides), None)
     undefined = {"pearson_tau_T": None, "pearson_lambda_SW": None}
+    undefined.update({f"reliability_{k}": None for k in ("tau", "lambda", "T", "SW")})
     extra = strict_json(out / "manifest.json")["extra"]
     assert {k: extra[k] for k in undefined} == undefined
 
 
 def test_cmd_scan_one_spectrum_per_position(tmp_path, monkeypatch):
     calls = []
-    real = quantum.resonance_spectrum
 
     def counting(m):
         calls.append(m.shape)
-        return real(m)
+        return resonance_spectrum(m)
 
-    monkeypatch.setattr(quantum, "resonance_spectrum", counting)
+    monkeypatch.setattr(runner, "resonance_spectrum", counting)
     out = tmp_path / "run"
     cmd_scan(toy_config(out, dim=16, t_max=400), None)
     assert len(calls) == 4
@@ -319,7 +350,7 @@ def test_leak_scan_columns_are_the_per_position_statistics(tmp_path):
         leak = Leak(float(center), cfg.leak_width)
         ens = escape_ensemble(PhaseSpaceGrid(48, 48), leak, 400, MapParams(cfg.k))
         sel = ens.tau >= 1
-        res = leak_spectrum(u, build_projector(qp, leak))
+        res = resonance_spectrum(open_propagator(u, build_projector(qp, leak)))
         s_w = state_entropies(res.vectors, (40, 40))
         row = [
             *mean_se(ens.tau[sel].astype(float)),
@@ -373,12 +404,12 @@ def test_leak_scan_checks_the_coherent_reference_before_any_position(tmp_path, m
         return wrapper
 
     monkeypatch.setattr(runner, "_orbits", counted("escape_ensemble", runner._orbits))
-    monkeypatch.setattr(runner, "leak_spectrum", counted("leak_spectrum", leak_spectrum))
+    monkeypatch.setattr(runner, "resonance_spectrum", counted("resonance_spectrum", resonance_spectrum))
     cfg = toy_config(tmp_path, dim=4, t_max=400, scan_husimi_q=2, scan_husimi_p=2)
     with pytest.raises(RuntimeError, match="degenerate coherent reference entropy"):
         leak_scan(cfg, None)
     assert calls["escape_ensemble"] == 0
-    assert calls["leak_spectrum"] == 0
+    assert calls["resonance_spectrum"] == 0
 
 
 def test_leak_scan_builds_no_position_input_before_the_first_task(tmp_path, monkeypatch):
@@ -426,7 +457,18 @@ def test_manifest_stage_keys_read_by_the_benchmark(tmp_path):
             "quantum",
             {"unitarity_defect", "masked_sites", "n_zero_modes", "entropy_grid", "entropy_grid_check", "max_s_w"},
         ),
-        ("scan", {"unitarity_defect", "pearson_tau_T", "pearson_lambda_SW"}),
+        (
+            "scan",
+            {
+                "unitarity_defect",
+                "pearson_tau_T",
+                "pearson_lambda_SW",
+                "reliability_tau",
+                "reliability_lambda",
+                "reliability_T",
+                "reliability_SW",
+            },
+        ),
     ],
 )
 def test_extra_holds_results_not_config(tmp_path, command, keys):
