@@ -23,8 +23,7 @@ Husimi plan) before the pool starts, so the workers inherit it and only
 task indices and results cross processes; each task builds its own leaks
 and projector.
 Given two workers, `quantum` runs its Husimi jobs on one helper thread
-beside the main thread (`_helper`); each plan's reference is first read
-on one thread only (`husimi_plan`), and the helper is joined before the
+beside the main thread (`_helper`), and the helper is joined before the
 command returns, also on error, so a later `scan` in the same process
 still forks from a process that runs no other thread.  `ftle-field` and
 `open-classical` run in the calling thread.
@@ -78,6 +77,7 @@ from .quantum import (
 from .standard_map import Leak, MapParams
 from .tomography import (
     _check_top_states,
+    _coherent_entropy,
     bin_means,
     dwell_bins,
     entropy_grid,
@@ -367,10 +367,11 @@ def cmd_quantum(cfg: ExperimentConfig, workers: int | None) -> list:
     field (building the image grid's plan) and the 2n check; numpy's exp,
     matmul and FFT release the GIL, the Schur does not, so nothing runs
     beside the spectrum.  One worker runs the same jobs in this thread, one
-    after another.  A plan that fails to build raises after the top-states
-    check, before any transform, and a failing reference raises in the one
-    job that first reads it, alike at one worker and at two.  timings_s
-    adds each Husimi job's seconds from start to end (plans_busy,
+    after another.  A leak strip that absorbs no lattice site fails before
+    the spectrum.  A plan that fails to build raises after the top-states
+    check, before any transform, and a degenerate coherent reference raises
+    in the entropy job that takes it, alike at one worker and at two.
+    timings_s adds each Husimi job's seconds from start to end (plans_busy,
     mean_field_busy, entropies_busy, grid_check_busy)."""
     run = _Run(cfg, "quantum")
     run.workers = worker_count(workers, 2)
@@ -385,6 +386,9 @@ def cmd_quantum(cfg: ExperimentConfig, workers: int | None) -> list:
         u, defect = _checked_unitary(qp)
         run.stage("spectrum")
         keep = build_projector(qp, leak)
+        if keep.all():
+            strip = f"leak strip of width {cfg.leak_width:g} centered at q = {cfg.leak_center:g}"
+            raise RuntimeError(f"{strip} absorbs no site k/N at N = {cfg.dim}: the system is closed")
         # Each propagator is freed once nothing reads it, so that the
         # Husimi stage's buffers reuse its memory: the closed one once its
         # open copy exists (rebinding u), the open one after the spectrum.
@@ -428,26 +432,27 @@ def cmd_quantum(cfg: ExperimentConfig, workers: int | None) -> list:
 def leak_scan(cfg: ExperimentConfig, workers: int | None) -> tuple:
     """Classical and quantum statistics at `cfg.scan_positions` leak centers.
 
-    The unitary (checked as `quantum` checks it) and the Husimi plan with
-    its coherent reference are built once, so a bad unitary or Husimi grid
-    fails before any task runs.  The classical columns come from one orbit
-    pass per group of adjacent positions (at least one group per worker, at
-    most _GROUP_MAX positions each), since the orbits
-    do not depend on the leak; each position's projector and Schur spectrum
-    are a task of their own.  The tasks run over at most
-    `worker_count(workers, positions)` processes, groups first, with one
-    stderr line as each is gathered.  A position's row is the mean and
-    standard error of tau and lambda over orbits with tau >= 1, survivors
-    counted at t_max (Altmann, Portela & Tel, RMP 85, 869 (2013)), the
-    unescaped fraction, and the mean and standard error of the dwell time
-    and of s_w over all N Schur states, zero modes entering with dwell 0.
+    The unitary (checked as `quantum` checks it) and the Husimi plan are
+    built once, and the plan's coherent reference is taken once as a check,
+    so a bad unitary or Husimi grid fails before any task runs.  The
+    classical columns come from one orbit pass per group of adjacent
+    positions (at least one group per worker, at most _GROUP_MAX positions
+    each), since the orbits do not depend on the leak; each position's
+    projector and Schur spectrum are a task of their own.  The tasks run
+    over at most `worker_count(workers, positions)` processes, groups
+    first, with one stderr line as each is gathered.  A position's row is
+    the mean and standard error of tau and lambda over orbits with
+    tau >= 1, survivors counted at t_max (Altmann, Portela & Tel, RMP 85,
+    869 (2013)), the unescaped fraction, and the mean and standard error
+    of the dwell time and of s_w over all N Schur states, zero modes
+    entering with dwell 0.
     Returns (columns, timings, busy, defect, groups): columns maps q_L and
     each SCAN_COLUMNS header to its column; busy holds each position's busy
     seconds per SCAN_STAGES key, "classical" being its group's seconds
     divided by the group's size; timings holds the wall seconds of the
     setup, split into the checked unitary ("unitary") and the Husimi plan
-    with its coherent reference ("husimi"), and of the tasks
-    ("positions"), and the busy seconds summed per stage (more than the
+    with its reference check ("husimi"), and of the tasks ("positions"),
+    and the busy seconds summed per stage (more than the
     wall time when workers run in parallel); defect is the unitary's
     unitarity defect; groups lists each classical group's q_L, seconds and
     point-steps (the steps of the pass summed over its points)."""
@@ -463,7 +468,8 @@ def leak_scan(cfg: ExperimentConfig, workers: int | None) -> tuple:
     # shared by every task: built once, inherited by forked workers
     u, defect = _checked_unitary(qp)
     plan_start = time.perf_counter()
-    husimi_plan(cfg.dim, resolution).coherent_entropy
+    plan = husimi_plan(cfg.dim, resolution)
+    _coherent_entropy(plan, plan.workspace())
 
     def classical(group):
         t0 = time.perf_counter()

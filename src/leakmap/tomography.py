@@ -26,8 +26,8 @@ with Gaussian weight below ~1e-20 are dropped.
 
 Every field and every s_w comes from a plan (`husimi_plan`) and one
 workspace per batch of states, so the per-state loop allocates no
-grid-sized array; the coherent reference that fixes the s_w scale runs
-through the same entropy loop as every state.
+grid-sized array; each entropy batch takes the coherent reference that
+fixes the s_w scale in its own workspace, before any of its states.
 
 A Wehrl entropy is an integral over the torus, and the grid that images a
 field need not be the grid that integrates it: `entropy_grid(N)` is the
@@ -141,12 +141,12 @@ class HusimiTransform:
 
     Holds, for every q row, the band of extended sites its Gaussian window
     reaches, as chunks of n_p site indices and window weights that fold
-    onto the p-axis FFT columns; the per-site half-cell phase; the exact
-    coherent-state norm field used as denominator; and the Wehrl scale
-    (`coherent_entropy`, `s_w`).  Reuse one instance across many states;
-    building it costs about as much as a handful of transforms.  The plan
-    itself is read-only: per-call buffers live in a `workspace()`, which
-    each batch allocates once and passes to every `overlap_field`.
+    onto the p-axis FFT columns; the per-site half-cell phase; and the
+    exact coherent-state norm field used as denominator.  Reuse one
+    instance across many states; building it costs about as much as a
+    handful of transforms.  Nothing is set on a plan once `__init__`
+    returns: per-call buffers live in a `workspace()`, which each batch
+    allocates once and passes to every `overlap_field`.
     """
 
     def __init__(self, N: int, n_q: int, n_p: int):
@@ -184,7 +184,6 @@ class HusimiTransform:
             for a in range(0, length, n_p)
         )
         self._norm2 = self._norm_field()
-        self._s_coh = None
 
     def _norm_field(self) -> np.ndarray:
         """Squared norm of the unnormalized coherent state at every grid
@@ -247,31 +246,6 @@ class HusimiTransform:
         at the cell centers ((i+1/2)/n_q, (j+1/2)/n_p), summing to 1."""
         return _normalize(self.overlap_field(state, self.workspace()))
 
-    @property
-    def coherent_entropy(self) -> float:
-        """Raw entropy of the reference coherent state at (0.5, 0.5);
-        anchors the localized end of the Wehrl scale.
-
-        Raises RuntimeError when it is not clearly negative: on a grid too
-        coarse to resolve the coherent state the scale has no length.
-        Computed on first use, by whichever call first reads it, and no lock
-        guards it: no two threads may first read it at once.
-        """
-        if self._s_coh is None:
-            s_coh = float(_raw_entropies(self, coherent_state((0.5, 0.5), self.N)[:, None])[0])
-            if s_coh >= -1e-9:
-                raise RuntimeError(f"degenerate coherent reference entropy {s_coh:.3g}")
-            self._s_coh = s_coh
-        return self._s_coh
-
-    def s_w(self, s):
-        """Normalized Wehrl localization of raw entropy s (a number or an
-        array of them) on this grid: (s - S_coh) / (0 - S_coh) clipped to
-        [0, 1], so the uniform field maps to 1 and the reference coherent
-        state to 0."""
-        s_coh = self.coherent_entropy
-        return np.clip((s - s_coh) / (0.0 - s_coh), 0.0, 1.0)
-
 
 # Recently used plans kept alive; a 1000^2 plan at N = 512 holds ~11 MB
 # (8 MB of it the norm field).
@@ -284,9 +258,7 @@ def husimi_plan(N: int, resolution: tuple) -> HusimiTransform:
     every function here uses; resolution is the tuple (n_q, n_p), and N and
     resolution are the cache key.  Building it ahead of a fork lets worker
     processes inherit it.  The cache takes no lock, and two threads that
-    miss on one key at once each build a plan.  A plan's only state set
-    after it is built is its reference (`coherent_entropy`): no two threads
-    may first read one plan's reference at once."""
+    miss on one key at once each build a plan."""
     return HusimiTransform(N, *resolution)
 
 
@@ -349,24 +321,39 @@ def mean_husimi(res: ResonanceSet, m: int, resolution) -> np.ndarray:
     return acc / acc.sum()
 
 
-def _raw_entropies(plan: HusimiTransform, vectors: np.ndarray) -> np.ndarray:
-    """Raw entropy of the Husimi field of each column of vectors, all in
-    one workspace."""
-    work = plan.workspace()
-    raw = np.empty(vectors.shape[1])
-    for j in range(raw.size):
-        raw[j] = _raw_entropy(_normalize(plan.overlap_field(vectors[:, j], work)), work.entropy_scratch)
-    return raw
+def _coherent_entropy(plan: HusimiTransform, work: _Workspace) -> float:
+    """Raw entropy of the reference coherent state at (0.5, 0.5) on plan's
+    grid, taken in work; it anchors the localized end of the Wehrl scale.
+
+    Raises RuntimeError when it is not clearly negative: on a grid too
+    coarse to resolve the coherent state the scale has no length.
+    """
+    state = coherent_state((0.5, 0.5), plan.N)
+    s_coh = _raw_entropy(_normalize(plan.overlap_field(state, work)), work.entropy_scratch)
+    if s_coh >= -1e-9:
+        raise RuntimeError(f"degenerate coherent reference entropy {s_coh:.3g}")
+    return s_coh
+
+
+def _wehrl_scale(s, s_coh: float):
+    """Normalized Wehrl localization of raw entropy s (a number or an array
+    of them) against the reference's raw entropy s_coh: (s - s_coh) /
+    (0 - s_coh) clipped to [0, 1], so the uniform field maps to 1 and the
+    reference coherent state to 0."""
+    return np.clip((s - s_coh) / (0.0 - s_coh), 0.0, 1.0)
 
 
 def state_entropies(vectors: np.ndarray, resolution) -> np.ndarray:
     """s_w of each column of vectors, a 2-D array of length-N states (such
-    as Schur states), in column order."""
+    as Schur states), in column order, all in one workspace, which takes
+    the coherent reference first: a degenerate grid fails before any state."""
     plan = husimi_plan(vectors.shape[0], resolution)
-    # Anchor the scale (or fail) before the batch workspace exists, so the
-    # reference's buffers are freed before these are allocated.
-    plan.coherent_entropy
-    return plan.s_w(_raw_entropies(plan, vectors))
+    work = plan.workspace()
+    s_coh = _coherent_entropy(plan, work)
+    raw = np.empty(vectors.shape[1])
+    for j in range(raw.size):
+        raw[j] = _raw_entropy(_normalize(plan.overlap_field(vectors[:, j], work)), work.entropy_scratch)
+    return _wehrl_scale(raw, s_coh)
 
 
 # Dwell-bin indices stay below this.  Below 2^52, index + 1/2 is a

@@ -48,7 +48,14 @@ from leakmap.quantum import (
 from leakmap.config import ExperimentConfig
 from leakmap.runner import _reliability, leak_scan
 from leakmap.standard_map import Leak, MapParams, ftle
-from leakmap.tomography import _raw_entropy, coherent_state, husimi_plan, state_entropies
+from leakmap.tomography import (
+    _coherent_entropy,
+    _raw_entropy,
+    _wehrl_scale,
+    coherent_state,
+    husimi_plan,
+    state_entropies,
+)
 
 from conftest import TangentFrame, component_rng, step, tangent_step
 
@@ -179,8 +186,9 @@ def test_entropy_endpoints_and_bounds():
     n = 128
     resolution = (500, 500)
     plan = husimi_plan(n, resolution)
+    work = plan.workspace()
     uniform = np.full(resolution, 1.0 / (resolution[0] * resolution[1]))
-    assert plan.s_w(_raw_entropy(uniform, plan.workspace().entropy_scratch)) == 1.0
+    assert _wehrl_scale(_raw_entropy(uniform, work.entropy_scratch), _coherent_entropy(plan, work)) == 1.0
     assert state_entropies(coherent_state((0.5, 0.5), n)[:, None], resolution)[0] == 0.0
     rng = component_rng(1, "tomography")
     states = []

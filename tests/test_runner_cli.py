@@ -6,10 +6,12 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
 import time
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,7 +20,7 @@ import pytest
 
 import leakmap
 from leakmap import ensemble, runner, tomography
-from leakmap.cli import apply_thread_env, main
+from leakmap.cli import apply_thread_env, build_parser, main
 from leakmap.config import ExperimentConfig, parse_config
 from leakmap.ensemble import PhaseSpaceGrid, dwell_mask, escape_ensemble, exponential_tail_fit
 from leakmap.formats import read_lcf, sha256_file
@@ -297,6 +299,18 @@ def test_reliability_of_hand_built_columns():
     assert runner._reliability(np.array([nan, 2.0, nan]), np.zeros(3)) is None
     assert runner._reliability(np.array([0.3, 0.3, nan]), se[:3]) is None
     assert runner._reliability(np.array([2.0]), np.array([0.1])) is None
+
+
+def test_pearson_of_hand_built_columns():
+    nan = math.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # one position, a non-finite entry, a constant column: r is undefined
+        assert runner._pearson([1.0], [2.0]) is None
+        assert runner._pearson([1.0, nan, 3.0], [1.0, 2.0, 3.0]) is None
+        assert runner._pearson([1.0, 2.0, 3.0], [0.5, 0.5, 0.5]) is None
+        assert runner._pearson([1.0, 2.0, 3.0], [2.0, 4.0, 6.0]) == pytest.approx(1.0)
+        assert runner._pearson([1.0, 2.0, 3.0], [3.0, 2.0, 1.0]) == pytest.approx(-1.0)
 
 
 def strict_json(path):
@@ -675,6 +689,12 @@ def test_thread_env(monkeypatch):
 # worker processes
 
 
+def test_cli_commands_are_the_runner_commands():
+    # the CLI declares its command choices before it may import the runner
+    (command,) = [action for action in build_parser()._actions if action.dest == "command"]
+    assert list(command.choices) == list(runner.COMMANDS)
+
+
 def test_worker_count_is_a_pure_function(monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("worker_count started a process pool")
@@ -801,6 +821,29 @@ def test_cmd_quantum_first_error_does_not_depend_on_worker_count(tmp_path, monke
         errors[workers] = (type(exc.value), str(exc.value))
         assert not any(out.iterdir())
     assert errors[None] == errors[2]
+
+
+@pytest.mark.parametrize(
+    "overrides,message",
+    [
+        ({"dim": 16, "leak_width": 0.0}, "leak strip of width 0 centered at q = 0.2 absorbs no site k/N at N = 16"),
+        # the default strip [0.1, 0.3) lies between the sites 0, 1/3, 2/3
+        ({"dim": 3}, "leak strip of width 0.2 centered at q = 0.2 absorbs no site k/N at N = 3"),
+    ],
+)
+def test_cmd_quantum_on_a_closed_system_fails_before_the_spectrum(tmp_path, monkeypatch, overrides, message):
+    spectra = []
+    monkeypatch.setattr(runner, "resonance_spectrum", lambda u: spectra.append(u))
+    errors = {}
+    for workers in (None, 2):
+        out = tmp_path / f"w{workers}"
+        cfg = toy_config(out, **{"leak_center": 0.2, **overrides})
+        with pytest.raises(RuntimeError, match=re.escape(message)) as exc:
+            cmd_quantum(cfg, workers)
+        errors[workers] = str(exc.value)
+        assert not any(out.iterdir())
+    assert errors[None] == errors[2]
+    assert spectra == []
 
 
 def test_cmd_quantum_output_holds_under_fast_thread_switching(tmp_path):

@@ -1,7 +1,11 @@
 """Coherent states, Husimi fields, and Wehrl localization."""
 
 import math
+import pickle
 import re
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -25,7 +29,9 @@ from leakmap.tomography import (
     PLAN_CACHE_SIZE,
     WINDOW_LOG_CUT,
     HusimiTransform,
+    _coherent_entropy,
     _raw_entropy,
+    _wehrl_scale,
     bin_means,
     coherent_state,
     dwell_bins,
@@ -299,7 +305,8 @@ def test_overlap_field_workspace_output_is_not_aliased():
 def test_batch_loops_equal_per_state_path(n, n_q, n_p, center):
     res = open_resonances(n, center)
     plan = husimi_plan(n, (n_q, n_p))
-    s_coh = plan.coherent_entropy
+    s_coh = reference_entropy(plan.field(coherent_state((0.5, 0.5), n)))
+    assert _coherent_entropy(plan, plan.workspace()) == s_coh
     fields = [plan.field(res.vectors[:, j]) for j in range(n)]
     raw = np.array([reference_entropy(f) for f in fields])
     expect = np.clip((raw - s_coh) / (0.0 - s_coh), 0.0, 1.0)
@@ -343,6 +350,38 @@ def test_plan_cache_is_bounded_and_holds_no_workspace():
     assert not any(a.shape == (12, 14) and a.dtype == complex for a in arrays)
 
 
+def plan_snapshot(plan):
+    return {key: (id(value), pickle.dumps(value)) for key, value in vars(plan).items()}
+
+
+def test_plan_is_immutable_and_shared_by_concurrent_batches():
+    # nothing on a plan changes once it is built, so threads may run entropy
+    # batches on one plan at once; three threads on a 1 us switch interval
+    res = open_resonances(48, 0.3)
+    resolution = (37, 41)
+    plan = husimi_plan(48, resolution)
+    before = plan_snapshot(plan)
+    serial = state_entropies(res.vectors, resolution)
+    assert plan_snapshot(plan) == before
+    barrier = threading.Barrier(3)
+
+    def batch(_):
+        barrier.wait(timeout=10.0)
+        return state_entropies(res.vectors, resolution)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(3) as pool:
+            results = [job.result(timeout=60.0) for job in [pool.submit(batch, k) for k in range(3)]]
+    finally:
+        sys.setswitchinterval(interval)
+    assert husimi_plan(48, resolution) is plan
+    assert plan_snapshot(plan) == before
+    for s_w in results:
+        assert np.array_equal(s_w, serial)
+
+
 def test_transform_validation():
     with pytest.raises(ValueError):
         HusimiTransform(1, 10, 10)
@@ -362,7 +401,7 @@ def test_wehrl_uniform_is_one_exactly():
     raw = _raw_entropy(np.full((40, 40), 1.0 / 1600.0), plan.workspace().entropy_scratch)
     assert type(raw) is float
     assert raw == 0.0
-    assert plan.s_w(raw) == 1.0
+    assert _wehrl_scale(raw, _coherent_entropy(plan, plan.workspace())) == 1.0
 
 
 def test_wehrl_reference_coherent_is_zero_exactly():
@@ -396,12 +435,13 @@ def test_wehrl_resolution_stability():
 def test_degenerate_coherent_reference_raises():
     # a 2x2 grid cannot resolve the N = 4 coherent state: its raw entropy
     # comes out at about +8e-17, so the Wehrl scale has no length, and
-    # neither the batch nor the plan's own scale may be used
+    # neither the batch nor the reference on its own may be used
     res = open_resonances(4, 0.2, 0.3)
     with pytest.raises(RuntimeError, match="degenerate coherent reference entropy"):
         state_entropies(res.vectors, (2, 2))
+    plan = husimi_plan(4, (2, 2))
     with pytest.raises(RuntimeError, match="degenerate coherent reference entropy"):
-        husimi_plan(4, (2, 2)).s_w(0.0)
+        _coherent_entropy(plan, plan.workspace())
 
 
 def test_closed_map_states_cluster_at_high_entropy():
