@@ -105,7 +105,7 @@ def main(argv=None) -> int:
 
     try:
         cfg = load_config(args.config) if args.config else ExperimentConfig()
-        if args.output:
+        if args.output is not None:
             overrides = overrides + [("run.output", args.output)]
         if overrides:
             cfg = apply_overrides(cfg, overrides)

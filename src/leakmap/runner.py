@@ -19,9 +19,9 @@ depend on the leak), and one Schur spectrum with its entropies per
 position.  Given `workers` > 1, `scan` maps them over fork-started worker
 processes (never more than `worker_count` allows); one worker runs them in
 this process.  The parent builds what the tasks share (the unitary and the
-Husimi plan) before the pool starts, so the workers inherit it and only
-task indices and results cross processes; each task builds its own leaks
-and projector.
+Husimi plan) before the pool starts and the tasks close over it, so the
+workers inherit it and only task indices and results cross processes;
+each task builds its own leaks and projector.
 Given two workers, `quantum` runs its Husimi jobs on one helper thread
 beside the main thread (`_helper`), and the helper is joined before the
 command returns, also on error, so a later `scan` in the same process
@@ -76,12 +76,12 @@ from .quantum import (
 )
 from .standard_map import Leak, MapParams
 from .tomography import (
+    HusimiTransform,
     _check_top_states,
     _coherent_entropy,
     bin_means,
     dwell_bins,
     entropy_grid,
-    husimi_plan,
     mean_husimi,
     state_entropies,
 )
@@ -366,8 +366,9 @@ def cmd_quantum(cfg: ExperimentConfig, workers: int | None) -> list:
     takes every s_w on the entropy grid while this thread makes the mean
     field (building the image grid's plan) and the 2n check; numpy's exp,
     matmul and FFT release the GIL, the Schur does not, so nothing runs
-    beside the spectrum.  One worker runs the same jobs in this thread, one
-    after another.  A leak strip that absorbs no lattice site fails before
+    beside the spectrum.  Each plan is built once and passed to the jobs
+    that use it.  One worker runs the same jobs in this thread, one after
+    another.  A leak strip that absorbs no lattice site fails before
     the spectrum.  A plan that fails to build raises after the top-states
     check, before any transform, and a degenerate coherent reference raises
     in the entropy job that takes it, alike at one worker and at two.
@@ -378,11 +379,10 @@ def cmd_quantum(cfg: ExperimentConfig, workers: int | None) -> list:
     qp = QuantumParams(cfg.dim, cfg.k)
     leak = Leak(cfg.leak_center, cfg.leak_width)
     n_grid = entropy_grid(cfg.dim)
-    grid, fine = (n_grid, n_grid), (2 * n_grid, 2 * n_grid)
     with _helper(run.workers) as submit:
         run.stage("unitary")
         # building a plan runs no transform
-        plans = submit(run.busy, "plans_busy", lambda: [husimi_plan(cfg.dim, r) for r in (grid, fine)])
+        plans = submit(run.busy, "plans_busy", lambda: [HusimiTransform(cfg.dim, n, n) for n in (n_grid, 2 * n_grid)])
         u, defect = _checked_unitary(qp)
         run.stage("spectrum")
         keep = build_projector(qp, leak)
@@ -401,9 +401,11 @@ def cmd_quantum(cfg: ExperimentConfig, workers: int | None) -> list:
         # too few nonzero-dwell states fail before any transform
         _check_top_states(res, cfg.top_states)
         # a plan that failed to build raises here, after that check
-        plans.result()
-        entropies = submit(run.busy, "entropies_busy", state_entropies, res.vectors, grid)
-        mean_field = run.busy("mean_field_busy", mean_husimi, res, cfg.top_states, (cfg.husimi_q, cfg.husimi_p))
+        plan, fine = plans.result()
+        entropies = submit(run.busy, "entropies_busy", state_entropies, res.vectors, plan)
+        mean_field = run.busy(
+            "mean_field_busy", lambda: mean_husimi(res, cfg.top_states, HusimiTransform(cfg.dim, cfg.husimi_q, cfg.husimi_p))
+        )
         top = slice(0, cfg.top_states)
         s_w_fine = run.busy("grid_check_busy", state_entropies, res.vectors[:, top], fine)
         s_w = entropies.result()
@@ -422,7 +424,7 @@ def cmd_quantum(cfg: ExperimentConfig, workers: int | None) -> list:
             "unitarity_defect": defect,
             "masked_sites": int((~keep).sum()),
             "n_zero_modes": res.n_zero_modes,
-            "entropy_grid": list(grid),
+            "entropy_grid": [n_grid, n_grid],
             "entropy_grid_check": float(grid_check),
             "max_s_w": float(s_w.max()),
         },
@@ -461,14 +463,13 @@ def leak_scan(cfg: ExperimentConfig, workers: int | None) -> tuple:
     params = MapParams(cfg.k)
     qp = QuantumParams(cfg.dim, cfg.k)
     grid = PhaseSpaceGrid(cfg.grid_q, cfg.grid_p)
-    resolution = (cfg.scan_husimi_q, cfg.scan_husimi_p)
     n_workers = worker_count(workers, positions.size)
     # contiguous groups of position indices, one classical task each
     groups = np.array_split(np.arange(positions.size), max(n_workers, -(-positions.size // _GROUP_MAX)))
     # shared by every task: built once, inherited by forked workers
     u, defect = _checked_unitary(qp)
     plan_start = time.perf_counter()
-    plan = husimi_plan(cfg.dim, resolution)
+    plan = HusimiTransform(cfg.dim, cfg.scan_husimi_q, cfg.scan_husimi_p)
     _coherent_entropy(plan, plan.workspace())
 
     def classical(group):
@@ -494,7 +495,7 @@ def leak_scan(cfg: ExperimentConfig, workers: int | None) -> tuple:
         # an infinite dwell time (a closed system) leaves the mean undefined
         dw = (math.nan, math.nan) if np.isinf(res.dwell).any() else _mean_se(res.dwell)
         t1 = time.perf_counter()
-        sw = _mean_se(state_entropies(res.vectors, resolution))
+        sw = _mean_se(state_entropies(res.vectors, plan))
         return (*dw, *sw), (t1 - t0, time.perf_counter() - t1)
 
     def task(j):

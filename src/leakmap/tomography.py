@@ -24,10 +24,11 @@ the FFT columns, later ones (wraps) are added, in lattice order.  The
 result is identical to the naive overlaps at machine precision; only terms
 with Gaussian weight below ~1e-20 are dropped.
 
-Every field and every s_w comes from a plan (`husimi_plan`) and one
-workspace per batch of states, so the per-state loop allocates no
-grid-sized array; each entropy batch takes the coherent reference that
-fixes the s_w scale in its own workspace, before any of its states.
+Every field and every s_w comes from a plan (`HusimiTransform`), which the
+caller builds once per grid and passes to every call, and one workspace
+per batch of states, so the per-state loop allocates no grid-sized array;
+each entropy batch takes the coherent reference that fixes the s_w scale
+in its own workspace, before any of its states.
 
 A Wehrl entropy is an integral over the torus, and the grid that images a
 field need not be the grid that integrates it: `entropy_grid(N)` is the
@@ -37,7 +38,6 @@ below double precision.
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -48,7 +48,6 @@ from .standard_map import TWO_PI
 __all__ = [
     "HusimiTransform",
     "coherent_state",
-    "husimi_plan",
     "entropy_grid",
     "mean_husimi",
     "state_entropies",
@@ -142,11 +141,13 @@ class HusimiTransform:
     Holds, for every q row, the band of extended sites its Gaussian window
     reaches, as chunks of n_p site indices and window weights that fold
     onto the p-axis FFT columns; the per-site half-cell phase; and the
-    exact coherent-state norm field used as denominator.  Reuse one
-    instance across many states; building it costs about as much as a
-    handful of transforms.  Nothing is set on a plan once `__init__`
-    returns: per-call buffers live in a `workspace()`, which each batch
-    allocates once and passes to every `overlap_field`.
+    exact coherent-state norm field used as denominator.  Build one per
+    grid and pass it to every call on that grid; building it costs about as
+    much as a handful of transforms, and a 1000^2 plan at N = 512 holds
+    about 11 MB (8 MB of it the norm field).  Nothing is set on a plan once
+    `__init__` returns, so threads may share one: per-call buffers live in
+    a `workspace()`, which each batch allocates once and passes to every
+    `overlap_field`.
     """
 
     def __init__(self, N: int, n_q: int, n_p: int):
@@ -247,21 +248,6 @@ class HusimiTransform:
         return _normalize(self.overlap_field(state, self.workspace()))
 
 
-# Recently used plans kept alive; a 1000^2 plan at N = 512 holds ~11 MB
-# (8 MB of it the norm field).
-PLAN_CACHE_SIZE = 4
-
-
-@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
-def husimi_plan(N: int, resolution: tuple) -> HusimiTransform:
-    """The cached analyzer of length-N states on an n_q x n_p grid, the one
-    every function here uses; resolution is the tuple (n_q, n_p), and N and
-    resolution are the cache key.  Building it ahead of a fork lets worker
-    processes inherit it.  The cache takes no lock, and two threads that
-    miss on one key at once each build a plan."""
-    return HusimiTransform(N, *resolution)
-
-
 def entropy_grid(N: int) -> int:
     """Cells per axis of the square grid on which the Wehrl entropy of a
     length-N state is integrated.
@@ -305,15 +291,14 @@ def _check_top_states(res: ResonanceSet, m: int) -> None:
         raise RuntimeError(f"only {n_alive} nonzero-dwell states available, need m={m}")
 
 
-def mean_husimi(res: ResonanceSet, m: int, resolution) -> np.ndarray:
-    """Mean Husimi field of the m longest-lived Schur states, renormalized,
-    one transform per state.
+def mean_husimi(res: ResonanceSet, m: int, plan: HusimiTransform) -> np.ndarray:
+    """Mean Husimi field of the m longest-lived Schur states on plan's
+    grid, renormalized, one transform per state.
 
     Requires at least m states with nonzero dwell time; zero modes carry no
     lifetime and are never averaged in.
     """
     _check_top_states(res, m)
-    plan = husimi_plan(res.vectors.shape[0], resolution)
     work = plan.workspace()
     acc = np.zeros((plan.n_q, plan.n_p))
     for j in range(m):
@@ -343,11 +328,11 @@ def _wehrl_scale(s, s_coh: float):
     return np.clip((s - s_coh) / (0.0 - s_coh), 0.0, 1.0)
 
 
-def state_entropies(vectors: np.ndarray, resolution) -> np.ndarray:
-    """s_w of each column of vectors, a 2-D array of length-N states (such
-    as Schur states), in column order, all in one workspace, which takes
-    the coherent reference first: a degenerate grid fails before any state."""
-    plan = husimi_plan(vectors.shape[0], resolution)
+def state_entropies(vectors: np.ndarray, plan: HusimiTransform) -> np.ndarray:
+    """s_w on plan's grid of each column of vectors, a 2-D array of
+    length-N states (such as Schur states), in column order, all in one
+    workspace, which takes the coherent reference first: a degenerate grid
+    fails before any state."""
     work = plan.workspace()
     s_coh = _coherent_entropy(plan, work)
     raw = np.empty(vectors.shape[1])

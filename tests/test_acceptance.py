@@ -49,11 +49,11 @@ from leakmap.config import ExperimentConfig
 from leakmap.runner import _reliability, leak_scan
 from leakmap.standard_map import Leak, MapParams, ftle
 from leakmap.tomography import (
+    HusimiTransform,
     _coherent_entropy,
     _raw_entropy,
     _wehrl_scale,
     coherent_state,
-    husimi_plan,
     state_entropies,
 )
 
@@ -185,17 +185,17 @@ def test_small_dimension_eigenvalues_match_polynomial_roots():
 def test_entropy_endpoints_and_bounds():
     n = 128
     resolution = (500, 500)
-    plan = husimi_plan(n, resolution)
+    plan = HusimiTransform(n, *resolution)
     work = plan.workspace()
     uniform = np.full(resolution, 1.0 / (resolution[0] * resolution[1]))
     assert _wehrl_scale(_raw_entropy(uniform, work.entropy_scratch), _coherent_entropy(plan, work)) == 1.0
-    assert state_entropies(coherent_state((0.5, 0.5), n)[:, None], resolution)[0] == 0.0
+    assert state_entropies(coherent_state((0.5, 0.5), n)[:, None], plan)[0] == 0.0
     rng = component_rng(1, "tomography")
     states = []
     for _ in range(100):
         v = rng.normal(size=n) + 1j * rng.normal(size=n)
         states.append(v / np.linalg.norm(v))
-    s_w = state_entropies(np.stack(states, axis=1), resolution)
+    s_w = state_entropies(np.stack(states, axis=1), plan)
     lo, hi = s_w.min(), s_w.max()
     report("entropy-endpoints", random_min=f"{lo:.4f}", random_max=f"{hi:.4f}")
     assert 0.0 < lo and hi <= 1.0
@@ -212,9 +212,10 @@ def test_reference_leak_ordering_of_chaos_measures():
         mean_ftle[center] = float(ens.ftle[dwell_mask(ens, n_c)].mean())
     # quantum side: largest Wehrl entropy over the dwell/entropy scatter
     max_sw = {}
+    plan = HusimiTransform(512, 1000, 1000)
     for center in (0.2, 0.5):
         _, res = open_spectrum(512, center)
-        max_sw[center] = float(state_entropies(res.vectors, (1000, 1000)).max())
+        max_sw[center] = float(state_entropies(res.vectors, plan).max())
     report(
         "reference-ordering",
         mean_ftle_02=f"{mean_ftle[0.2]:.4f}",

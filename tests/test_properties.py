@@ -35,7 +35,7 @@ from leakmap.config import ConfigError, ExperimentConfig, apply_overrides, parse
 from leakmap.ensemble import PhaseSpaceGrid, escape_ensemble, survival_probability
 from leakmap.quantum import QuantumParams, build_projector, build_unitary, open_propagator, resonance_spectrum
 from leakmap.standard_map import Leak, MapParams
-from leakmap.tomography import husimi_plan, mean_husimi, state_entropies
+from leakmap.tomography import HusimiTransform, mean_husimi, state_entropies
 
 # reproducible and without a .hypothesis/ directory; deadline off, since a
 # first Schur or plan build is slower than later ones
@@ -101,10 +101,10 @@ def test_schur_vectors_triangularize_the_open_propagator(n, k, center, width):
 @given(n=dims, k=kicks, center=centers, width=widths, n_q=cells, n_p=cells, top=st.integers(1, 5))
 def test_husimi_fields_are_probability_masses(n, k, center, width, n_q, n_p, top):
     res = spectrum(n, k, center, width)
-    plan = husimi_plan(n, (n_q, n_p))
+    plan = HusimiTransform(n, n_q, n_p)
     fields = [plan.field(res.vectors[:, j]) for j in range(n)]
     if int((res.dwell > 0.0).sum()) >= top:
-        fields.append(mean_husimi(res, top, (n_q, n_p)))
+        fields.append(mean_husimi(res, top, plan))
     for field in fields:
         assert field.shape == (n_q, n_p)
         assert field.min() >= 0.0
@@ -119,7 +119,7 @@ def test_wehrl_entropies_lie_in_the_unit_interval(n, k, center, width, n_q, n_p)
     # scale and is refused (on 2x2 every cell is equally far from it)
     vectors = spectrum(n, k, center, width).vectors
     try:
-        s_w = state_entropies(vectors, (n_q, n_p))
+        s_w = state_entropies(vectors, HusimiTransform(n, n_q, n_p))
     except RuntimeError as exc:
         assert "degenerate coherent reference entropy" in str(exc)
         return

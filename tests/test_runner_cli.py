@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 import leakmap
-from leakmap import ensemble, runner, tomography
+from leakmap import ensemble, runner
 from leakmap.cli import apply_thread_env, build_parser, main
 from leakmap.config import ExperimentConfig, parse_config
 from leakmap.ensemble import PhaseSpaceGrid, dwell_mask, escape_ensemble, exponential_tail_fit
@@ -247,9 +247,9 @@ def test_cmd_quantum_integrates_s_w_on_the_entropy_grid(tmp_path, dim, n):
     assert extra["entropy_grid"] == [n, n]
     qp = QuantumParams(dim, 10.0)
     res = resonance_spectrum(open_propagator(build_unitary(qp), build_projector(qp, Leak(0.2, 0.2))))
-    s_w = state_entropies(res.vectors, (n, n))
+    s_w = state_entropies(res.vectors, HusimiTransform(dim, n, n))
     assert np.array_equal([float(x) for x in read_columns(tmp_path / "wehrl_scatter.csv")["s_w"]], s_w)
-    check = np.abs(state_entropies(res.vectors[:, :5], (2 * n, 2 * n)) - s_w[:5]).max()
+    check = np.abs(state_entropies(res.vectors[:, :5], HusimiTransform(dim, 2 * n, 2 * n)) - s_w[:5]).max()
     assert extra["entropy_grid_check"] == check
     assert 0.0 < check < 1e-3
 
@@ -356,6 +356,7 @@ def test_leak_scan_columns_are_the_per_position_statistics(tmp_path):
     qp = QuantumParams(16, cfg.k)
     u = build_unitary(qp)
     assert defect == unitarity_defect(u)
+    plan = HusimiTransform(16, 40, 40)
 
     def mean_se(x):
         return [x.mean(), x.std(ddof=1) / math.sqrt(x.size)]
@@ -365,7 +366,7 @@ def test_leak_scan_columns_are_the_per_position_statistics(tmp_path):
         ens = escape_ensemble(PhaseSpaceGrid(48, 48), leak, 400, MapParams(cfg.k))
         sel = ens.tau >= 1
         res = resonance_spectrum(open_propagator(u, build_projector(qp, leak)))
-        s_w = state_entropies(res.vectors, (40, 40))
+        s_w = state_entropies(res.vectors, plan)
         row = [
             *mean_se(ens.tau[sel].astype(float)),
             *mean_se(ens.ftle[sel]),
@@ -424,6 +425,34 @@ def test_leak_scan_checks_the_coherent_reference_before_any_position(tmp_path, m
         leak_scan(cfg, None)
     assert calls["escape_ensemble"] == 0
     assert calls["resonance_spectrum"] == 0
+
+
+def count_plans(monkeypatch):
+    """The (N, n_q, n_p) of every HusimiTransform built from now on."""
+    built = []
+    real = HusimiTransform.__init__
+
+    def counting(self, *args):
+        built.append(args)
+        real(self, *args)
+
+    monkeypatch.setattr(HusimiTransform, "__init__", counting)
+    return built
+
+
+def test_leak_scan_builds_one_plan(tmp_path, monkeypatch):
+    # every position's entropies use the plan built before the first task
+    built = count_plans(monkeypatch)
+    leak_scan(toy_config(tmp_path, dim=16, t_max=400, scan_positions=5), None)
+    assert built == [(16, 40, 40)]
+
+
+@pytest.mark.parametrize("workers", [None, 2])
+def test_cmd_quantum_builds_one_plan_per_grid(tmp_path, monkeypatch, workers):
+    # the entropy grid (20^2 at N = 16), twice that grid and the image grid
+    built = count_plans(monkeypatch)
+    cmd_quantum(toy_config(tmp_path, dim=16, husimi_q=30, husimi_p=30), workers)
+    assert built == [(16, 20, 20), (16, 40, 40), (16, 30, 30)]
 
 
 def test_leak_scan_builds_no_position_input_before_the_first_task(tmp_path, monkeypatch):
@@ -527,7 +556,6 @@ def test_cmd_quantum_checks_top_states_before_any_transform(tmp_path, monkeypatc
     # the top states and the reference again at twice that grid
     for workers in (None, 2):
         calls.clear()
-        tomography.husimi_plan.cache_clear()
         cmd_quantum(dataclasses.replace(cfg, top_states=5, output=str(tmp_path / f"ok{workers}")), workers)
         assert len(calls) == 16 + 2 * 5 + 2
 
@@ -606,6 +634,16 @@ def test_cli_config_errors_exit_1(tmp_path, capsys):
         assert run_cli(["quantum", "--output", str(out), f"--{key}", value]) == 1
         assert f"{key}:" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_cli_empty_output_fails_like_an_empty_run_output(tmp_path, monkeypatch, capsys):
+    # --output "" sets run.output to "", which the config refuses; it must
+    # not fall back to the config's output directory
+    monkeypatch.chdir(tmp_path)
+    for args in (["--output", ""], ["--run.output", ""]):
+        assert run_cli(["ftle-field", *args]) == 1
+        assert "run.output: must be one line without surrounding whitespace, got ''" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []  # no out/, nor anything else
 
 
 def test_cli_numerical_failure_exits_2(tmp_path, capsys):

@@ -26,7 +26,6 @@ from leakmap.standard_map import Leak
 from leakmap.tomography import (
     BIN_INDEX_LIMIT,
     M_RANGE,
-    PLAN_CACHE_SIZE,
     WINDOW_LOG_CUT,
     HusimiTransform,
     _coherent_entropy,
@@ -36,7 +35,6 @@ from leakmap.tomography import (
     coherent_state,
     dwell_bins,
     entropy_grid,
-    husimi_plan,
     mean_husimi,
     state_entropies,
 )
@@ -118,7 +116,7 @@ def test_overlap_field_matches_brute_force(n, n_q, n_p):
 def test_husimi_mass_sum_and_positivity():
     rng = np.random.default_rng(1)
     v = rng.normal(size=24) + 1j * rng.normal(size=24)
-    f = husimi_plan(24, (50, 60)).field(v)
+    f = HusimiTransform(24, 50, 60).field(v)
     assert f.shape == (50, 60)
     assert np.all(f >= 0.0)
     assert abs(f.sum() - 1.0) <= 1e-12
@@ -126,14 +124,14 @@ def test_husimi_mass_sum_and_positivity():
 
 def test_husimi_peak_at_coherent_center():
     n = 32
-    f = husimi_plan(n, (101, 101)).field(coherent_state((0.5, 0.5), n))
+    f = HusimiTransform(n, 101, 101).field(coherent_state((0.5, 0.5), n))
     assert np.unravel_index(np.argmax(f), f.shape) == (50, 50)
 
 
 def test_husimi_uniform_position_state_constant_along_q():
     # equal position amplitudes = momentum eigenstate: mass depends on p only
     n = 64
-    f = husimi_plan(n, (40, 48)).field(np.full(n, n ** -0.5, dtype=complex))
+    f = HusimiTransform(n, 40, 48).field(np.full(n, n ** -0.5, dtype=complex))
     sig = f.max(axis=0) > 1e-10 * f.max()
     ripple = f.max(axis=0)[sig] / f.min(axis=0)[sig] - 1.0
     assert ripple.max() <= 1e-6
@@ -146,7 +144,7 @@ def test_husimi_translation_covariance():
     rng = np.random.default_rng(3)
     v = rng.normal(size=n) + 1j * rng.normal(size=n)
     v /= np.linalg.norm(v)
-    plan = husimi_plan(n, (n_q, 32))
+    plan = HusimiTransform(n, n_q, 32)
     f0 = plan.field(v)
     f1 = plan.field(np.roll(v, 1))
     assert_allclose(f1, np.roll(f0, n_q // n, axis=0), rtol=0, atol=1e-12 * f0.max())
@@ -157,7 +155,7 @@ def test_husimi_reflection_pairs_with_reflected_leak():
     n = 16
     ra = open_resonances(n, 0.2, 0.25)
     rb = open_resonances(n, 0.8, 0.25)
-    plan = husimi_plan(n, (40, 40))
+    plan = HusimiTransform(n, 40, 40)
     fa = plan.field(ra.vectors[:, 0])
     fb = plan.field(rb.vectors[:, 0])
     assert_allclose(fa, np.flip(fb), rtol=0, atol=1e-12)
@@ -304,24 +302,25 @@ def test_overlap_field_workspace_output_is_not_aliased():
 @pytest.mark.parametrize("n,n_q,n_p,center", [(16, 17, 17, 0.3), (64, 63, 63, 0.7), (32, 100, 100, 0.2)])
 def test_batch_loops_equal_per_state_path(n, n_q, n_p, center):
     res = open_resonances(n, center)
-    plan = husimi_plan(n, (n_q, n_p))
+    plan = HusimiTransform(n, n_q, n_p)
     s_coh = reference_entropy(plan.field(coherent_state((0.5, 0.5), n)))
     assert _coherent_entropy(plan, plan.workspace()) == s_coh
     fields = [plan.field(res.vectors[:, j]) for j in range(n)]
     raw = np.array([reference_entropy(f) for f in fields])
     expect = np.clip((raw - s_coh) / (0.0 - s_coh), 0.0, 1.0)
-    assert np.array_equal(state_entropies(res.vectors, (n_q, n_p)), expect)
+    assert np.array_equal(state_entropies(res.vectors, plan), expect)
     acc = np.zeros((n_q, n_p))
     for f in fields[:5]:
         acc += f
-    assert np.array_equal(mean_husimi(res, 5, (n_q, n_p)), acc / acc.sum())
+    assert np.array_equal(mean_husimi(res, 5, plan), acc / acc.sum())
 
 
 @pytest.mark.parametrize("n,cuts", [(32, (0, 16, 32)), (17, (0, 5, 6, 17)), (8, (0, 8))])
 def test_state_entropies_in_column_blocks_concatenate_to_the_whole(n, cuts):
     res = open_resonances(n, 0.4)
-    whole = state_entropies(res.vectors, (30, 31))
-    blocks = [state_entropies(res.vectors[:, a:b], (30, 31)) for a, b in zip(cuts[:-1], cuts[1:])]
+    plan = HusimiTransform(n, 30, 31)
+    whole = state_entropies(res.vectors, plan)
+    blocks = [state_entropies(res.vectors[:, a:b], plan) for a, b in zip(cuts[:-1], cuts[1:])]
     assert np.array_equal(np.concatenate(blocks), whole)
 
 
@@ -340,13 +339,11 @@ def test_entropy_reduction_with_zero_cells(seed):
     assert np.array_equal(_raw_entropy(dense, work.entropy_scratch), reference_entropy(dense))
 
 
-def test_plan_cache_is_bounded_and_holds_no_workspace():
-    for n in range(8, 8 + PLAN_CACHE_SIZE + 2):
-        state_entropies(open_resonances(n, 0.5).vectors, (12, 14))
-    info = husimi_plan.cache_info()
-    assert info.maxsize == PLAN_CACHE_SIZE
-    assert info.currsize <= PLAN_CACHE_SIZE
-    arrays = [a for a in vars(husimi_plan(8 + PLAN_CACHE_SIZE + 1, (12, 14))).values() if isinstance(a, np.ndarray)]
+def test_plan_holds_no_workspace():
+    # per-call buffers live in a workspace, never on the plan that a batch used
+    plan = HusimiTransform(13, 12, 14)
+    state_entropies(open_resonances(13, 0.5).vectors, plan)
+    arrays = [a for a in vars(plan).values() if isinstance(a, np.ndarray)]
     assert not any(a.shape == (12, 14) and a.dtype == complex for a in arrays)
 
 
@@ -358,16 +355,15 @@ def test_plan_is_immutable_and_shared_by_concurrent_batches():
     # nothing on a plan changes once it is built, so threads may run entropy
     # batches on one plan at once; three threads on a 1 us switch interval
     res = open_resonances(48, 0.3)
-    resolution = (37, 41)
-    plan = husimi_plan(48, resolution)
+    plan = HusimiTransform(48, 37, 41)
     before = plan_snapshot(plan)
-    serial = state_entropies(res.vectors, resolution)
+    serial = state_entropies(res.vectors, plan)
     assert plan_snapshot(plan) == before
     barrier = threading.Barrier(3)
 
     def batch(_):
         barrier.wait(timeout=10.0)
-        return state_entropies(res.vectors, resolution)
+        return state_entropies(res.vectors, plan)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -376,7 +372,6 @@ def test_plan_is_immutable_and_shared_by_concurrent_batches():
             results = [job.result(timeout=60.0) for job in [pool.submit(batch, k) for k in range(3)]]
     finally:
         sys.setswitchinterval(interval)
-    assert husimi_plan(48, resolution) is plan
     assert plan_snapshot(plan) == before
     for s_w in results:
         assert np.array_equal(s_w, serial)
@@ -392,12 +387,21 @@ def test_transform_validation():
         plan.overlap_field(np.ones(9, dtype=complex), plan.workspace())
 
 
+def test_plan_for_another_n_fails_in_both_entry_points():
+    res = open_resonances(16, 0.2)
+    plan = HusimiTransform(17, 30, 30)
+    with pytest.raises(ValueError, match=re.escape("state length 16 != N = 17")):
+        state_entropies(res.vectors, plan)
+    with pytest.raises(ValueError, match=re.escape("state length 16 != N = 17")):
+        mean_husimi(res, 5, plan)
+
+
 # ---------------------------------------------------------------------------
 # Wehrl localization
 
 
 def test_wehrl_uniform_is_one_exactly():
-    plan = husimi_plan(16, (40, 40))
+    plan = HusimiTransform(16, 40, 40)
     raw = _raw_entropy(np.full((40, 40), 1.0 / 1600.0), plan.workspace().entropy_scratch)
     assert type(raw) is float
     assert raw == 0.0
@@ -406,29 +410,30 @@ def test_wehrl_uniform_is_one_exactly():
 
 def test_wehrl_reference_coherent_is_zero_exactly():
     n = 16
-    assert np.array_equal(state_entropies(coherent_state((0.5, 0.5), n)[:, None], (80, 80)), [0.0])
+    assert np.array_equal(state_entropies(coherent_state((0.5, 0.5), n)[:, None], HusimiTransform(n, 80, 80)), [0.0])
 
 
 def test_wehrl_translated_coherent_stays_near_zero():
     # the anchor is translation covariant up to grid discretization
     n = 16
-    assert state_entropies(coherent_state((0.3, 0.7), n)[:, None], (80, 80))[0] <= 0.05
+    assert state_entropies(coherent_state((0.3, 0.7), n)[:, None], HusimiTransform(n, 80, 80))[0] <= 0.05
 
 
 def test_wehrl_bounds_random_states():
     rng = np.random.default_rng(9)
+    plan = HusimiTransform(32, 200, 200)
     for _ in range(10):
         v = rng.normal(size=32) + 1j * rng.normal(size=32)
         v /= np.linalg.norm(v)
-        s_w = state_entropies(v[:, None], (200, 200))[0]
+        s_w = state_entropies(v[:, None], plan)[0]
         assert 0.0 < s_w <= 1.0
 
 
 def test_wehrl_resolution_stability():
     res = open_resonances(64, 0.2)
     v = res.vectors[:, :1]
-    a = state_entropies(v, (250, 250))[0]
-    b = state_entropies(v, (500, 500))[0]
+    a = state_entropies(v, HusimiTransform(64, 250, 250))[0]
+    b = state_entropies(v, HusimiTransform(64, 500, 500))[0]
     assert abs(a - b) < 0.01
 
 
@@ -437,9 +442,9 @@ def test_degenerate_coherent_reference_raises():
     # comes out at about +8e-17, so the Wehrl scale has no length, and
     # neither the batch nor the reference on its own may be used
     res = open_resonances(4, 0.2, 0.3)
+    plan = HusimiTransform(4, 2, 2)
     with pytest.raises(RuntimeError, match="degenerate coherent reference entropy"):
-        state_entropies(res.vectors, (2, 2))
-    plan = husimi_plan(4, (2, 2))
+        state_entropies(res.vectors, plan)
     with pytest.raises(RuntimeError, match="degenerate coherent reference entropy"):
         _coherent_entropy(plan, plan.workspace())
 
@@ -447,7 +452,7 @@ def test_degenerate_coherent_reference_raises():
 def test_closed_map_states_cluster_at_high_entropy():
     # frozen regression band: chaotic eigenstates are strongly delocalized
     res = resonance_spectrum(build_unitary(QuantumParams(128, 10.0)))
-    sw = state_entropies(res.vectors, (500, 500))
+    sw = state_entropies(res.vectors, HusimiTransform(128, 500, 500))
     assert sw.min() >= 0.75
     assert sw.max() <= 0.95
     assert 0.84 <= sw.mean() <= 0.91
@@ -469,7 +474,7 @@ def test_husimi_fourier_modes_lie_under_the_coherent_envelope():
     rng = np.random.default_rng(3)
     for _ in range(3):
         v = rng.normal(size=N) + 1j * rng.normal(size=N)
-        modes = np.abs(np.fft.fft2(husimi_plan(N, (n, n)).field(v)))
+        modes = np.abs(np.fft.fft2(HusimiTransform(N, n, n).field(v)))
         for m in range(1, last + 1):
             assert modes[beyond >= m].max() <= math.exp(-math.pi * m * m / (2 * N)), m
 
@@ -488,27 +493,28 @@ def test_entropy_grid_is_the_smallest_5_smooth_size_past_the_envelope():
 
 def test_mean_husimi_single_state_identity():
     res = open_resonances(16, 0.2)
-    m1 = mean_husimi(res, 1, (60, 60))
-    top = husimi_plan(16, (60, 60)).field(res.vectors[:, 0])
+    plan = HusimiTransform(16, 60, 60)
+    m1 = mean_husimi(res, 1, plan)
+    top = plan.field(res.vectors[:, 0])
     assert_allclose(m1, top, rtol=0, atol=1e-14)
 
 
 def test_mean_husimi_needs_enough_live_states():
     res = open_resonances(10, 0.2)
     with pytest.raises(RuntimeError):
-        mean_husimi(res, res.vectors.shape[1] + 1, (30, 30))
+        mean_husimi(res, res.vectors.shape[1] + 1, HusimiTransform(10, 30, 30))
 
 
 def test_mean_husimi_normalized():
     res = open_resonances(16, 0.5)
-    f = mean_husimi(res, 5, (40, 40))
+    f = mean_husimi(res, 5, HusimiTransform(16, 40, 40))
     assert abs(f.sum() - 1.0) <= 1e-12
 
 
 def test_entropy_vs_dwell_binning():
     res = open_resonances(32, 0.2)
     bins = dwell_bins(res, 0.08)
-    s_w = state_entropies(res.vectors, (100, 100))
+    s_w = state_entropies(res.vectors, HusimiTransform(32, 100, 100))
     assert bins.dtype == np.int64
     assert np.array_equal(bins, np.floor(res.dwell / 0.08))
     index, center, mean, count = bin_means(bins, s_w, 0.08)
