@@ -67,18 +67,29 @@ class QuantumParams:
 
 
 def build_unitary(params: QuantumParams) -> np.ndarray:
-    """Dense one-kick propagator, shape (N, N) complex."""
+    """Dense one-kick propagator, shape (N, N) complex.
+
+    The phases are built in the imaginary part of the result and
+    exponentiated in place, so no other (N, N) array is allocated."""
     N = params.N
     k = np.arange(1, N + 1)
-    dk2 = (k[:, None] - k[None, :]) ** 2
     kick = (N * params.K / TWO_PI) * np.cos(TWO_PI * k / N)
-    return np.exp(1j * (np.pi / N) * dk2 + 1j * kick[None, :]) / math.sqrt(N)
+    u = np.zeros((N, N), dtype=complex)
+    phase = u.imag
+    np.subtract.outer(k, k, out=phase)
+    np.square(phase, out=phase)
+    phase *= np.pi / N
+    phase += kick
+    np.exp(u, out=u)
+    u /= math.sqrt(N)
+    return u
 
 
 def unitarity_defect(u: np.ndarray) -> float:
     """max |U^H U - I|; ~1e-14 for the exact propagator at any N."""
-    n = u.shape[0]
-    return float(np.abs(u.conj().T @ u - np.eye(n)).max())
+    gram = u.conj().T @ u
+    gram.flat[:: u.shape[0] + 1] -= 1.0
+    return float(np.abs(gram).max())
 
 
 def build_projector(params: QuantumParams, leak: Leak) -> np.ndarray:
@@ -105,11 +116,13 @@ def build_projector(params: QuantumParams, leak: Leak) -> np.ndarray:
 
 def open_propagator(u: np.ndarray, keep: np.ndarray) -> np.ndarray:
     """Project the propagator on surviving sites: rows of absorbed sites
-    are zeroed, so amplitude entering the leak is removed once per kick."""
+    are zeroed, so amplitude entering the leak is removed once per kick.
+    Returns a Fortran-ordered copy, the layout `resonance_spectrum`
+    factorizes in place."""
     keep = np.asarray(keep, dtype=bool)
     if keep.shape != (u.shape[0],):
         raise ValueError(f"mask shape {keep.shape} does not match propagator {u.shape}")
-    out = u.copy()
+    out = np.array(u, order="F")
     out[~keep, :] = 0.0
     return out
 
@@ -146,15 +159,14 @@ def _sorted_schur(m: np.ndarray):
 
     Reordering is a selection sort of unitary similarity swaps (LAPACK
     ztrexc), which moves one diagonal entry to the front at a time while
-    keeping the factorization exact to roundoff.
+    keeping the factorization exact to roundoff.  A complex
+    Fortran-ordered m is overwritten by the factorization; any other is
+    copied first.
     """
     try:
-        t, v = scipy.linalg.schur(m, output="complex")
+        t, v = scipy.linalg.schur(m, output="complex", overwrite_a=True)
     except scipy.linalg.LinAlgError as exc:
-        raise RuntimeError(
-            f"Schur factorization failed for {m.shape[0]}x{m.shape[1]} matrix "
-            f"(max |entry| {np.abs(m).max():.3g}, finite={np.isfinite(m).all()}): {exc}"
-        ) from exc
+        raise RuntimeError(f"Schur factorization failed for {m.shape[0]}x{m.shape[1]} matrix: {exc}") from exc
     t = np.asfortranarray(t)
     v = np.asfortranarray(v)
     n = t.shape[0]
@@ -171,7 +183,9 @@ def _sorted_schur(m: np.ndarray):
 def resonance_spectrum(m: np.ndarray) -> ResonanceSet:
     """Lifetime-ordered resonances of an open (sub-unitary) propagator m,
     such as `open_propagator(u, keep)`; the Schur vectors are kept as
-    LAPACK returned them (Fortran order)."""
+    LAPACK returned them (Fortran order).  m may be overwritten: a
+    Fortran-ordered complex m, such as `open_propagator` returns, is
+    factorized in place, so pass a copy of a matrix you read afterwards."""
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"propagator must be square, got {m.shape}")
     z, v = _sorted_schur(m)

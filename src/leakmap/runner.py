@@ -41,6 +41,7 @@ import math
 import multiprocessing
 import os
 import platform
+import resource
 import sys
 import time
 import types
@@ -221,8 +222,20 @@ def _helper(workers: int):
         pool.shutdown(wait=True, cancel_futures=True)
 
 
+# ru_maxrss counts KiB on Linux and bytes on macOS.
+_MAXRSS_PER_MB = 2**20 if sys.platform == "darwin" else 2**10
+
+
+def _max_rss_mb(who: int) -> float:
+    """Peak resident set size in MB (2^20 bytes) of this process
+    (resource.RUSAGE_SELF) or of its largest waited-for child process
+    (resource.RUSAGE_CHILDREN)."""
+    return round(resource.getrusage(who).ru_maxrss / _MAXRSS_PER_MB, 3)
+
+
 class _Run:
-    """Output directory, stage timings and the one write path of a command."""
+    """Output directory, stage timings and peak memory, and the one write
+    path of a command."""
 
     def __init__(self, cfg: ExperimentConfig, command: str):
         self.cfg = cfg
@@ -230,19 +243,25 @@ class _Run:
         self.outdir = Path(cfg.output)
         self.outdir.mkdir(parents=True, exist_ok=True)
         self.timings: dict = {}
+        self.peak_rss: dict = {}
         self.workers = 1
         self._t0 = time.perf_counter()
         self._stage = None
         self._stage_t0 = 0.0
 
     def stage(self, name: str):
-        """Record the running stage's time and start `name`."""
+        """Record the running stage's time and the process's peak memory
+        so far (which never decreases) and start `name`."""
         now = time.perf_counter()
         if self._stage is not None:
-            self.timings[self._stage] = round(now - self._stage_t0, 6)
+            self._end_stage(now)
         self._stage = name
         self._stage_t0 = now
         return self
+
+    def _end_stage(self, now: float):
+        self.timings[self._stage] = round(now - self._stage_t0, 6)
+        self.peak_rss[self._stage] = _max_rss_mb(resource.RUSAGE_SELF)
 
     def busy(self, key: str, fn, *args):
         """fn(*args), with its seconds from start to end (its busy time,
@@ -259,8 +278,9 @@ class _Run:
         fields maps a name to (values, mask), written as NAME.lcf and NAME.pgm
         with its sidecar (mask None images every cell); tables maps a CSV file
         name to (header, columns).  The manifest holds the outputs, timings,
-        environment, the `extra` results and any further `record` keys; a
-        result strict JSON cannot hold raises before any file is written."""
+        peak memory (`peak_rss_mb`, keyed like the stage timings), environment,
+        the `extra` results and any further `record` keys; a result strict
+        JSON cannot hold raises before any file is written."""
         for key, value in [*extra.items(), *record.items()]:
             try:
                 json.dumps(value, allow_nan=False)
@@ -277,13 +297,14 @@ class _Run:
             {"path": str(p.relative_to(self.outdir)), "bytes": p.stat().st_size, "sha256": sha256_file(p)}
             for p in sorted(files)
         ]
-        self.timings[self._stage] = round(time.perf_counter() - self._stage_t0, 6)
+        self._end_stage(time.perf_counter())
         manifest = {
             "command": self.command,
             "version": __version__,
             "config": serialize_config(self.cfg),
             "timings_s": self.timings,
             "total_s": round(time.perf_counter() - self._t0, 6),
+            "peak_rss_mb": self.peak_rss,
             "environment": {
                 "workers": self.workers,
                 "usable_cpus": _usable_cpus(),
@@ -391,7 +412,8 @@ def cmd_quantum(cfg: ExperimentConfig, workers: int | None) -> list:
             raise RuntimeError(f"{strip} absorbs no site k/N at N = {cfg.dim}: the system is closed")
         # Each propagator is freed once nothing reads it, so that the
         # Husimi stage's buffers reuse its memory: the closed one once its
-        # open copy exists (rebinding u), the open one after the spectrum.
+        # open copy exists (rebinding u), the open one, which the Schur
+        # factorizes in place, after the spectrum.
         u = open_propagator(u, keep)
         res = resonance_spectrum(u)
         del u
@@ -533,11 +555,17 @@ def cmd_scan(cfg: ExperimentConfig, workers: int | None) -> list:
     `_reliability` (reliability_tau, _lambda, _T and _SW), its
     position_timings_s each position's busy seconds (its "classical" entry
     is the position's share of its group's pass) and its classical_groups
-    each orbit pass's positions, seconds and point-steps."""
+    each orbit pass's positions, seconds and point-steps.  peak_rss_mb
+    records this process's peak after the positions ("positions") and,
+    given more than one worker, the largest worker process's ("workers")."""
     run = _Run(cfg, "scan")
     run.workers = worker_count(workers, cfg.scan_positions)
     columns, timings, busy, defect, groups = leak_scan(cfg, run.workers)
     run.timings.update(timings)
+    run.peak_rss["positions"] = _max_rss_mb(resource.RUSAGE_SELF)
+    if run.workers > 1:
+        # the pool has joined, so every worker has been waited for
+        run.peak_rss["workers"] = _max_rss_mb(resource.RUSAGE_CHILDREN)
     rel = {f"reliability_{k}": _reliability(columns[f"mean_{k}"], columns[f"se_{k}"]) for k in ("tau", "lambda", "T", "SW")}
     scan = ["q_L", "mean_tau", "mean_lambda", "mean_T", "mean_SW"]
     errors = ["q_L", "se_tau", "se_lambda", "se_T", "se_SW", "unescaped_fraction"]

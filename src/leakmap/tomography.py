@@ -20,9 +20,11 @@ on FFT column t mod n_p.  Shifting a row's sites by a_i multiplies its DFT
 by exp(-2 pi i j a_i / n_p), a phase that |.|^2 removes; the half-cell
 offset of the p grid stays a phase of the absolute site k'.  The band is
 split once per plan into chunks of n_p sites: the first is written onto
-the FFT columns, later ones (wraps) are added, in lattice order.  The
-result is identical to the naive overlaps at machine precision; only terms
-with Gaussian weight below ~1e-20 are dropped.
+the FFT columns, later ones (wraps) are added, in lattice order.  Rows
+are folded and transformed in blocks, and each row's FFT is the one a
+whole-grid transform gives it, bit for bit.  The result is identical to
+the naive overlaps at machine precision; only terms with Gaussian weight
+below ~1e-20 are dropped.
 
 Every field and every s_w comes from a plan (`HusimiTransform`), which the
 caller builds once per grid and passes to every call, and one workspace
@@ -38,6 +40,7 @@ below double precision.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -60,6 +63,12 @@ M_RANGE = 3
 
 # Gaussian window weights below exp(-46) ~ 1e-20 are dropped in the fast path.
 WINDOW_LOG_CUT = 46.0
+
+# Most cells in one block of rows that `overlap_field` folds and
+# transforms at a time (1 MiB of complex values), so that a transform's
+# buffers beyond the field do not grow with the grid.  A row's FFT does
+# not depend on the rows transformed with it, so the blocks change no bit.
+BLOCK_CELLS = 2**16
 
 # exp(-x) is exactly 0.0 in double precision for x > 745.14; image pairs of
 # the norm field whose exponent exceeds this everywhere add nothing.
@@ -116,23 +125,33 @@ def _normalize(raw: np.ndarray) -> np.ndarray:
 
 
 class _Workspace:
-    """Grid-sized buffers for a batch of transforms with one plan.
+    """Buffers for a batch of transforms with one plan.
 
-    fold receives the windowed band sites placed on the n_p columns;
-    columns no band site reaches (when the band is shorter than n_p) stay
-    zero from allocation.  amp receives the FFT; before that, its memory
-    holds each chunk's gathered sites as a contiguous (n_q, width) block, and
-    once a field's masses are out it serves as the entropy reduction's
-    compress and term buffers.  mass receives the field itself.
+    mass receives the field itself, the one grid-sized buffer (8 B a
+    cell).  fold and amp hold one block of rows (`HusimiTransform` folds
+    and transforms a field block by block, at most BLOCK_CELLS cells, 1 MiB
+    each): fold receives the windowed band sites placed on the n_p
+    columns, and columns no band site reaches (when the band is shorter
+    than n_p) stay zero from allocation; amp receives the block's FFT, and
+    before that its memory holds each chunk's gathered sites as a
+    contiguous (rows, width) block (gather).  The entropy reduction's
+    buffers (17 B a cell) are allocated on first use, so a batch that
+    takes no entropy, such as `mean_husimi`'s, holds the field and two
+    blocks: about 10 MB on a 1000^2 grid.
     """
 
-    def __init__(self, n_q: int, n_p: int):
-        self.fold = np.zeros((n_q, n_p), dtype=complex)
-        self.amp = np.empty((n_q, n_p), dtype=complex)
+    def __init__(self, n_q: int, n_p: int, rows: int):
+        self.fold = np.zeros((rows, n_p), dtype=complex)
+        self.amp = np.empty((rows, n_p), dtype=complex)
         self.mass = np.empty((n_q, n_p))
         self.gather = self.amp.reshape(-1)
-        kept, terms = self.amp.view(float).reshape(2, -1)
-        self.entropy_scratch = (np.empty(n_q * n_p, dtype=bool), kept, terms)
+
+    @functools.cached_property
+    def entropy_scratch(self) -> tuple:
+        """(positive, kept, terms): a bool and two float buffers of one
+        value per cell, for `_raw_entropy`."""
+        cells = self.mass.size
+        return np.empty(cells, dtype=bool), np.empty(cells), np.empty(cells)
 
 
 class HusimiTransform:
@@ -144,9 +163,12 @@ class HusimiTransform:
     exact coherent-state norm field used as denominator.  Build one per
     grid and pass it to every call on that grid; building it costs about as
     much as a handful of transforms, and a 1000^2 plan at N = 512 holds
-    about 11 MB (8 MB of it the norm field).  Nothing is set on a plan once
-    `__init__` returns, so threads may share one: per-call buffers live in
-    a `workspace()`, which each batch allocates once and passes to every
+    about 11 MB (8 MB of it the norm field).  The plan also fixes the row
+    blocks (at most BLOCK_CELLS cells each) in which `overlap_field` folds
+    and transforms a field, so a workspace holds one grid-sized array, the
+    field, and two blocks.  Nothing is set on a plan once `__init__`
+    returns, so threads may share one: per-call buffers live in a
+    `workspace()`, which each batch allocates once and passes to every
     `overlap_field`.
     """
 
@@ -185,6 +207,13 @@ class HusimiTransform:
             for a in range(0, length, n_p)
         )
         self._norm2 = self._norm_field()
+        # Row blocks of at most BLOCK_CELLS cells (at least one row each):
+        # each block's rows, its rows of every chunk and its norm field.
+        rows = max(1, BLOCK_CELLS // n_p)
+        self._blocks = tuple(
+            (block, tuple((index[block], window[block]) for index, window in self._chunks), self._norm2[block])
+            for block in (slice(a, min(a + rows, n_q)) for a in range(0, n_q, rows))
+        )
 
     def _norm_field(self) -> np.ndarray:
         """Squared norm of the unnormalized coherent state at every grid
@@ -213,7 +242,7 @@ class HusimiTransform:
 
     def workspace(self) -> _Workspace:
         """Fresh buffers for `overlap_field`; one per batch of states."""
-        return _Workspace(self.n_q, self.n_p)
+        return _Workspace(self.n_q, self.n_p, self._blocks[0][0].stop)
 
     def overlap_field(self, state: np.ndarray, work: _Workspace) -> np.ndarray:
         """|<alpha(q_i, p_j)|state>|^2 before mass normalization, written
@@ -224,23 +253,26 @@ class HusimiTransform:
         if v.size != self.N:
             raise ValueError(f"state length {v.size} != N = {self.N}")
         phased = v[self._src] * self._half_phase
-        # The first chunk is written onto columns 0 .. width-1, later ones
-        # (wraps) are added, so each column sums its sites in lattice order.
-        for k, (index, window) in enumerate(self._chunks):
-            cols = work.fold[:, : index.shape[1]]
-            # mode="wrap" (the indices are in range) lets take write into
-            # the contiguous gather block without buffering
-            sites = np.take(phased, index, out=work.gather[: index.size].reshape(index.shape), mode="wrap")
-            if k == 0:
-                np.multiply(sites, window, out=cols)
-            else:
-                cols += np.multiply(sites, window, out=sites)
-        # |.|^2 over the FFT output's interleaved (re, im) floats
-        amp = np.fft.fft(work.fold, axis=1, out=work.amp).view(float)
-        np.square(amp, out=amp)
-        mass = np.add(amp[:, 0::2], amp[:, 1::2], out=work.mass)
-        mass /= self._norm2
-        return mass
+        for rows, chunks, norm2 in self._blocks:
+            fold = work.fold[: rows.stop - rows.start]
+            # The first chunk is written onto columns 0 .. width-1, later
+            # ones (wraps) are added, so each column sums its sites in
+            # lattice order.
+            for k, (index, window) in enumerate(chunks):
+                cols = fold[:, : index.shape[1]]
+                # mode="wrap" (the indices are in range) lets take write into
+                # the contiguous gather block without buffering
+                sites = np.take(phased, index, out=work.gather[: index.size].reshape(index.shape), mode="wrap")
+                if k == 0:
+                    np.multiply(sites, window, out=cols)
+                else:
+                    cols += np.multiply(sites, window, out=sites)
+            # |.|^2 over the FFT output's interleaved (re, im) floats
+            amp = np.fft.fft(fold, axis=1, out=work.amp[: fold.shape[0]]).view(float)
+            np.square(amp, out=amp)
+            mass = np.add(amp[:, 0::2], amp[:, 1::2], out=work.mass[rows])
+            mass /= norm2
+        return work.mass
 
     def field(self, state: np.ndarray) -> np.ndarray:
         """Mass-normalized Husimi field of a state, a fresh array: masses
@@ -303,7 +335,7 @@ def mean_husimi(res: ResonanceSet, m: int, plan: HusimiTransform) -> np.ndarray:
     acc = np.zeros((plan.n_q, plan.n_p))
     for j in range(m):
         acc += _normalize(plan.overlap_field(res.vectors[:, j], work))
-    return acc / acc.sum()
+    return _normalize(acc)
 
 
 def _coherent_entropy(plan: HusimiTransform, work: _Workspace) -> float:

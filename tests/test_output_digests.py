@@ -21,7 +21,16 @@ def test_digests_of_this_tree_agree_across_worker_settings(capsys):
     fields = [line.split(" ") for line in lines]
     assert all(len(f) == 3 for f in fields)
     assert all(len(f[2]) == 64 for f in fields if not f[1].startswith(("extra:", "config:")))
-    labels = ["ftle-field", "ftle-field-closed", "open-classical", "quantum", "scan", "scan-closed", "scan-many"]
+    labels = [
+        "ftle-field",
+        "ftle-field-closed",
+        "open-classical",
+        "quantum",
+        "quantum-blocked",
+        "scan",
+        "scan-closed",
+        "scan-many",
+    ]
     assert {f[0] for f in fields} == set(labels)
     assert ["scan", "scan.csv"] in [f[:2] for f in fields]
     assert ["scan-closed", "scan.csv"] in [f[:2] for f in fields]
@@ -46,6 +55,7 @@ def test_digests_of_this_tree_agree_across_worker_settings(capsys):
     assert config["quantum", "config:map.k"] == "10.0"
     assert config["scan-closed", "config:leak.width"] == "0.0"
     assert config["scan-many", "config:scan.positions"] == "20"
+    assert config["quantum-blocked", "config:husimi.grid_q"] == "300"
 
 
 def test_disagreeing_worker_settings_exit_1(monkeypatch, capsys):

@@ -89,7 +89,7 @@ def test_schur_vectors_triangularize_the_open_propagator(n, k, center, width):
     # the Schur form read back from V alone: V^H M V is upper triangular
     # with the spectrum on its diagonal
     m = open_map(n, k, center, width)
-    res = resonance_spectrum(m)
+    res = resonance_spectrum(m.copy())  # the Schur overwrites its argument
     v = res.vectors
     assert np.abs(v.conj().T @ v - np.eye(n)).max() <= 1e-10
     t = v.conj().T @ m @ v

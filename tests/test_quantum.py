@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -111,7 +112,7 @@ def test_closed_spectrum_is_unitary():
 def test_spectrum_ordering_and_containment():
     qp = QuantumParams(64, 10.0)
     ut = open_propagator(build_unitary(qp), build_projector(qp, Leak(0.2, 0.2)))
-    res = resonance_spectrum(ut)
+    res = resonance_spectrum(ut.copy())  # the Schur overwrites its argument
     mod = np.abs(res.z)
     assert np.all(np.diff(mod) <= 1e-12)  # non-increasing
     assert mod.max() <= 1.0 + 1e-10
@@ -172,6 +173,53 @@ def test_reflection_symmetric_spectra():
     cost = np.abs(za[:, None] - zb[None, :])
     rows, cols = linear_sum_assignment(cost)
     assert cost[rows, cols].max() <= 1e-10
+
+
+def test_spectrum_factorizes_the_open_propagator_in_place():
+    # open_propagator's Fortran-ordered copy becomes the triangular factor;
+    # any other layout is copied first and left as it was
+    qp = QuantumParams(32, 10.0)
+    u = build_unitary(qp)
+    keep = build_projector(qp, Leak(0.3, 0.2))
+    m = open_propagator(u, keep)
+    assert m.flags.f_contiguous and np.array_equal(m, np.where(keep[:, None], u, 0.0))
+    res = resonance_spectrum(m)
+    assert np.abs(np.tril(m, -1)).max() == 0.0
+    assert_allclose(np.sort_complex(np.diag(m)), np.sort_complex(res.z), rtol=0, atol=1e-12)
+    c = np.ascontiguousarray(open_propagator(u, keep))
+    before = c.copy()
+    assert np.array_equal(resonance_spectrum(c).z, res.z)
+    assert np.array_equal(c, before)
+
+
+def traced_peak(fn, *args):
+    """Bytes of the largest traced allocation total while fn(*args) runs,
+    above what was allocated before."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_spectrum_memory_at_n256():
+    # the factor overwrites the input; V and the two (N, N) outputs of
+    # scipy's workspace query, which stay alive through the factorization,
+    # make up the rest (3.14 N^2 complex; 4.14 when the input was copied)
+    qp = QuantumParams(256, 10.0)
+    m = open_propagator(build_unitary(qp), build_projector(qp, Leak(0.3, 0.2)))
+    assert traced_peak(resonance_spectrum, m) <= 3.5e6
+
+
+def test_propagator_memory_at_n512():
+    # build_unitary allocates its result only, unitarity_defect the Gram
+    # matrix and the conjugate copy its product reads
+    qp = QuantumParams(512, 10.0)
+    square = 512 * 512 * 16
+    assert traced_peak(build_unitary, qp) <= 1.1 * square
+    u = build_unitary(qp)
+    assert traced_peak(unitarity_defect, u) <= 2.1 * square
 
 
 def test_spectrum_rejects_nonsquare():

@@ -491,6 +491,32 @@ def test_manifest_stage_keys_read_by_the_benchmark(tmp_path):
         assert all(type(t) is float for t in timings.values())
 
 
+def test_manifest_records_peak_memory_at_each_stage_end(tmp_path):
+    # ru_maxrss is a high-water mark, so the stages' values never decrease;
+    # it is a run record beside timings_s, not a result in extra
+    cases = [
+        ("ftle-field", cmd_ftle_field, None, ["ftle_field", "strip_scan", "write", "manifest"]),
+        ("quantum", cmd_quantum, 2, ["unitary", "spectrum", "husimi", "write", "manifest"]),
+        ("scan1", cmd_scan, None, ["positions", "write", "manifest"]),
+        ("scan2", cmd_scan, 2, ["positions", "write", "manifest"]),
+    ]
+    for name, command, workers, stages in cases:
+        command(toy_config(tmp_path / name, dim=16, t_max=400, grid_q=20, grid_p=20), workers)
+        manifest = load_manifest(tmp_path / name)
+        peak = manifest["peak_rss_mb"]
+        # a scan's worker processes report theirs after the pool joins
+        pooled = command is cmd_scan and manifest["environment"]["workers"] > 1
+        assert set(peak) == set(stages) | ({"workers"} if pooled else set()), name
+        if pooled:
+            # a forked worker holds at least the interpreter and numpy
+            assert peak["workers"] > 10.0
+        assert set(stages) <= set(manifest["timings_s"]), name
+        values = [peak[key] for key in stages]
+        assert values == sorted(values) and values[0] > 0.0, name
+        assert all(type(v) is float for v in peak.values()), name
+        assert "peak_rss_mb" not in manifest["extra"]
+
+
 @pytest.mark.parametrize(
     "command,keys",
     [

@@ -5,6 +5,7 @@ import pickle
 import re
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from types import SimpleNamespace
@@ -21,10 +22,12 @@ from leakmap.quantum import (
     open_propagator,
     resonance_spectrum,
 )
+from leakmap import tomography
 from leakmap.runner import leak_scan
 from leakmap.standard_map import Leak
 from leakmap.tomography import (
     BIN_INDEX_LIMIT,
+    BLOCK_CELLS,
     M_RANGE,
     WINDOW_LOG_CUT,
     HusimiTransform,
@@ -297,6 +300,51 @@ def test_overlap_field_workspace_output_is_not_aliased():
     assert np.array_equal(fresh_a, kept)
     assert not np.shares_memory(fresh_a, fresh_b)
     assert not np.shares_memory(fresh_a, work.mass)
+
+
+# 90 x 70 in blocks of 7 rows (the last one 6) or of one row; 90 x 17,
+# narrower than the 62-site band, so the wrap chunks are blocked too
+@pytest.mark.parametrize("n_p", [70, 17])
+@pytest.mark.parametrize("block_cells", [500, 1])
+def test_row_blocks_change_no_bit(monkeypatch, n_p, block_cells):
+    res = open_resonances(64, 0.3)
+    whole = HusimiTransform(64, 90, n_p)
+    assert len(whole._blocks) == 1
+    monkeypatch.setattr(tomography, "BLOCK_CELLS", block_cells)
+    blocked = HusimiTransform(64, 90, n_p)
+    assert len(blocked._blocks) == -(-90 // max(1, block_cells // n_p)) > 1
+    assert len(whole._chunks) == len(blocked._chunks) == (1 if n_p == 70 else 4)
+    work = blocked.workspace()
+    assert work.fold.size <= max(block_cells, n_p)
+    for j in (0, 5, 63):
+        v = res.vectors[:, j]
+        assert np.array_equal(blocked.overlap_field(v, work), whole.overlap_field(v, whole.workspace()))
+    assert np.array_equal(state_entropies(res.vectors, blocked), state_entropies(res.vectors, whole))
+    assert np.array_equal(mean_husimi(res, 6, blocked), mean_husimi(res, 6, whole))
+
+
+def test_mean_husimi_holds_the_field_the_mean_and_one_block():
+    # the field, the accumulator that is normalized in place, one block's
+    # fold and FFT buffers and 1 MB for the rest; the entropy buffers are
+    # never allocated, and a fresh normalized mean would add 8 MB
+    res = open_resonances(256, 0.3)
+    plan = HusimiTransform(256, 1000, 1000)
+    tracemalloc.start()
+    try:
+        mean_husimi(res, 2, plan)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 8 * 1000 * 1000 + 2 * 16 * BLOCK_CELLS + 1_000_000
+
+
+def test_entropy_buffers_are_allocated_on_first_use():
+    work = HusimiTransform(16, 30, 40).workspace()
+    assert "entropy_scratch" not in vars(work)
+    positive, kept, terms = work.entropy_scratch
+    assert positive.size == kept.size == terms.size == 1200
+    assert work.entropy_scratch[1] is kept
+    assert not np.shares_memory(kept, work.amp) and not np.shares_memory(terms, work.amp)
 
 
 @pytest.mark.parametrize("n,n_q,n_p,center", [(16, 17, 17, 0.3), (64, 63, 63, 0.7), (32, 100, 100, 0.2)])

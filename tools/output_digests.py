@@ -11,7 +11,9 @@ grid, t_max 600, 10 FTLE steps, leak at 0.3 of width 0.2, N = 128 with a
 150^2 Husimi grid, and a scan over 6 positions on 60^2 Husimi grids.
 `ftle-field` runs a second time on the closed system (`--leak.width 0.0`,
 labelled `ftle-field-closed`), whose strip means are undefined but whose
-field is the first run's.  The scan runs a second time on the closed
+field is the first run's.  `quantum` runs a second time on a 300^2
+Husimi grid (`quantum-blocked`), whose 90 000 cells the transform takes
+in more than one block of rows.  The scan runs a second time on the closed
 system (`scan-closed`), where every dwell time is infinite and the mean
 dwell time undefined, and a third time over 20 positions (`scan-many`),
 more than one classical group of positions per worker can hold.  Each run
@@ -48,6 +50,7 @@ RUNS = {
     "ftle-field-closed": ["ftle-field", "--leak.width", "0.0"],
     "open-classical": ["open-classical"],
     "quantum": ["quantum"],
+    "quantum-blocked": ["quantum", "--husimi.grid_q", "300", "--husimi.grid_p", "300"],
     "scan": ["scan"],
     "scan-closed": ["scan", "--leak.width", "0.0"],
     "scan-many": ["scan", "--scan.positions", "20"],
