@@ -6,10 +6,9 @@ Commands: ftle-field, open-classical, quantum, scan.  Exit codes: 0 on
 success, 1 on configuration errors (every violation listed), 2 on
 numerical or I/O failure.
 
-LEAKMAP_THREADS=n runs `scan` positions in up to n worker processes, and
-at n >= 2 runs `quantum`'s Husimi jobs on one helper thread beside the
-main one (unset: 1, everything in the main thread); `ftle-field` and
-`open-classical` always run in the main thread.  Every BLAS/OpenMP pool is
+LEAKMAP_THREADS=n runs `scan` positions in up to n worker processes
+(unset: 1, everything in this process); `ftle-field`, `open-classical` and
+`quantum` always run in the main thread.  Every BLAS/OpenMP pool is
 pinned to one thread through the usual *_NUM_THREADS variables before
 numpy loads, which is why this module must not import numeric code at the
 top level.  With one BLAS thread per process and results gathered in task

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-import scipy.linalg
 from scipy.linalg import lapack
 
 from .standard_map import TWO_PI, Leak
@@ -153,22 +152,29 @@ class ResonanceSet:
         return int((np.abs(self.z) < ZERO_MODE_TOL).sum())
 
 
+def _no_select(z):
+    """zgees' eigenvalue selector, unused: sort_t = 0 sorts nothing."""
+
+
 def _sorted_schur(m: np.ndarray):
     """Diagonal and Schur vectors of a complex Schur factorization
     reordered to non-increasing |diag|.
 
-    Reordering is a selection sort of unitary similarity swaps (LAPACK
-    ztrexc), which moves one diagonal entry to the front at a time while
-    keeping the factorization exact to roundoff.  A complex
-    Fortran-ordered m is overwritten by the factorization; any other is
-    copied first.
+    The factorization is LAPACK's zgees, called as scipy.linalg.schur
+    calls it (finite input checked first, workspace size queried, then the
+    factorization at that size), but the query's outputs, an (N, N) V
+    among them, are dropped before the factorization allocates its own.
+    A complex Fortran-ordered m is overwritten by the factorization; any
+    other is copied first.  Reordering is a selection sort of unitary
+    similarity swaps (LAPACK ztrexc), which moves one diagonal entry to
+    the front at a time while keeping the factorization exact to roundoff.
     """
-    try:
-        t, v = scipy.linalg.schur(m, output="complex", overwrite_a=True)
-    except scipy.linalg.LinAlgError as exc:
-        raise RuntimeError(f"Schur factorization failed for {m.shape[0]}x{m.shape[1]} matrix: {exc}") from exc
-    t = np.asfortranarray(t)
-    v = np.asfortranarray(v)
+    t = np.asfortranarray(np.asarray_chkfinite(m), dtype=complex)
+    # with lwork = -1 zgees returns the workspace size before it reads t
+    lwork = int(lapack.zgees(_no_select, t, lwork=-1, overwrite_a=1)[-2][0].real)
+    t, _, _, v, _, info = lapack.zgees(_no_select, t, lwork=lwork, overwrite_a=1)
+    if info != 0:
+        raise RuntimeError(f"Schur factorization failed for {m.shape[0]}x{m.shape[1]} matrix: zgees info={info}")
     n = t.shape[0]
     for i in range(n - 1):
         d = np.abs(np.diag(t))
@@ -186,8 +192,8 @@ def resonance_spectrum(m: np.ndarray) -> ResonanceSet:
     LAPACK returned them (Fortran order).  m may be overwritten: a
     Fortran-ordered complex m, such as `open_propagator` returns, is
     factorized in place, so pass a copy of a matrix you read afterwards."""
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"propagator must be square, got {m.shape}")
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
+        raise ValueError(f"propagator must be square and non-empty, got {m.shape}")
     z, v = _sorted_schur(m)
     modz = np.abs(z)
     if np.any(np.diff(modz) > 1e-12):

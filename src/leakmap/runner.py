@@ -1,7 +1,7 @@
 """Experiment commands: compose the library into reproducible output trees.
 
 Every command takes a validated ExperimentConfig and a worker request
-(used by `scan` and `quantum`), computes all of its results, and hands them
+(used by `scan` only), computes all of its results, and hands them
 to `_Run.finish`, the one place that writes files.  `finish` checks that
 the manifest's results are strict JSON before it writes anything, then
 writes the artifacts into the configured output directory and a
@@ -22,11 +22,9 @@ this process.  The parent builds what the tasks share (the unitary and the
 Husimi plan) before the pool starts and the tasks close over it, so the
 workers inherit it and only task indices and results cross processes;
 each task builds its own leaks and projector.
-Given two workers, `quantum` runs its Husimi jobs on one helper thread
-beside the main thread (`_helper`), and the helper is joined before the
-command returns, also on error, so a later `scan` in the same process
-still forks from a process that runs no other thread.  `ftle-field` and
-`open-classical` run in the calling thread.
+`quantum`, `ftle-field` and `open-classical` run in the calling thread at
+any worker request and start no thread, so a later `scan` in the same
+process forks from a process that runs no other thread.
 Results are gathered in task order and every process runs BLAS on one
 thread (the CLI pins it), so the output bytes do not depend on the worker
 count.
@@ -35,7 +33,6 @@ count.
 from __future__ import annotations
 
 import contextlib
-import functools
 import json
 import math
 import multiprocessing
@@ -44,8 +41,7 @@ import platform
 import resource
 import sys
 import time
-import types
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -156,9 +152,9 @@ def _usable_cpus() -> int:
 
 
 def worker_count(requested: int | None, tasks: int) -> int:
-    """Workers (`scan`'s processes, `quantum`'s threads) for `tasks`
-    independent tasks: min(requested, tasks, CPUs this process may run on),
-    at least 1.  requested None means 1."""
+    """Worker processes of a `scan` for `tasks` independent tasks:
+    min(requested, tasks, CPUs this process may run on), at least 1.
+    requested None means 1."""
     return max(1, min(requested or 1, tasks, _usable_cpus()))
 
 
@@ -197,27 +193,6 @@ def _task_results(fn, n_tasks: int, workers: int):
     )
     try:
         yield pool.map(_run_task, range(n_tasks))
-    finally:
-        pool.shutdown(wait=True, cancel_futures=True)
-
-
-@contextlib.contextmanager
-def _helper(workers: int):
-    """Yield submit(fn, *args), which returns a job whose result() returns
-    fn(*args) or raises what it raised.
-
-    Given more than one worker, the jobs run in submission order on one
-    helper thread, started at the first submit and joined on exit, also on
-    error (jobs not yet started are cancelled).  One worker runs each job
-    in the calling thread when its result is read, so a job whose result
-    is never read never runs.
-    """
-    if workers <= 1:
-        yield lambda fn, *args: types.SimpleNamespace(result=functools.partial(fn, *args))
-        return
-    pool = ThreadPoolExecutor(1, thread_name_prefix="leakmap-helper")
-    try:
-        yield pool.submit
     finally:
         pool.shutdown(wait=True, cancel_futures=True)
 
@@ -264,9 +239,8 @@ class _Run:
         self.peak_rss[self._stage] = _max_rss_mb(resource.RUSAGE_SELF)
 
     def busy(self, key: str, fn, *args):
-        """fn(*args), with its seconds from start to end (its busy time,
-        waits for the GIL included) recorded as timings[key].  Safe on the
-        helper thread: each key is written by one job only."""
+        """fn(*args), with its seconds recorded as timings[key], a
+        sub-timing of the running stage."""
         t0 = time.perf_counter()
         out = fn(*args)
         self.timings[key] = round(time.perf_counter() - t0, 6)
@@ -382,55 +356,47 @@ def cmd_quantum(cfg: ExperimentConfig, workers: int | None) -> list:
     taken again at twice that grid, and the manifest records the largest
     change of their s_w (`entropy_grid_check`).
 
-    Given `worker_count(workers, 2)` = 2, a helper thread (`_helper`) builds
-    the two entropy grids' plans while this thread builds the unitary, and
-    takes every s_w on the entropy grid while this thread makes the mean
-    field (building the image grid's plan) and the 2n check; numpy's exp,
-    matmul and FFT release the GIL, the Schur does not, so nothing runs
-    beside the spectrum.  Each plan is built once and passed to the jobs
-    that use it.  One worker runs the same jobs in this thread, one after
-    another.  A leak strip that absorbs no lattice site fails before
-    the spectrum.  A plan that fails to build raises after the top-states
-    check, before any transform, and a degenerate coherent reference raises
-    in the entropy job that takes it, alike at one worker and at two.
-    timings_s adds each Husimi job's seconds from start to end (plans_busy,
-    mean_field_busy, entropies_busy, grid_check_busy)."""
+    Runs in the calling thread at any worker request: the Schur and the
+    entropy loop's reductions hold the GIL, so a second thread gained
+    nothing.  The two entropy grids' plans are built after the
+    top-states check, then come the mean field (on the image grid's plan),
+    the 2n check and every s_w on the entropy grid; each plan is built once
+    and passed to the jobs that use it.  A leak strip that absorbs no
+    lattice site fails before the spectrum, a plan that fails to build
+    raises before any transform, and a degenerate coherent reference
+    raises in the entropy job that takes it.  timings_s adds each Husimi
+    job's seconds (plans_busy, mean_field_busy, grid_check_busy,
+    entropies_busy), sub-timings of the husimi stage."""
     run = _Run(cfg, "quantum")
-    run.workers = worker_count(workers, 2)
     qp = QuantumParams(cfg.dim, cfg.k)
     leak = Leak(cfg.leak_center, cfg.leak_width)
     n_grid = entropy_grid(cfg.dim)
-    with _helper(run.workers) as submit:
-        run.stage("unitary")
-        # building a plan runs no transform
-        plans = submit(run.busy, "plans_busy", lambda: [HusimiTransform(cfg.dim, n, n) for n in (n_grid, 2 * n_grid)])
-        u, defect = _checked_unitary(qp)
-        run.stage("spectrum")
-        keep = build_projector(qp, leak)
-        if keep.all():
-            strip = f"leak strip of width {cfg.leak_width:g} centered at q = {cfg.leak_center:g}"
-            raise RuntimeError(f"{strip} absorbs no site k/N at N = {cfg.dim}: the system is closed")
-        # Each propagator is freed once nothing reads it, so that the
-        # Husimi stage's buffers reuse its memory: the closed one once its
-        # open copy exists (rebinding u), the open one, which the Schur
-        # factorizes in place, after the spectrum.
-        u = open_propagator(u, keep)
-        res = resonance_spectrum(u)
-        del u
-        # a bad dwell bin fails before any transform
-        bins = dwell_bins(res, cfg.dwell_bin)
-        run.stage("husimi")
-        # too few nonzero-dwell states fail before any transform
-        _check_top_states(res, cfg.top_states)
-        # a plan that failed to build raises here, after that check
-        plan, fine = plans.result()
-        entropies = submit(run.busy, "entropies_busy", state_entropies, res.vectors, plan)
-        mean_field = run.busy(
-            "mean_field_busy", lambda: mean_husimi(res, cfg.top_states, HusimiTransform(cfg.dim, cfg.husimi_q, cfg.husimi_p))
-        )
-        top = slice(0, cfg.top_states)
-        s_w_fine = run.busy("grid_check_busy", state_entropies, res.vectors[:, top], fine)
-        s_w = entropies.result()
+    run.stage("unitary")
+    u, defect = _checked_unitary(qp)
+    run.stage("spectrum")
+    keep = build_projector(qp, leak)
+    if keep.all():
+        strip = f"leak strip of width {cfg.leak_width:g} centered at q = {cfg.leak_center:g}"
+        raise RuntimeError(f"{strip} absorbs no site k/N at N = {cfg.dim}: the system is closed")
+    # Each propagator is freed once nothing reads it, so that the Husimi
+    # stage's buffers reuse its memory: the closed one once its open copy
+    # exists (rebinding u), the open one, which the Schur factorizes in
+    # place, after the spectrum.
+    u = open_propagator(u, keep)
+    res = resonance_spectrum(u)
+    del u
+    # a bad dwell bin fails before any transform
+    bins = dwell_bins(res, cfg.dwell_bin)
+    run.stage("husimi")
+    # too few nonzero-dwell states fail before any plan or transform
+    _check_top_states(res, cfg.top_states)
+    plan, fine = run.busy("plans_busy", lambda: [HusimiTransform(cfg.dim, n, n) for n in (n_grid, 2 * n_grid)])
+    mean_field = run.busy(
+        "mean_field_busy", lambda: mean_husimi(res, cfg.top_states, HusimiTransform(cfg.dim, cfg.husimi_q, cfg.husimi_p))
+    )
+    top = slice(0, cfg.top_states)
+    s_w_fine = run.busy("grid_check_busy", state_entropies, res.vectors[:, top], fine)
+    s_w = run.busy("entropies_busy", state_entropies, res.vectors, plan)
     grid_check = np.abs(s_w_fine - s_w[top]).max()
     return run.finish(
         {"mean_husimi": (mean_field, None)},

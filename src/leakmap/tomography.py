@@ -65,14 +65,29 @@ M_RANGE = 3
 WINDOW_LOG_CUT = 46.0
 
 # Most cells in one block of rows that `overlap_field` folds and
-# transforms at a time (1 MiB of complex values), so that a transform's
-# buffers beyond the field do not grow with the grid.  A row's FFT does
-# not depend on the rows transformed with it, so the blocks change no bit.
+# transforms at a time (1 MiB of complex values), and that a plan's build
+# computes its windows and norm field in, so that neither's buffers beyond
+# the field and the plan grow with the grid.  A row's FFT, window and
+# image-pair sums do not depend on the rows computed with it, so the
+# blocks change no bit.
 BLOCK_CELLS = 2**16
 
 # exp(-x) is exactly 0.0 in double precision for x > 745.14; image pairs of
 # the norm field whose exponent exceeds this everywhere add nothing.
 EXP_ZERO_EXPONENT = 746.0
+
+
+def _row_blocks(n_rows: int, width: int) -> list:
+    """Slices of consecutive rows of an (n_rows, width) array, each of at
+    most BLOCK_CELLS cells and at least one row."""
+    rows = max(1, BLOCK_CELLS // width)
+    return [slice(a, min(a + rows, n_rows)) for a in range(0, n_rows, rows)]
+
+
+def _window(N: int, k: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Gaussian window exp(-pi N (k/N - q)^2) of each q row: k is one row
+    of extended sites shared by every q, or one row of sites per q."""
+    return np.exp(-np.pi * N * (k / N - q[:, None]) ** 2)
 
 
 def coherent_state(center, N: int) -> np.ndarray:
@@ -163,10 +178,12 @@ class HusimiTransform:
     exact coherent-state norm field used as denominator.  Build one per
     grid and pass it to every call on that grid; building it costs about as
     much as a handful of transforms, and a 1000^2 plan at N = 512 holds
-    about 11 MB (8 MB of it the norm field).  The plan also fixes the row
-    blocks (at most BLOCK_CELLS cells each) in which `overlap_field` folds
-    and transforms a field, so a workspace holds one grid-sized array, the
-    field, and two blocks.  Nothing is set on a plan once `__init__`
+    about 11 MB (8 MB of it the norm field), and its build allocates
+    little beyond that, since it runs in row blocks too (12.2 MiB traced
+    in all).  The plan also fixes the row blocks (at most BLOCK_CELLS cells
+    each) in which `overlap_field` folds and transforms a field, so a
+    workspace holds one grid-sized array, the field, and two blocks.
+    Nothing is set on a plan once `__init__`
     returns, so threads may share one: per-call buffers live in a
     `workspace()`, which each batch allocates once and passes to every
     `overlap_field`.
@@ -193,13 +210,19 @@ class HusimiTransform:
         # Half-cell offset of the p grid, folded into a phase of the
         # absolute site, so it does not depend on where a row's band starts.
         self._half_phase = np.exp(-1j * np.pi * kex / n_p)
-        window = np.exp(-np.pi * N * (kex[None, :] / N - self.q[:, None]) ** 2)
-        reached = window >= math.exp(-WINDOW_LOG_CUT)
-        lo = reached.argmax(axis=1)
-        hi = kex.size - 1 - reached[:, ::-1].argmax(axis=1)
+        # Each row's first and last reached site, then its band's window,
+        # in row blocks, so no (n_q, extended lattice) array is allocated.
+        lo = np.empty(n_q, dtype=np.intp)
+        hi = np.empty(n_q, dtype=np.intp)
+        for rows in _row_blocks(n_q, kex.size):
+            reached = _window(N, kex[None, :], self.q[rows]) >= math.exp(-WINDOW_LOG_CUT)
+            lo[rows] = reached.argmax(axis=1)
+            hi[rows] = kex.size - 1 - reached[:, ::-1].argmax(axis=1)
         length = int((hi - lo).max()) + 1
         band = np.minimum(lo, kex.size - length)[:, None] + np.arange(length)
-        window = np.take_along_axis(window, band, axis=1)
+        window = np.empty(band.shape)
+        for rows in _row_blocks(n_q, length):
+            window[rows] = _window(N, kex[band[rows]], self.q[rows])
         # Band site t lands on FFT column t mod n_p: chunks of n_p sites,
         # each a contiguous (n_q, width) site index and window.
         self._chunks = tuple(
@@ -209,10 +232,9 @@ class HusimiTransform:
         self._norm2 = self._norm_field()
         # Row blocks of at most BLOCK_CELLS cells (at least one row each):
         # each block's rows, its rows of every chunk and its norm field.
-        rows = max(1, BLOCK_CELLS // n_p)
         self._blocks = tuple(
             (block, tuple((index[block], window[block]) for index, window in self._chunks), self._norm2[block])
-            for block in (slice(a, min(a + rows, n_q)) for a in range(0, n_q, rows))
+            for block in _row_blocks(n_q, n_p)
         )
 
     def _norm_field(self) -> np.ndarray:
@@ -223,19 +245,28 @@ class HusimiTransform:
         the rows' range of u (the analytic minimum sits at u = m - d/2),
         puts every term past exp's underflow to exactly zero: adding those
         zeros would not change a bit."""
-        u = np.arange(1, self.N + 1)[None, :] / self.N - self.q[:, None]
-        u_lo, u_hi = float(u.min()), float(u.max())
-        coeff = np.zeros((2 * M_RANGE + 1, self.n_q))
+        x = np.arange(1, self.N + 1)[None, :] / self.N
+        # rounding is monotone, so these are the extremes of x - q
+        u_lo, u_hi = float(x.min() - self.q.max()), float(x.max() - self.q.min())
+        pairs = []
         for d in range(0, 2 * M_RANGE + 1):
             for m in range(max(-M_RANGE, d - M_RANGE), M_RANGE + 1):
                 u_min = min(max(m - d / 2, u_lo), u_hi)
-                if math.pi * self.N * ((u_min - m) ** 2 + (u_min - m + d) ** 2) > EXP_ZERO_EXPONENT:
-                    continue
+                if math.pi * self.N * ((u_min - m) ** 2 + (u_min - m + d) ** 2) <= EXP_ZERO_EXPONENT:
+                    pairs.append((d, m))
+        coeff = np.zeros((2 * M_RANGE + 1, self.n_q))
+        for rows in _row_blocks(self.n_q, self.N):
+            u = x - self.q[rows, None]
+            for d, m in pairs:
                 expo = (u - m) ** 2 + (u - m + d) ** 2
-                coeff[d] += np.exp(-np.pi * self.N * expo).sum(axis=1)
-        norm2 = np.repeat(coeff[0][:, None], self.n_p, axis=1)
-        for d in range(1, 2 * M_RANGE + 1):
-            norm2 += 2.0 * np.cos(TWO_PI * self.N * self.p * d)[None, :] * coeff[d][:, None]
+                coeff[d, rows] += np.exp(-np.pi * self.N * expo).sum(axis=1)
+        twice_cos = [2.0 * np.cos(TWO_PI * self.N * self.p * d)[None, :] for d in range(1, 2 * M_RANGE + 1)]
+        norm2 = np.empty((self.n_q, self.n_p))
+        for rows in _row_blocks(self.n_q, self.n_p):
+            block = norm2[rows]
+            block[...] = coeff[0, rows, None]
+            for d in range(1, 2 * M_RANGE + 1):
+                block += twice_cos[d - 1] * coeff[d, rows, None]
         if not (norm2 > 0.0).all():
             raise RuntimeError("coherent norm field is not positive; grid too coarse?")
         return norm2

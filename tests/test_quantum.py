@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
+from scipy.linalg import lapack
 from scipy.optimize import linear_sum_assignment
 
 from leakmap.quantum import (
@@ -190,6 +191,40 @@ def test_spectrum_factorizes_the_open_propagator_in_place():
     before = c.copy()
     assert np.array_equal(resonance_spectrum(c).z, res.z)
     assert np.array_equal(c, before)
+    # a real Fortran-ordered matrix is converted, not overwritten
+    r = np.asfortranarray(np.diag([0.5, 0.9, 0.2]))
+    before = r.copy()
+    assert_allclose(resonance_spectrum(r).z, [0.9, 0.5, 0.2], rtol=0, atol=1e-15)
+    assert np.array_equal(r, before)
+
+
+def test_spectrum_rejects_a_non_finite_matrix_before_lapack(monkeypatch):
+    # the check scipy.linalg.schur(check_finite=True) made, before any
+    # LAPACK call
+    calls = []
+    monkeypatch.setattr(lapack, "zgees", lambda *args, **kw: calls.append(1))
+    qp = QuantumParams(16, 10.0)
+    m = open_propagator(build_unitary(qp), build_projector(qp, Leak(0.3, 0.2)))
+    m[3, 5] = np.nan
+    with pytest.raises(ValueError, match="must not contain infs or NaNs"):
+        resonance_spectrum(m)
+    assert calls == []
+
+
+def test_spectrum_reports_a_failed_factorization(monkeypatch):
+    # zgees' info is checked: the workspace query passes, the
+    # factorization reports failure
+    real = lapack.zgees
+
+    def failing(*args, lwork, **kw):
+        out = real(*args, lwork=lwork, **kw)
+        return out if lwork == -1 else (*out[:-1], 7)
+
+    monkeypatch.setattr(lapack, "zgees", failing)
+    qp = QuantumParams(16, 10.0)
+    m = open_propagator(build_unitary(qp), build_projector(qp, Leak(0.3, 0.2)))
+    with pytest.raises(RuntimeError, match=r"Schur factorization failed for 16x16 matrix: zgees info=7"):
+        resonance_spectrum(m)
 
 
 def traced_peak(fn, *args):
@@ -204,12 +239,13 @@ def traced_peak(fn, *args):
 
 
 def test_spectrum_memory_at_n256():
-    # the factor overwrites the input; V and the two (N, N) outputs of
-    # scipy's workspace query, which stay alive through the factorization,
-    # make up the rest (3.14 N^2 complex; 4.14 when the input was copied)
+    # the factor overwrites the input and the workspace query's outputs are
+    # dropped before the factorization, so V and LAPACK's workspace make up
+    # the rest: 1.14 N^2 complex (3.14 while the query's V and copy of the
+    # input lived through the factorization; 2.14 when the input is copied)
     qp = QuantumParams(256, 10.0)
     m = open_propagator(build_unitary(qp), build_projector(qp, Leak(0.3, 0.2)))
-    assert traced_peak(resonance_spectrum, m) <= 3.5e6
+    assert traced_peak(resonance_spectrum, m) <= 1.5e6
 
 
 def test_propagator_memory_at_n512():
@@ -225,6 +261,8 @@ def test_propagator_memory_at_n512():
 def test_spectrum_rejects_nonsquare():
     with pytest.raises(ValueError):
         resonance_spectrum(np.ones((3, 4), dtype=complex))
+    with pytest.raises(ValueError, match="non-empty"):
+        resonance_spectrum(np.ones((0, 0), dtype=complex))
 
 
 # ---------------------------------------------------------------------------

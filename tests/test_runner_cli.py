@@ -10,7 +10,6 @@ import re
 import subprocess
 import sys
 import threading
-import time
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -549,8 +548,7 @@ def test_extra_holds_results_not_config(tmp_path, command, keys):
 
 
 def test_cmd_quantum_checks_top_states_before_any_transform(tmp_path, monkeypatch, capsys):
-    # N = 16 with the leak at 0.2 has 13 nonzero-dwell states; at two
-    # workers the helper thread builds the plans during the unitary stage
+    # N = 16 with the leak at 0.2 has 13 nonzero-dwell states
     calls = []
     real = HusimiTransform.overlap_field
 
@@ -811,64 +809,35 @@ def test_huge_worker_request_is_capped_and_gathered_in_order(tmp_path, monkeypat
 
 
 def test_cmd_quantum_starts_no_pool(tmp_path, monkeypatch):
-    # quantum runs in this process at any worker request, whatever the CPUs:
-    # at most one helper thread beside this one, joined before it returns
+    # quantum runs in the calling thread at any worker request, whatever
+    # the CPUs: no process and no thread, even while its entropy job runs
     monkeypatch.setattr(runner, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(RecordingPool, "started", [])
     monkeypatch.setattr(runner, "_usable_cpus", lambda: 4)
     threads = threading.active_count()
+    seen = []
+
+    def entropies(*args):
+        seen.append((threading.current_thread() is threading.main_thread(), threading.active_count()))
+        return state_entropies(*args)
+
+    monkeypatch.setattr(runner, "state_entropies", entropies)
     cmd_quantum(toy_config(tmp_path, dim=16), workers=10**6)
     assert RecordingPool.started == []
+    assert seen == [(True, threads)] * 2
     assert threading.active_count() == threads
-    assert load_manifest(tmp_path)["environment"]["workers"] == 2
-
-
-def test_cmd_quantum_joins_its_helper_on_error(tmp_path, monkeypatch):
-    # an error on the helper thread reaches the caller with its message; an
-    # error on this thread waits for the helper's running job to end; neither
-    # writes a file or leaves a thread behind
-    threads = threading.active_count()
-
-    def failing(*args):
-        raise RuntimeError("entropies failed")
-
-    monkeypatch.setattr(runner, "state_entropies", failing)
-    with pytest.raises(RuntimeError, match="entropies failed"):
-        cmd_quantum(toy_config(tmp_path / "helper", dim=16, leak_center=0.2), 2)
-    assert not any((tmp_path / "helper").iterdir())
-    assert threading.active_count() == threads
-
-    started, finished = threading.Event(), []
-
-    def slow(*args):
-        started.set()
-        time.sleep(0.2)
-        finished.append(1)
-
-    def mean_failing(*args):
-        started.wait(timeout=1.0)  # until the helper's job runs (two workers)
-        raise RuntimeError("mean field failed")
-
-    monkeypatch.setattr(runner, "state_entropies", slow)
-    monkeypatch.setattr(runner, "mean_husimi", mean_failing)
-    with pytest.raises(RuntimeError, match="mean field failed"):
-        cmd_quantum(toy_config(tmp_path / "main", dim=16, leak_center=0.2), 2)
-    # one worker never runs a job whose result is not read
-    assert len(finished) == worker_count(2, 2) - 1
-    assert not any((tmp_path / "main").iterdir())
-    assert threading.active_count() == threads
+    assert load_manifest(tmp_path)["environment"]["workers"] == 1
 
 
 @pytest.mark.parametrize(
     "n_grid,overrides,error",
     [
-        # N |K| far past where build_unitary stays unitary; the helper is
-        # building the plans meanwhile
+        # N |K| far past where build_unitary stays unitary
         (None, {"k": 3000.0, "dim": 128}, "propagator failed unitarity"),
         # an entropy grid too coarse for the coherent reference
         (2, {}, "degenerate coherent reference entropy"),
-        # one that fails its plan build on the helper, and the top-states
-        # check that comes before it (13 nonzero-dwell states at N = 16)
+        # one that fails its plan build, and the top-states check that
+        # comes before it (13 nonzero-dwell states at N = 16)
         (1, {}, "grid needs >= 2 cells per axis"),
         (1, {"top_states": 16}, "only 13 nonzero-dwell states available"),
     ],
@@ -910,27 +879,8 @@ def test_cmd_quantum_on_a_closed_system_fails_before_the_spectrum(tmp_path, monk
     assert spectra == []
 
 
-def test_cmd_quantum_output_holds_under_fast_thread_switching(tmp_path):
-    # both threads write timings and look plans up in the shared cache;
-    # switching threads every microsecond must lose no key and move no byte
-    cfg = toy_config(tmp_path, dim=16, leak_center=0.2)
-    cmd_quantum(dataclasses.replace(cfg, output=str(tmp_path / "one")), None)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for k in range(3):
-            cmd_quantum(dataclasses.replace(cfg, output=str(tmp_path / f"two{k}")), 2)
-    finally:
-        sys.setswitchinterval(interval)
-    one = load_manifest(tmp_path / "one")
-    for k in range(3):
-        two = load_manifest(tmp_path / f"two{k}")
-        assert two["outputs"] == one["outputs"] and two["extra"] == one["extra"]
-        assert set(two["timings_s"]) == set(one["timings_s"])
-
-
 def test_scan_after_quantum_in_one_process_writes_the_same_bytes(tmp_path):
-    # quantum's helper thread is gone before scan forks its workers
+    # quantum leaves no thread behind for scan to fork beside
     cfg = toy_config(tmp_path, dim=16, t_max=400)
     threads = threading.active_count()
     cmd_quantum(dataclasses.replace(cfg, output=str(tmp_path / "quantum")), 2)
@@ -988,7 +938,7 @@ def test_output_bytes_do_not_depend_on_worker_count(tmp_path, command):
         assert proc.returncode == 0, proc.stderr
         manifests[threads] = check_manifest(out)
     assert manifests[2]["outputs"] == manifests[1]["outputs"]
-    tasks = {"scan": 4, "quantum": 2}.get(command, 1)
+    tasks = {"scan": 4}.get(command, 1)
     for threads, manifest in manifests.items():
         env = manifest["environment"]
         assert env["workers"] == min(threads, tasks, len(os.sched_getaffinity(0)))

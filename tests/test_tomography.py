@@ -323,6 +323,41 @@ def test_row_blocks_change_no_bit(monkeypatch, n_p, block_cells):
     assert np.array_equal(mean_husimi(res, 6, blocked), mean_husimi(res, 6, whole))
 
 
+# N and grids from 7 x 2000 to 1000^2; 90 x 17, 333 x 41 and 200 x 3 are
+# narrower than their band, so their chunks wrap
+@pytest.mark.parametrize(
+    "n,n_q,n_p",
+    [(512, 7, 2000), (8, 200, 3), (16, 17, 17), (64, 90, 17), (13, 12, 14), (256, 333, 41),
+     (512, 120, 120), (128, 300, 300), (512, 500, 500), (512, 1000, 1000)],
+)
+def test_plan_build_in_row_blocks_changes_no_bit(monkeypatch, n, n_q, n_p):
+    # the window, the reached sites and the norm field's image-pair sums are
+    # built per row, so one row at a time equals the whole grid at once
+    plans = []
+    for block_cells in (1, 2**30):
+        monkeypatch.setattr(tomography, "BLOCK_CELLS", block_cells)
+        plans.append(HusimiTransform(n, n_q, n_p))
+    rows, whole = plans
+    assert len(rows._blocks) == n_q and len(whole._blocks) == 1
+    assert np.array_equal(rows._norm2, whole._norm2)
+    assert len(rows._chunks) == len(whole._chunks)
+    for (index_a, window_a), (index_b, window_b) in zip(rows._chunks, whole._chunks):
+        assert np.array_equal(index_a, index_b) and np.array_equal(window_a, window_b)
+
+
+def test_plan_build_memory_at_1000_squared():
+    # the plan's norm field (8 MB), its band sites and window (2.8 MB) and
+    # row blocks of temporaries; whole-grid windows and norm-field products
+    # took the peak to 26.6 MiB
+    tracemalloc.start()
+    try:
+        HusimiTransform(512, 1000, 1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 14e6
+
+
 def test_mean_husimi_holds_the_field_the_mean_and_one_block():
     # the field, the accumulator that is normalized in place, one block's
     # fold and FFT buffers and 1 MB for the rest; the entropy buffers are
