@@ -11,17 +11,19 @@ no file of its own, and all CSV bytes are pure functions of the config: a
 rerun into a fresh directory produces identical checksums.
 `leak_scan` is the leak-position scan that `scan` writes as columns, with
 their correlations and reliabilities; it alone computes the statistics of
-a position.
+a position.  Every command times its stages through `_Run.stage` and
+builds each of its Husimi plans itself.
 
 `scan` runs independent tasks: one orbit pass per group of adjacent
 positions, which gives the group's classical columns (the orbits do not
 depend on the leak), and one Schur spectrum with its entropies per
 position.  Given `workers` > 1, `scan` maps them over fork-started worker
 processes (never more than `worker_count` allows); one worker runs them in
-this process.  The parent builds what the tasks share (the unitary and the
-Husimi plan) before the pool starts and the tasks close over it, so the
-workers inherit it and only task indices and results cross processes;
-each task builds its own leaks and projector.
+this process.  `scan` builds what the tasks share (the checked unitary
+and the Husimi plan) in its own stages before the pool starts and hands it
+to `leak_scan`, whose tasks close over it, so the workers inherit it and
+only task indices and results cross processes; each task builds its own
+leaks and projector.
 `quantum`, `ftle-field` and `open-classical` run in the calling thread at
 any worker request and start no thread, so a later `scan` in the same
 process forks from a process that runs no other thread.
@@ -356,17 +358,16 @@ def cmd_quantum(cfg: ExperimentConfig, workers: int | None) -> list:
     taken again at twice that grid, and the manifest records the largest
     change of their s_w (`entropy_grid_check`).
 
-    Runs in the calling thread at any worker request: the Schur and the
-    entropy loop's reductions hold the GIL, so a second thread gained
-    nothing.  The two entropy grids' plans are built after the
-    top-states check, then come the mean field (on the image grid's plan),
-    the 2n check and every s_w on the entropy grid; each plan is built once
-    and passed to the jobs that use it.  A leak strip that absorbs no
-    lattice site fails before the spectrum, a plan that fails to build
-    raises before any transform, and a degenerate coherent reference
-    raises in the entropy job that takes it.  timings_s adds each Husimi
-    job's seconds (plans_busy, mean_field_busy, grid_check_busy,
-    entropies_busy), sub-timings of the husimi stage."""
+    Runs in the calling thread at any worker request.  The two entropy
+    grids' plans are built after the top-states check, then come the mean
+    field (on the image grid's plan), the 2n check and every s_w on the
+    entropy grid; each plan is built once and passed to the jobs that use
+    it.  A leak strip that absorbs no lattice site fails before the
+    spectrum, a plan that fails to build raises before any transform, and
+    a degenerate coherent reference raises in the entropy job that takes
+    it.  timings_s adds each Husimi job's seconds (plans_busy,
+    mean_field_busy, grid_check_busy, entropies_busy), sub-timings of the
+    husimi stage."""
     run = _Run(cfg, "quantum")
     qp = QuantumParams(cfg.dim, cfg.k)
     leak = Leak(cfg.leak_center, cfg.leak_width)
@@ -419,34 +420,27 @@ def cmd_quantum(cfg: ExperimentConfig, workers: int | None) -> list:
     )
 
 
-def leak_scan(cfg: ExperimentConfig, workers: int | None) -> tuple:
+def leak_scan(cfg: ExperimentConfig, workers: int | None, u: np.ndarray, plan: HusimiTransform) -> tuple:
     """Classical and quantum statistics at `cfg.scan_positions` leak centers.
 
-    The unitary (checked as `quantum` checks it) and the Husimi plan are
-    built once, and the plan's coherent reference is taken once as a check,
-    so a bad unitary or Husimi grid fails before any task runs.  The
-    classical columns come from one orbit pass per group of adjacent
-    positions (at least one group per worker, at most _GROUP_MAX positions
-    each), since the orbits do not depend on the leak; each position's
-    projector and Schur spectrum are a task of their own.  The tasks run
-    over at most `worker_count(workers, positions)` processes, groups
-    first, with one stderr line as each is gathered.  A position's row is
-    the mean and standard error of tau and lambda over orbits with
-    tau >= 1, survivors counted at t_max (Altmann, Portela & Tel, RMP 85,
-    869 (2013)), the unescaped fraction, and the mean and standard error
-    of the dwell time and of s_w over all N Schur states, zero modes
-    entering with dwell 0.
-    Returns (columns, timings, busy, defect, groups): columns maps q_L and
-    each SCAN_COLUMNS header to its column; busy holds each position's busy
-    seconds per SCAN_STAGES key, "classical" being its group's seconds
-    divided by the group's size; timings holds the wall seconds of the
-    setup, split into the checked unitary ("unitary") and the Husimi plan
-    with its reference check ("husimi"), and of the tasks ("positions"),
-    and the busy seconds summed per stage (more than the
-    wall time when workers run in parallel); defect is the unitary's
-    unitarity defect; groups lists each classical group's q_L, seconds and
+    u is the closed unitary at (cfg.dim, cfg.k), checked by
+    `_checked_unitary`, and plan the Husimi plan of the scan grid; the
+    tasks close over both, so forked workers inherit them.  The classical
+    columns come from one orbit pass per group of adjacent positions (at
+    least one group per worker, at most _GROUP_MAX positions each), since
+    the orbits do not depend on the leak; each position's projector and
+    Schur spectrum are a task of their own.  The tasks run over at most
+    `worker_count(workers, positions)` processes, groups first, with one
+    stderr line as each is gathered.  A position's row is the mean and
+    standard error of tau and lambda over orbits with tau >= 1, survivors
+    counted at t_max (Altmann, Portela & Tel, RMP 85, 869 (2013)), the
+    unescaped fraction, and the mean and standard error of the dwell time
+    and of s_w over all N Schur states, zero modes entering with dwell 0.
+    Returns (columns, busy, groups): columns maps q_L and each SCAN_COLUMNS
+    header to its column; busy holds each position's busy seconds per
+    SCAN_STAGES key, "classical" being its group's seconds divided by the
+    group's size; groups lists each classical group's q_L, seconds and
     point-steps (the steps of the pass summed over its points)."""
-    start = time.perf_counter()
     positions = _scan_positions(cfg)
     params = MapParams(cfg.k)
     qp = QuantumParams(cfg.dim, cfg.k)
@@ -454,11 +448,6 @@ def leak_scan(cfg: ExperimentConfig, workers: int | None) -> tuple:
     n_workers = worker_count(workers, positions.size)
     # contiguous groups of position indices, one classical task each
     groups = np.array_split(np.arange(positions.size), max(n_workers, -(-positions.size // _GROUP_MAX)))
-    # shared by every task: built once, inherited by forked workers
-    u, defect = _checked_unitary(qp)
-    plan_start = time.perf_counter()
-    plan = HusimiTransform(cfg.dim, cfg.scan_husimi_q, cfg.scan_husimi_p)
-    _coherent_entropy(plan, plan.workspace())
 
     def classical(group):
         t0 = time.perf_counter()
@@ -489,7 +478,6 @@ def leak_scan(cfg: ExperimentConfig, workers: int | None) -> tuple:
     def task(j):
         return classical(groups[j]) if j < len(groups) else quantum(j - len(groups))
 
-    tasks_start = time.perf_counter()
     cl, cl_busy, group_records, stats, busy = [], [], [], [], []
     with _task_results(task, len(groups) + positions.size, n_workers) as results:
         # zip stops at the last group, before it takes a position's result
@@ -505,14 +493,7 @@ def leak_scan(cfg: ExperimentConfig, workers: int | None) -> tuple:
             line = ", ".join(f"{k} {t:.2f} s" for k, t in zip(SCAN_STAGES, busy[i]))
             print(f"scan: position {i + 1}/{positions.size} q_L={positions[i]:g}: {line}", file=sys.stderr, flush=True)
     columns = {"q_L": positions, **dict(zip(SCAN_COLUMNS, np.array(stats, dtype=float).T))}
-    timings = {
-        "unitary": round(plan_start - start, 6),
-        "husimi": round(tasks_start - plan_start, 6),
-        "positions": round(time.perf_counter() - tasks_start, 6),
-    }
-    for key, times in zip(SCAN_STAGES, zip(*busy)):
-        timings[key] = round(sum(times), 6)
-    return columns, timings, busy, defect, group_records
+    return columns, busy, group_records
 
 
 def cmd_scan(cfg: ExperimentConfig, workers: int | None) -> list:
@@ -521,14 +502,28 @@ def cmd_scan(cfg: ExperimentConfig, workers: int | None) -> list:
     `_reliability` (reliability_tau, _lambda, _T and _SW), its
     position_timings_s each position's busy seconds (its "classical" entry
     is the position's share of its group's pass) and its classical_groups
-    each orbit pass's positions, seconds and point-steps.  peak_rss_mb
-    records this process's peak after the positions ("positions") and,
-    given more than one worker, the largest worker process's ("workers")."""
+    each orbit pass's positions, seconds and point-steps.
+
+    The stages are the checked unitary ("unitary"), the scan grid's Husimi
+    plan with its coherent reference taken once as a check ("husimi"), so
+    a bad unitary or grid fails before any task runs, and the tasks with
+    the columns' assembly ("positions").  timings_s adds the positions'
+    busy seconds summed per SCAN_STAGES key (more than the wall time when
+    workers run in parallel).  Given more than one worker, peak_rss_mb
+    adds "workers", the largest child process this process has waited for
+    (resource.RUSAGE_CHILDREN): the scan's largest worker, or an earlier
+    command's worker where one process runs several commands."""
     run = _Run(cfg, "scan")
     run.workers = worker_count(workers, cfg.scan_positions)
-    columns, timings, busy, defect, groups = leak_scan(cfg, run.workers)
-    run.timings.update(timings)
-    run.peak_rss["positions"] = _max_rss_mb(resource.RUSAGE_SELF)
+    run.stage("unitary")
+    u, defect = _checked_unitary(QuantumParams(cfg.dim, cfg.k))
+    run.stage("husimi")
+    plan = HusimiTransform(cfg.dim, cfg.scan_husimi_q, cfg.scan_husimi_p)
+    _coherent_entropy(plan, plan.workspace())
+    run.stage("positions")
+    columns, busy, groups = leak_scan(cfg, run.workers, u, plan)
+    for key, times in zip(SCAN_STAGES, zip(*busy)):
+        run.timings[key] = round(sum(times), 6)
     if run.workers > 1:
         # the pool has joined, so every worker has been waited for
         run.peak_rss["workers"] = _max_rss_mb(resource.RUSAGE_CHILDREN)

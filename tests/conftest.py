@@ -18,7 +18,10 @@ apply_thread_env()
 
 import numpy as np  # noqa: E402
 
+from leakmap.quantum import QuantumParams
+from leakmap.runner import _checked_unitary
 from leakmap.standard_map import RENORM_INTERVAL, TWO_PI, MapParams, _sigma_max, mod1
+from leakmap.tomography import HusimiTransform
 
 # Deterministic per-component RNG streams for tests that draw random
 # initial conditions or states.  The stream identities are fixed so that
@@ -31,6 +34,13 @@ def component_rng(seed: int, component: str) -> np.random.Generator:
         raise ValueError(f"unknown component {component!r}, have {sorted(_RNG_STREAMS)}")
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(_RNG_STREAMS[component],))
     return np.random.default_rng(ss)
+
+
+def scan_inputs(cfg) -> tuple:
+    """The checked closed unitary and the scan grid's Husimi plan of cfg,
+    which `cmd_scan` builds and hands to `leak_scan`."""
+    u, _ = _checked_unitary(QuantumParams(cfg.dim, cfg.k))
+    return u, HusimiTransform(cfg.dim, cfg.scan_husimi_q, cfg.scan_husimi_p)
 
 
 # ---------------------------------------------------------------------------

@@ -57,7 +57,7 @@ from leakmap.tomography import (
     state_entropies,
 )
 
-from conftest import TangentFrame, component_rng, step, tangent_step
+from conftest import TangentFrame, component_rng, scan_inputs, step, tangent_step
 
 PARAMS = MapParams(K=10.0)
 
@@ -231,7 +231,8 @@ def test_leak_position_scan_correspondence():
     positions = np.arange(50) / 50.0
     # the defaults are the gate's data: 50 positions of a width-0.2 leak,
     # K = 10, a 500^2 grid to t_max = 1000, 500^2 Husimi grids
-    scan = leak_scan(ExperimentConfig(dim=256), 1)[0]
+    cfg = ExperimentConfig(dim=256)
+    scan = leak_scan(cfg, 1, *scan_inputs(cfg))[0]
 
     def near_sticky(x):
         return min(abs(x - 0.2), abs(x - 0.8)) <= 0.05

@@ -15,7 +15,8 @@ def load_tool():
     return mod
 
 
-verdict = load_tool().verdict
+tool = load_tool()
+verdict, drift = tool.verdict, tool.drift
 
 # ten parent runs: quartiles 0.62 and 0.68 (inclusive), median 0.645, IQR 0.06
 PARENT = [0.60, 0.61, 0.62, 0.63, 0.64, 0.65, 0.66, 0.68, 0.70, 0.72]
@@ -59,3 +60,12 @@ def test_bound_reads_regression_within_or_unresolved():
 def test_sides_must_pair_up():
     with pytest.raises(ValueError, match="equal, non-empty"):
         verdict(PARENT, PARENT[:9], "lower", 0.25)
+
+
+def test_drift_compares_the_first_and_second_half_of_the_runs():
+    # a host that slowed by 40 % halfway through reads as a drift of 1.4
+    step = [1.0] * 10 + [1.4] * 10
+    assert drift(step) == pytest.approx((1.0, 1.4, 1.4))
+    # an odd middle run falls in neither half; one run has no halves
+    assert drift([1.0, 5.0, 2.0]) == pytest.approx((1.0, 2.0, 2.0))
+    assert drift([1.0]) is None

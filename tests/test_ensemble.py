@@ -30,6 +30,8 @@ from leakmap.config import ExperimentConfig
 from leakmap.runner import leak_scan
 from leakmap.standard_map import RENORM_INTERVAL, Leak, MapParams, evolve_open, ftle
 
+from conftest import scan_inputs
+
 PARAMS = MapParams(K=10.0)
 
 
@@ -421,7 +423,7 @@ def test_leak_scan_full_torus_and_smallest_selection():
     cfg = ExperimentConfig(
         grid_q=6, grid_p=6, t_max=10, leak_width=1.0, dim=8, scan_positions=1, scan_husimi_q=20, scan_husimi_p=20
     )
-    scan = leak_scan(cfg, None)[0]
+    scan = leak_scan(cfg, None, *scan_inputs(cfg))[0]
     assert scan["mean_tau"][0] == 0.0
     assert scan["se_tau"][0] == 0.0
     assert math.isnan(scan["mean_lambda"][0])
@@ -430,7 +432,8 @@ def test_leak_scan_full_torus_and_smallest_selection():
     # orbits, enough for finite standard errors
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        scan = leak_scan(dataclasses.replace(cfg, grid_q=2, grid_p=2, leak_width=0.5, scan_positions=4), None)[0]
+        cfg = dataclasses.replace(cfg, grid_q=2, grid_p=2, leak_width=0.5, scan_positions=4)
+        scan = leak_scan(cfg, None, *scan_inputs(cfg))[0]
     assert scan["q_L"][1] == 0.25
     assert scan["mean_tau"][1] >= 1.0
     assert np.isfinite(scan["se_tau"][1])
@@ -442,7 +445,7 @@ def test_leak_scan_classical_symmetry_and_errors():
     # are mirror symmetric within three standard errors; the horizon is long
     # enough that almost every orbit escapes
     cfg = ExperimentConfig(grid_q=80, grid_p=80, t_max=800, dim=32, scan_positions=10, scan_husimi_q=100, scan_husimi_p=100)
-    scan = leak_scan(cfg, None)[0]
+    scan = leak_scan(cfg, None, *scan_inputs(cfg))[0]
     i = np.arange(1, 5)
     j = 10 - i
     for k in ("tau", "lambda"):

@@ -22,6 +22,8 @@ from leakmap.config import ExperimentConfig
 from leakmap.runner import leak_scan
 from leakmap.standard_map import Leak
 
+from conftest import scan_inputs
+
 
 # ---------------------------------------------------------------------------
 # propagator construction
@@ -277,7 +279,8 @@ def _dwell_scan_config():
 
 
 def test_dwell_stats_basic():
-    scan = leak_scan(_dwell_scan_config(), None)[0]
+    cfg = _dwell_scan_config()
+    scan = leak_scan(cfg, None, *scan_inputs(cfg))[0]
     assert np.all(np.isfinite(scan["mean_T"])) and np.all(scan["mean_T"] > 0.0)
     assert np.all(np.isfinite(scan["se_T"]))
 
@@ -285,6 +288,6 @@ def test_dwell_stats_basic():
 def test_dwell_stats_closed_is_nan():
     # an infinite dwell time (the closed system) leaves the mean undefined
     cfg = dataclasses.replace(_dwell_scan_config(), leak_width=0.0, dim=8, scan_positions=1)
-    closed = leak_scan(cfg, None)[0]
+    closed = leak_scan(cfg, None, *scan_inputs(cfg))[0]
     assert math.isnan(closed["mean_T"][0])
     assert math.isnan(closed["se_T"][0])

@@ -35,6 +35,8 @@ from leakmap.runner import cmd_ftle_field, cmd_open_classical, cmd_quantum, cmd_
 from leakmap.standard_map import Leak, MapParams
 from leakmap.tomography import HusimiTransform, state_entropies
 
+from conftest import scan_inputs
+
 
 def toy_config(outdir, **kw):
     base = dict(
@@ -349,12 +351,13 @@ def test_cmd_scan_one_spectrum_per_position(tmp_path, monkeypatch):
 
 def test_leak_scan_columns_are_the_per_position_statistics(tmp_path):
     cfg = toy_config(tmp_path, dim=16, t_max=400, scan_positions=3)
-    scan, timings, busy, defect, groups = leak_scan(cfg, None)
+    scan, busy, groups = leak_scan(cfg, None, *scan_inputs(cfg))
     assert list(scan) == ["q_L", *runner.SCAN_COLUMNS]
     assert np.array_equal(scan["q_L"], np.arange(3) / 3)
     qp = QuantumParams(16, cfg.k)
     u = build_unitary(qp)
-    assert defect == unitarity_defect(u)
+    cmd_scan(cfg, None)
+    assert load_manifest(tmp_path)["extra"]["unitarity_defect"] == unitarity_defect(u)
     plan = HusimiTransform(16, 40, 40)
 
     def mean_se(x):
@@ -375,7 +378,6 @@ def test_leak_scan_columns_are_the_per_position_statistics(tmp_path):
         ]
         assert [scan[k][i] for k in runner.SCAN_COLUMNS] == row
     assert len(busy) == 3 and all(len(b) == len(runner.SCAN_STAGES) for b in busy)
-    assert set(timings) == {"unitary", "husimi", "positions", *runner.SCAN_STAGES}
 
 
 def test_leak_scan_columns_do_not_depend_on_the_position_groups(tmp_path, monkeypatch):
@@ -385,7 +387,7 @@ def test_leak_scan_columns_do_not_depend_on_the_position_groups(tmp_path, monkey
     runs = {}
     for group_max, workers in ((1, None), (3, None), (20, None), (8, 2)):
         monkeypatch.setattr(runner, "_GROUP_MAX", group_max)
-        scan, timings, busy, defect, groups = leak_scan(cfg, workers)
+        scan, busy, groups = leak_scan(cfg, workers, *scan_inputs(cfg))
         runs[group_max] = scan
         assert [q for g in groups for q in g["q_L"]] == list(scan["q_L"])
         assert all(g["point_steps"] > 0 and g["seconds"] >= 0.0 for g in groups)
@@ -397,16 +399,17 @@ def test_leak_scan_columns_do_not_depend_on_the_position_groups(tmp_path, monkey
             assert np.array_equal(scan[key], runs[1][key], equal_nan=True), key
 
 
-def test_leak_scan_checks_unitarity_before_any_position(tmp_path, monkeypatch):
+def test_cmd_scan_checks_unitarity_before_any_position(tmp_path, monkeypatch):
     calls = []
     monkeypatch.setattr(runner, "build_unitary", lambda qp: 1.001 * build_unitary(qp))
     monkeypatch.setattr(runner, "_orbits", lambda *args: calls.append(args))
     with pytest.raises(RuntimeError, match="propagator failed unitarity"):
-        leak_scan(toy_config(tmp_path, dim=16, t_max=400), None)
+        cmd_scan(toy_config(tmp_path, dim=16, t_max=400), None)
     assert calls == []
+    assert list(tmp_path.iterdir()) == []
 
 
-def test_leak_scan_checks_the_coherent_reference_before_any_position(tmp_path, monkeypatch):
+def test_cmd_scan_checks_the_coherent_reference_before_any_position(tmp_path, monkeypatch):
     # a 2x2 Husimi grid cannot resolve the N = 4 coherent state
     calls = collections.Counter()
 
@@ -421,9 +424,10 @@ def test_leak_scan_checks_the_coherent_reference_before_any_position(tmp_path, m
     monkeypatch.setattr(runner, "resonance_spectrum", counted("resonance_spectrum", resonance_spectrum))
     cfg = toy_config(tmp_path, dim=4, t_max=400, scan_husimi_q=2, scan_husimi_p=2)
     with pytest.raises(RuntimeError, match="degenerate coherent reference entropy"):
-        leak_scan(cfg, None)
+        cmd_scan(cfg, None)
     assert calls["escape_ensemble"] == 0
     assert calls["resonance_spectrum"] == 0
+    assert list(tmp_path.iterdir()) == []
 
 
 def count_plans(monkeypatch):
@@ -439,10 +443,10 @@ def count_plans(monkeypatch):
     return built
 
 
-def test_leak_scan_builds_one_plan(tmp_path, monkeypatch):
+def test_cmd_scan_builds_one_plan(tmp_path, monkeypatch):
     # every position's entropies use the plan built before the first task
     built = count_plans(monkeypatch)
-    leak_scan(toy_config(tmp_path, dim=16, t_max=400, scan_positions=5), None)
+    cmd_scan(toy_config(tmp_path, dim=16, t_max=400, scan_positions=5), None)
     assert built == [(16, 40, 40)]
 
 
@@ -467,8 +471,9 @@ def test_leak_scan_builds_no_position_input_before_the_first_task(tmp_path, monk
 
     monkeypatch.setattr(runner, "build_projector", counted)
     monkeypatch.setattr(runner, "_orbits", failing)
+    cfg = toy_config(tmp_path, dim=16, t_max=400, scan_positions=5)
     with pytest.raises(RuntimeError, match="first task ran"):
-        leak_scan(toy_config(tmp_path, dim=16, t_max=400, scan_positions=5), None)
+        leak_scan(cfg, None, *scan_inputs(cfg))
     assert calls == []
 
 
@@ -496,8 +501,8 @@ def test_manifest_records_peak_memory_at_each_stage_end(tmp_path):
     cases = [
         ("ftle-field", cmd_ftle_field, None, ["ftle_field", "strip_scan", "write", "manifest"]),
         ("quantum", cmd_quantum, 2, ["unitary", "spectrum", "husimi", "write", "manifest"]),
-        ("scan1", cmd_scan, None, ["positions", "write", "manifest"]),
-        ("scan2", cmd_scan, 2, ["positions", "write", "manifest"]),
+        ("scan1", cmd_scan, None, ["unitary", "husimi", "positions", "write", "manifest"]),
+        ("scan2", cmd_scan, 2, ["unitary", "husimi", "positions", "write", "manifest"]),
     ]
     for name, command, workers, stages in cases:
         command(toy_config(tmp_path / name, dim=16, t_max=400, grid_q=20, grid_p=20), workers)

@@ -42,6 +42,8 @@ from leakmap.tomography import (
     state_entropies,
 )
 
+from conftest import scan_inputs
+
 
 def open_resonances(n, center, width=0.2):
     qp = QuantumParams(n, 10.0)
@@ -658,7 +660,7 @@ def test_leak_scan_entropy_symmetry():
     # q -> 1 - q maps the leaked map onto itself, so the quantum dwell time
     # and the Wehrl entropy are mirror symmetric within three standard errors
     cfg = ExperimentConfig(grid_q=80, grid_p=80, t_max=800, dim=32, scan_positions=10, scan_husimi_q=100, scan_husimi_p=100)
-    scan = leak_scan(cfg, None)[0]
+    scan = leak_scan(cfg, None, *scan_inputs(cfg))[0]
     i = np.arange(1, 5)
     j = 10 - i
     for k in ("T", "SW"):

@@ -25,6 +25,11 @@ for neither) and two verdicts:
   "unresolved" unless it is inside the bound and every change run beats
   every parent run.
 
+Under each metric, each side's drift: the median of its first half of the
+pairs, of its second half (an odd middle pair falls in neither) and
+their ratio, so that a host whose speed changed mid-session reads as a
+drift on both sides, not as an effect of the change.
+
 Then each side's failed invocations out of those attempted, and the
 median over runs of each `timings_s` key's per-run median, per side.
 Exits 1 when a run fails or is not `correct`, or a metric breaks
@@ -86,6 +91,17 @@ def verdict(parent: list, change: list, better: str, bound: float) -> dict:
         "worse": worse,
         "bound_status": status,
     }
+
+
+def drift(xs: list) -> tuple | None:
+    """(median of the first half of xs, median of the second half, second
+    over first), xs in run order; an odd middle run falls in neither half.
+    None for fewer than two runs."""
+    half = len(xs) // 2
+    if half == 0:
+        return None
+    first, second = statistics.median(xs[:half]), statistics.median(xs[-half:])
+    return first, second, second / first
 
 
 def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -155,6 +171,10 @@ def main(argv=None) -> int:
               f"change {cm:.6g} [{c1:.6g}, {c3:.6g}]  change better in {v['wins']}/{v['pairs']}  "
               f"gain {'yes' if v['gain'] else 'no'} (parent IQR {v['parent_iqr']:.6g})  "
               f"bound {m['bound']:g}: worsening {v['worse']:+.1%}, {v['bound_status']}")
+        for side, xs in zip(("parent", "change"), zip(*pairs)):
+            d = drift(list(xs))
+            if d is not None:
+                print(f"  {name} drift {side}: first half {d[0]:.6g}, second half {d[1]:.6g}, ratio {d[2]:.4g}")
     for side, rs in runs.items():
         failed, attempted = (sum(r.get(k) or 0 for r in rs) for k in ("failed", "attempted"))
         print(f"{side}: {failed} of {attempted} invocations failed")
