@@ -65,9 +65,11 @@ def read_lcf(path) -> np.ndarray:
 
 
 def write_csv(path, header, columns) -> Path:
-    """Write columns (equal-length sequences) under a comma-joined header."""
+    """Write columns (equal-length sequences) under a header naming each one."""
     path = Path(path)
     cols = [np.asarray(c) for c in columns]
+    if len(header) != len(cols):
+        raise ValueError(f"CSV header has {len(header)} names for {len(cols)} columns")
     n = cols[0].shape[0]
     if any(c.shape != (n,) for c in cols):
         raise ValueError("CSV columns must be 1-D and equal length")

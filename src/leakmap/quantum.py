@@ -85,7 +85,8 @@ def build_unitary(params: QuantumParams) -> np.ndarray:
 
 
 def unitarity_defect(u: np.ndarray) -> float:
-    """max |U^H U - I|; ~1e-14 for the exact propagator at any N."""
+    """max |U^H U - I|; for `build_unitary` it grows with N |K|: 6.6e-15,
+    2.1e-14, 7.7e-14 at N = 128, 512, 2048 (K = 10), 1.22e-12 at N = 128, K = 3000."""
     gram = u.conj().T @ u
     gram.flat[:: u.shape[0] + 1] -= 1.0
     return float(np.abs(gram).max())

@@ -76,7 +76,6 @@ from .quantum import (
 from .standard_map import Leak, MapParams
 from .tomography import (
     HusimiTransform,
-    _check_top_states,
     _coherent_entropy,
     bin_means,
     dwell_bins,
@@ -137,7 +136,8 @@ def _checked_unitary(qp: QuantumParams) -> tuple:
     u = build_unitary(qp)
     defect = unitarity_defect(u)
     if defect > UNITARITY_TOL:
-        raise RuntimeError(f"propagator failed unitarity: defect {defect:.3g} > {UNITARITY_TOL}")
+        where = f"N = {qp.N}, map.k = {qp.K:g}"
+        raise RuntimeError(f"propagator failed unitarity at {where}: defect {defect:.3g} > {UNITARITY_TOL}")
     return u, defect
 
 
@@ -353,10 +353,11 @@ def cmd_open_classical(cfg: ExperimentConfig, workers: int | None) -> list:
 def cmd_quantum(cfg: ExperimentConfig, workers: int | None) -> list:
     """Resonance spectrum, mean Husimi field, and Wehrl scatter for one leak.
 
-    The config's Husimi grid images the mean field of the top states; every
-    s_w is integrated on the square `entropy_grid(N)`.  The top states are
-    taken again at twice that grid, and the manifest records the largest
-    change of their s_w (`entropy_grid_check`).
+    The top states, the spectrum's first m = top_states Schur vectors (the
+    longest-lived), must all have nonzero dwell time.  The config's Husimi
+    grid images their mean field; every s_w is integrated on the square
+    `entropy_grid(N)`, and the manifest records the largest change of the
+    top states' s_w at twice that grid (`entropy_grid_check`).
 
     Runs in the calling thread at any worker request.  The two entropy
     grids' plans are built after the top-states check, then come the mean
@@ -387,18 +388,20 @@ def cmd_quantum(cfg: ExperimentConfig, workers: int | None) -> list:
     res = resonance_spectrum(u)
     del u
     # a bad dwell bin fails before any transform
-    bins = dwell_bins(res, cfg.dwell_bin)
+    bins = dwell_bins(res.dwell, cfg.dwell_bin)
     run.stage("husimi")
     # too few nonzero-dwell states fail before any plan or transform
-    _check_top_states(res, cfg.top_states)
+    m, n_alive = cfg.top_states, int((res.dwell > 0.0).sum())
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
+    if n_alive < m:
+        raise RuntimeError(f"only {n_alive} nonzero-dwell states available, need m={m}")
+    top = res.vectors[:, :m]
     plan, fine = run.busy("plans_busy", lambda: [HusimiTransform(cfg.dim, n, n) for n in (n_grid, 2 * n_grid)])
-    mean_field = run.busy(
-        "mean_field_busy", lambda: mean_husimi(res, cfg.top_states, HusimiTransform(cfg.dim, cfg.husimi_q, cfg.husimi_p))
-    )
-    top = slice(0, cfg.top_states)
-    s_w_fine = run.busy("grid_check_busy", state_entropies, res.vectors[:, top], fine)
+    mean_field = run.busy("mean_field_busy", lambda: mean_husimi(top, HusimiTransform(cfg.dim, cfg.husimi_q, cfg.husimi_p)))
+    s_w_fine = run.busy("grid_check_busy", state_entropies, top, fine)
     s_w = run.busy("entropies_busy", state_entropies, res.vectors, plan)
-    grid_check = np.abs(s_w_fine - s_w[top]).max()
+    grid_check = np.abs(s_w_fine - s_w[:m]).max()
     return run.finish(
         {"mean_husimi": (mean_field, None)},
         {

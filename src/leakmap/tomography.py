@@ -30,7 +30,9 @@ Every field and every s_w comes from a plan (`HusimiTransform`), which the
 caller builds once per grid and passes to every call, and one workspace
 per batch of states, so the per-state loop allocates no grid-sized array;
 each entropy batch takes the coherent reference that fixes the s_w scale
-in its own workspace, before any of its states.
+in its own workspace, before any of its states.  States come as the
+columns of a 2-D array and dwell times as an array: which Schur states
+are imaged is the caller's rule, so nothing here reads a spectrum.
 
 A Wehrl entropy is an integral over the torus, and the grid that images a
 field need not be the grid that integrates it: `entropy_grid(N)` is the
@@ -45,7 +47,7 @@ import math
 
 import numpy as np
 
-from .quantum import ResonanceSet
+from .ensemble import PhaseSpaceGrid
 from .standard_map import TWO_PI
 
 __all__ = [
@@ -183,8 +185,9 @@ class HusimiTransform:
     in all).  The plan also fixes the row blocks (at most BLOCK_CELLS cells
     each) in which `overlap_field` folds and transforms a field, so a
     workspace holds one grid-sized array, the field, and two blocks.
-    Nothing is set on a plan once `__init__`
-    returns, so threads may share one: per-call buffers live in a
+    The cell centers and the check of at least 2 cells per axis are
+    `PhaseSpaceGrid`'s.  Nothing is set on a plan once `__init__`
+    returns, so batches may share one: per-call buffers live in a
     `workspace()`, which each batch allocates once and passes to every
     `overlap_field`.
     """
@@ -192,13 +195,12 @@ class HusimiTransform:
     def __init__(self, N: int, n_q: int, n_p: int):
         if N < 2:
             raise ValueError(f"N must be >= 2, got {N}")
-        if n_q < 2 or n_p < 2:
-            raise ValueError(f"grid needs >= 2 cells per axis, got {n_q}x{n_p}")
+        grid = PhaseSpaceGrid(n_q, n_p)
         self.N = N
         self.n_q = n_q
         self.n_p = n_p
-        self.q = (np.arange(n_q) + 0.5) / n_q
-        self.p = (np.arange(n_p) + 0.5) / n_p
+        self.q = grid.q_centers
+        self.p = grid.p_centers
 
         # Extended lattice k' = k - m N restricted to where the Gaussian
         # window can matter for some q in [0, 1).
@@ -345,27 +347,15 @@ def _five_smooth(n: int) -> bool:
     return n == 1
 
 
-def _check_top_states(res: ResonanceSet, m: int) -> None:
-    """Raise unless m >= 1 states with nonzero dwell time are available."""
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    n_alive = int((res.dwell > 0.0).sum())
-    if n_alive < m:
-        raise RuntimeError(f"only {n_alive} nonzero-dwell states available, need m={m}")
-
-
-def mean_husimi(res: ResonanceSet, m: int, plan: HusimiTransform) -> np.ndarray:
-    """Mean Husimi field of the m longest-lived Schur states on plan's
-    grid, renormalized, one transform per state.
-
-    Requires at least m states with nonzero dwell time; zero modes carry no
-    lifetime and are never averaged in.
-    """
-    _check_top_states(res, m)
+def mean_husimi(vectors: np.ndarray, plan: HusimiTransform) -> np.ndarray:
+    """Mean of the mass-normalized Husimi fields on plan's grid of the
+    columns of vectors, a 2-D array of length-N states (such as the
+    longest-lived Schur states), renormalized: one transform per column,
+    all in one workspace."""
     work = plan.workspace()
     acc = np.zeros((plan.n_q, plan.n_p))
-    for j in range(m):
-        acc += _normalize(plan.overlap_field(res.vectors[:, j], work))
+    for j in range(vectors.shape[1]):
+        acc += _normalize(plan.overlap_field(vectors[:, j], work))
     return _normalize(acc)
 
 
@@ -411,21 +401,21 @@ def state_entropies(vectors: np.ndarray, plan: HusimiTransform) -> np.ndarray:
 BIN_INDEX_LIMIT = 2.0**52
 
 
-def dwell_bins(res: ResonanceSet, bin_width: float) -> np.ndarray:
-    """Dwell-time bin index floor(dwell / bin_width) of every Schur state,
-    as int64.  Raises ValueError for a bin width that is not finite and
-    positive, for infinite dwell times (a closed system), and for an index
-    of BIN_INDEX_LIMIT or more, past which a bin center is no longer a
-    double inside its bin."""
+def dwell_bins(dwell: np.ndarray, bin_width: float) -> np.ndarray:
+    """Bin index floor(dwell / bin_width) of every dwell time (such as a
+    spectrum's), as int64.  Raises ValueError for a bin width that is not
+    finite and positive, for infinite dwell times (a closed system), and
+    for an index of BIN_INDEX_LIMIT or more, past which a bin center is no
+    longer a double inside its bin."""
     if not (math.isfinite(bin_width) and bin_width > 0.0):
         raise ValueError(f"bin width must be finite and positive, got {bin_width}")
-    if np.isinf(res.dwell).any():
+    if np.isinf(dwell).any():
         raise ValueError("dwell times are infinite (closed system); open the propagator first")
     with np.errstate(over="ignore"):  # an index that overflows to inf fails the check below
-        bins = np.floor(res.dwell / bin_width)
+        bins = np.floor(dwell / bin_width)
     if not bins.max() < BIN_INDEX_LIMIT:
         raise ValueError(
-            f"bin width {bin_width} is too small for the largest dwell time {res.dwell.max()}: "
+            f"bin width {bin_width} is too small for the largest dwell time {dwell.max()}: "
             "its bin index reaches 2^52, past which a bin center can fall outside its bin"
         )
     return bins.astype(np.int64)

@@ -101,6 +101,15 @@ def test_csv_rejects_ragged_columns(tmp_path):
         write_csv(tmp_path / "t.csv", ["a", "b"], [np.arange(3), np.arange(4)])
 
 
+@pytest.mark.parametrize("header,n_cols", [(["a", "b"], 1), (["a"], 2)])
+def test_csv_rejects_a_header_that_does_not_name_every_column(tmp_path, header, n_cols):
+    # either mismatch once wrote a malformed table; no file is opened
+    path = tmp_path / "t.csv"
+    with pytest.raises(ValueError, match=f"CSV header has {len(header)} names for {n_cols} columns"):
+        write_csv(path, header, [np.arange(3)] * n_cols)
+    assert not path.exists()
+
+
 # ---------------------------------------------------------------------------
 # PGM heatmaps
 

@@ -104,7 +104,7 @@ def test_husimi_fields_are_probability_masses(n, k, center, width, n_q, n_p, top
     plan = HusimiTransform(n, n_q, n_p)
     fields = [plan.field(res.vectors[:, j]) for j in range(n)]
     if int((res.dwell > 0.0).sum()) >= top:
-        fields.append(mean_husimi(res, top, plan))
+        fields.append(mean_husimi(res.vectors[:, :top], plan))
     for field in fields:
         assert field.shape == (n_q, n_p)
         assert field.min() >= 0.0

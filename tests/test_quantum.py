@@ -176,6 +176,22 @@ def test_reflection_symmetric_spectra():
     cost = np.abs(za[:, None] - zb[None, :])
     rows, cols = linear_sum_assignment(cost)
     assert cost[rows, cols].max() <= 1e-10
+    # at larger N the kept sites reflect onto each other exactly, and the
+    # sorted moduli of the states above 1e-2 agree (to about 3e-13 over 83
+    # states at N = 128 and 2e-11 over 158 at N = 256)
+    for n, center, width in ((128, 0.2, 0.2), (256, 0.3, 0.2)):
+        qp = QuantumParams(n, 10.0)
+        u = build_unitary(qp)
+        keep_a = build_projector(qp, Leak(center, width))
+        keep_b = build_projector(qp, Leak(1.0 - center, width))
+        # keep[k - 1] is site k, and site N - k sits at index (N - 2 - i) mod N
+        assert np.array_equal(keep_b[(n - 2 - np.arange(n)) % n], keep_a)
+        moduli = []
+        for keep in (keep_a, keep_b):
+            r = np.abs(resonance_spectrum(open_propagator(u, keep)).z)
+            moduli.append(np.sort(r[r >= 1e-2]))
+        assert moduli[0].size == moduli[1].size
+        assert np.abs(moduli[0] - moduli[1]).max() <= 1e-10, n
 
 
 def test_spectrum_factorizes_the_open_propagator_in_place():

@@ -569,6 +569,10 @@ def test_cmd_quantum_checks_top_states_before_any_transform(tmp_path, monkeypatc
             cmd_quantum(dataclasses.replace(cfg, output=str(out)), workers)
         assert calls == []
         assert not any(out.iterdir())
+    # a config built in code skips the parser's rule that top_states >= 1
+    with pytest.raises(ValueError, match="m must be >= 1, got 0"):
+        cmd_quantum(dataclasses.replace(cfg, top_states=0, output=str(tmp_path / "none")), None)
+    assert calls == []
     # a dwell bin so narrow that the bin indices overflow int64 fails
     # before the top-states check (8 states, 20 asked for)
     out = tmp_path / "narrow"
@@ -838,7 +842,7 @@ def test_cmd_quantum_starts_no_pool(tmp_path, monkeypatch):
     "n_grid,overrides,error",
     [
         # N |K| far past where build_unitary stays unitary
-        (None, {"k": 3000.0, "dim": 128}, "propagator failed unitarity"),
+        (None, {"k": 3000.0, "dim": 128}, "propagator failed unitarity at N = 128, map.k = 3000: defect"),
         # an entropy grid too coarse for the coherent reference
         (2, {}, "degenerate coherent reference entropy"),
         # one that fails its plan build, and the top-states check that

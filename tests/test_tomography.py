@@ -8,7 +8,6 @@ import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -322,7 +321,7 @@ def test_row_blocks_change_no_bit(monkeypatch, n_p, block_cells):
         v = res.vectors[:, j]
         assert np.array_equal(blocked.overlap_field(v, work), whole.overlap_field(v, whole.workspace()))
     assert np.array_equal(state_entropies(res.vectors, blocked), state_entropies(res.vectors, whole))
-    assert np.array_equal(mean_husimi(res, 6, blocked), mean_husimi(res, 6, whole))
+    assert np.array_equal(mean_husimi(res.vectors[:, :6], blocked), mean_husimi(res.vectors[:, :6], whole))
 
 
 # N and grids from 7 x 2000 to 1000^2; 90 x 17, 333 x 41 and 200 x 3 are
@@ -368,7 +367,7 @@ def test_mean_husimi_holds_the_field_the_mean_and_one_block():
     plan = HusimiTransform(256, 1000, 1000)
     tracemalloc.start()
     try:
-        mean_husimi(res, 2, plan)
+        mean_husimi(res.vectors[:, :2], plan)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -397,7 +396,7 @@ def test_batch_loops_equal_per_state_path(n, n_q, n_p, center):
     acc = np.zeros((n_q, n_p))
     for f in fields[:5]:
         acc += f
-    assert np.array_equal(mean_husimi(res, 5, plan), acc / acc.sum())
+    assert np.array_equal(mean_husimi(res.vectors[:, :5], plan), acc / acc.sum())
 
 
 @pytest.mark.parametrize("n,cuts", [(32, (0, 16, 32)), (17, (0, 5, 6, 17)), (8, (0, 8))])
@@ -478,7 +477,7 @@ def test_plan_for_another_n_fails_in_both_entry_points():
     with pytest.raises(ValueError, match=re.escape("state length 16 != N = 17")):
         state_entropies(res.vectors, plan)
     with pytest.raises(ValueError, match=re.escape("state length 16 != N = 17")):
-        mean_husimi(res, 5, plan)
+        mean_husimi(res.vectors, plan)
 
 
 # ---------------------------------------------------------------------------
@@ -579,26 +578,20 @@ def test_entropy_grid_is_the_smallest_5_smooth_size_past_the_envelope():
 def test_mean_husimi_single_state_identity():
     res = open_resonances(16, 0.2)
     plan = HusimiTransform(16, 60, 60)
-    m1 = mean_husimi(res, 1, plan)
+    m1 = mean_husimi(res.vectors[:, :1], plan)
     top = plan.field(res.vectors[:, 0])
     assert_allclose(m1, top, rtol=0, atol=1e-14)
 
 
-def test_mean_husimi_needs_enough_live_states():
-    res = open_resonances(10, 0.2)
-    with pytest.raises(RuntimeError):
-        mean_husimi(res, res.vectors.shape[1] + 1, HusimiTransform(10, 30, 30))
-
-
 def test_mean_husimi_normalized():
     res = open_resonances(16, 0.5)
-    f = mean_husimi(res, 5, HusimiTransform(16, 40, 40))
+    f = mean_husimi(res.vectors[:, :5], HusimiTransform(16, 40, 40))
     assert abs(f.sum() - 1.0) <= 1e-12
 
 
 def test_entropy_vs_dwell_binning():
     res = open_resonances(32, 0.2)
-    bins = dwell_bins(res, 0.08)
+    bins = dwell_bins(res.dwell, 0.08)
     s_w = state_entropies(res.vectors, HusimiTransform(32, 100, 100))
     assert bins.dtype == np.int64
     assert np.array_equal(bins, np.floor(res.dwell / 0.08))
@@ -615,13 +608,13 @@ def test_entropy_vs_dwell_binning():
 def test_entropy_vs_dwell_rejects_closed_system():
     res = resonance_spectrum(build_unitary(QuantumParams(8, 10.0)))
     with pytest.raises(ValueError):
-        dwell_bins(res, 0.08)
+        dwell_bins(res.dwell, 0.08)
 
 
 @pytest.mark.parametrize("width", [0.0, math.nan, math.inf])
 def test_entropy_vs_dwell_rejects_bad_bin_width(width):
     with pytest.raises(ValueError, match="bin width"):
-        dwell_bins(open_resonances(8, 0.2), width)
+        dwell_bins(open_resonances(8, 0.2).dwell, width)
 
 
 def test_bin_centers_lie_strictly_inside_their_bins_up_to_the_limit():
@@ -631,21 +624,21 @@ def test_bin_centers_lie_strictly_inside_their_bins_up_to_the_limit():
     for width in (1e-15, 0.08, 0.3, 7.0, *10.0 ** rng.uniform(-12, 3, 20)):
         top = BIN_INDEX_LIMIT - np.arange(2, 200)
         dwell = np.concatenate([top * width, rng.uniform(0.0, 1.0, 50) * top[0] * width])
-        bins = dwell_bins(SimpleNamespace(dwell=dwell), width)
+        bins = dwell_bins(dwell, width)
         assert bins.max() >= BIN_INDEX_LIMIT - 300
         index, center, _, _ = bin_means(bins, np.zeros(dwell.size), width)
         w = Fraction(width)
         for i, c in zip(index.tolist(), center.tolist()):
             assert i * w < Fraction(c) < (i + 1) * w, (width, i)
     with pytest.raises(ValueError, match="bin index reaches 2\\^52"):
-        dwell_bins(SimpleNamespace(dwell=np.array([0.5, BIN_INDEX_LIMIT * 0.08])), 0.08)
+        dwell_bins(np.array([0.5, BIN_INDEX_LIMIT * 0.08]), 0.08)
 
 
 def test_entropy_vs_dwell_rejects_bin_index_past_int64():
     res = open_resonances(8, 0.2)
     message = f"bin width 1e-300 is too small for the largest dwell time {res.dwell.max()}"
     with pytest.raises(ValueError, match=re.escape(message)):
-        dwell_bins(res, 1e-300)
+        dwell_bins(res.dwell, 1e-300)
 
 
 def test_bin_index_overflowing_a_double_gets_only_the_range_message():
@@ -653,7 +646,7 @@ def test_bin_index_overflowing_a_double_gets_only_the_range_message():
     # an error, so only the precise message may surface
     res = open_resonances(8, 0.2)
     with pytest.raises(ValueError, match="bin width 5e-324 is too small"):
-        dwell_bins(res, 5e-324)
+        dwell_bins(res.dwell, 5e-324)
 
 
 def test_leak_scan_entropy_symmetry():
