@@ -21,7 +21,7 @@ from leakmap.quantum import (
     open_propagator,
     resonance_spectrum,
 )
-from leakmap import tomography
+from leakmap import runner, tomography
 from leakmap.runner import leak_scan
 from leakmap.standard_map import Leak
 from leakmap.tomography import (
@@ -581,6 +581,23 @@ def test_mean_husimi_single_state_identity():
     m1 = mean_husimi(res.vectors[:, :1], plan)
     top = plan.field(res.vectors[:, 0])
     assert_allclose(m1, top, rtol=0, atol=1e-14)
+
+
+def test_mean_husimi_needs_enough_live_states(tmp_path, monkeypatch):
+    # an empty set of states has no mean field
+    res = open_resonances(10, 0.2)
+    plan = HusimiTransform(10, 30, 30)
+    with pytest.raises(RuntimeError, match="no mass"):
+        mean_husimi(res.vectors[:, :0], plan)
+    # the quantum stage picks the top states: asking for more than there
+    # are nonzero-dwell states fails before any mean field is imaged
+    calls = []
+    monkeypatch.setattr(runner, "mean_husimi", lambda *a: calls.append(1))
+    n_alive = int((res.dwell > 0.0).sum())
+    cfg = ExperimentConfig(dim=10, leak_center=0.2, top_states=res.vectors.shape[1] + 1, output=str(tmp_path))
+    with pytest.raises(RuntimeError, match=f"only {n_alive} nonzero-dwell states available, need m=11"):
+        runner.cmd_quantum(cfg, None)
+    assert calls == []
 
 
 def test_mean_husimi_normalized():
